@@ -131,128 +131,76 @@ fn host_probe() -> f64 {
     times[times.len() / 2]
 }
 
-/// One traced `bat campaign` over files in `dir`; returns the number of
-/// trials it executed.
-#[allow(clippy::too_many_arguments)]
-fn campaign_in(
-    tr: &mut Tracer,
-    c: &mut Counters,
-    dir: &Path,
-    spec: &str,
-    out: &str,
+/// One `bat campaign` invocation of a traced flow, by file name in the
+/// run directory.
+struct Step {
+    spec: &'static str,
+    out: &'static str,
     batch: Option<u32>,
-    cache: Option<&str>,
+    cache: Option<&'static str>,
     resume: bool,
-) -> Result<usize, String> {
-    let (spec, out) = (dir.join(spec), dir.join(out));
-    let cache = cache.map(|p| dir.join(p));
-    let call = Call {
-        spec: &spec,
-        out: &out,
-        batch,
-        cache: cache.as_deref(),
-        resume,
+}
+
+/// The `bat campaign` invocations a workload's traced flow makes.
+fn plan(workload: &str) -> Option<Vec<Step>> {
+    let plain = |spec, out| Step {
+        spec,
+        out,
+        batch: None,
+        cache: None,
+        resume: false,
     };
-    campaign::run(tr, c, &call)
+    let cached = |spec, out, cache| Step {
+        cache: Some(cache),
+        ..plain(spec, out)
+    };
+    Some(match workload {
+        "paper-ranking" => vec![plain("pr.json", "traced.json")],
+        "eval-sweep" => vec![
+            plain("sweep.json", "traced-b1.json"),
+            Step {
+                batch: Some(256),
+                ..plain("sweep.json", "traced-b256.json")
+            },
+        ],
+        // Fixture builds, traced in a process of their own so that a
+        // replay starts from a fresh heap, as the CLI's does.
+        "served-setup" => vec![
+            cached("served.json", "traced-served-ref.json", "traced-fix.json"),
+            cached("pr.json", "traced-cold.json", "traced-fix.json"),
+        ],
+        "cache-replay-setup" => vec![cached("pr.json", "traced-cold.json", "traced-fix.json")],
+        "cache-replay" => vec![
+            cached("pr.json", "traced-warm.json", "fix.json"),
+            Step {
+                resume: true,
+                ..plain("pr.json", "traced-warm.json")
+            },
+        ],
+        _ => return None,
+    })
 }
 
 /// Run the traced in-process flow of `workload`, whose inputs `run.py`
 /// wrote into `dir`. Prints the trials each campaign executed and the
 /// per-layer metrics.
 fn traced(workload: &str, dir: &Path) -> Result<(), String> {
+    let steps = plan(workload).ok_or_else(|| format!("no traced run for workload {workload:?}"))?;
     let mut tr = Tracer::new();
     let mut c = Counters::default();
-    let executed = match workload {
-        "paper-ranking" => vec![campaign_in(
-            &mut tr,
-            &mut c,
-            dir,
-            "pr.json",
-            "traced.json",
-            None,
-            None,
-            false,
-        )?],
-        "eval-sweep" => vec![
-            campaign_in(
-                &mut tr,
-                &mut c,
-                dir,
-                "sweep.json",
-                "traced-b1.json",
-                None,
-                None,
-                false,
-            )?,
-            campaign_in(
-                &mut tr,
-                &mut c,
-                dir,
-                "sweep.json",
-                "traced-b256.json",
-                Some(256),
-                None,
-                false,
-            )?,
-        ],
-        // Fixture builds, traced in a process of their own so that a
-        // replay starts from a fresh heap, as the CLI's does.
-        "served-setup" => vec![
-            campaign_in(
-                &mut tr,
-                &mut c,
-                dir,
-                "served.json",
-                "traced-served-ref.json",
-                None,
-                Some("traced-fix.json"),
-                false,
-            )?,
-            campaign_in(
-                &mut tr,
-                &mut c,
-                dir,
-                "pr.json",
-                "traced-cold.json",
-                None,
-                Some("traced-fix.json"),
-                false,
-            )?,
-        ],
-        "cache-replay-setup" => vec![campaign_in(
-            &mut tr,
-            &mut c,
-            dir,
-            "pr.json",
-            "traced-cold.json",
-            None,
-            Some("traced-fix.json"),
-            false,
-        )?],
-        "cache-replay" => vec![
-            campaign_in(
-                &mut tr,
-                &mut c,
-                dir,
-                "pr.json",
-                "traced-warm.json",
-                None,
-                Some("fix.json"),
-                false,
-            )?,
-            campaign_in(
-                &mut tr,
-                &mut c,
-                dir,
-                "pr.json",
-                "traced-warm.json",
-                None,
-                None,
-                true,
-            )?,
-        ],
-        other => return Err(format!("no traced run for workload {other:?}")),
-    };
+    let mut executed = Vec::new();
+    for step in &steps {
+        let (spec, out) = (dir.join(step.spec), dir.join(step.out));
+        let cache = step.cache.map(|p| dir.join(p));
+        let call = Call {
+            spec: &spec,
+            out: &out,
+            batch: step.batch,
+            cache: cache.as_deref(),
+            resume: step.resume,
+        };
+        executed.push(campaign::run(&mut tr, &mut c, &call)?);
+    }
     tr.write_jsonl(&dir.join(format!("spans-{workload}.jsonl")))
         .map_err(|e| format!("writing spans: {e}"))?;
     let metrics = layers(&tr, &c);
