@@ -60,7 +60,7 @@ pub struct EvalStats {
 ///   returned vector has length `k` (a truncated tail, never a hole).
 /// * Repeated indices re-charge budget but are measured once
 ///   (memoization), and retryable failures are never memoized.
-/// * The statistics accessors reflect every evaluation performed so far
+/// * [`EvalBackend::stats`] reflects every evaluation performed so far
 ///   through this backend, exactly as [`Evaluator`]'s counters do.
 pub trait EvalBackend {
     /// The configuration space being tuned (client-side copy for remote
@@ -83,44 +83,25 @@ pub trait EvalBackend {
     /// vector.
     fn evaluate_batch(&self, indices: &[u64]) -> Result<Vec<EvalOutcome>, Error>;
 
-    /// Measure one configuration; `Ok(None)` when the budget is exhausted.
-    ///
-    /// Equivalent to a one-element [`EvalBackend::evaluate_batch`] (same
-    /// budget charge, same memo state), which is the provided
-    /// implementation.
+    /// Measure one configuration: a one-element
+    /// [`EvalBackend::evaluate_batch`] (same budget charge, same memo
+    /// state). `Ok(None)` when the budget is exhausted.
     fn evaluate_index(&self, index: u64) -> Result<Option<EvalOutcome>, Error> {
         Ok(self.evaluate_batch(std::slice::from_ref(&index))?.pop())
     }
 
-    /// True when another evaluation may be performed.
-    fn has_budget(&self) -> bool;
-
     /// Remaining budget, if a budget is set.
     fn budget_left(&self) -> Option<u64>;
 
-    /// Evaluations performed so far (cached or not).
-    fn evals_used(&self) -> u64;
-
-    /// Distinct configurations measured so far.
-    fn distinct_evals(&self) -> u64;
-
-    /// Retries spent on retryable measurement failures.
-    fn retries_used(&self) -> u64;
-
-    /// Configurations quarantined after repeated crashes.
-    fn quarantined_configs(&self) -> u64;
-
-    /// All four statistics counters as one snapshot — the canonical way to
-    /// read a backend's tallies (campaign records and wire responses both
-    /// go through here).
-    fn stats(&self) -> EvalStats {
-        EvalStats {
-            evals: self.evals_used(),
-            distinct: self.distinct_evals(),
-            retries: self.retries_used(),
-            quarantined: self.quarantined_configs(),
-        }
+    /// True when another evaluation may be performed.
+    fn has_budget(&self) -> bool {
+        self.budget_left().is_none_or(|left| left > 0)
     }
+
+    /// All four statistics counters as one snapshot — the one way to read
+    /// a backend's tallies (campaign records and wire responses both go
+    /// through here).
+    fn stats(&self) -> EvalStats;
 }
 
 /// The in-process backend: today's [`Evaluator`], verbatim. Infallible —
@@ -146,32 +127,17 @@ impl EvalBackend for Evaluator<'_> {
         Ok(Evaluator::evaluate_batch(self, indices))
     }
 
-    fn evaluate_index(&self, index: u64) -> Result<Option<EvalOutcome>, Error> {
-        Ok(Evaluator::evaluate_index(self, index))
-    }
-
-    fn has_budget(&self) -> bool {
-        Evaluator::has_budget(self)
-    }
-
     fn budget_left(&self) -> Option<u64> {
         Evaluator::budget_left(self)
     }
 
-    fn evals_used(&self) -> u64 {
-        Evaluator::evals_used(self)
-    }
-
-    fn distinct_evals(&self) -> u64 {
-        Evaluator::distinct_evals(self)
-    }
-
-    fn retries_used(&self) -> u64 {
-        Evaluator::retries_used(self)
-    }
-
-    fn quarantined_configs(&self) -> u64 {
-        Evaluator::quarantined_configs(self)
+    fn stats(&self) -> EvalStats {
+        EvalStats {
+            evals: self.evals_used(),
+            distinct: self.distinct_evals(),
+            retries: self.retries_used(),
+            quarantined: self.quarantined_configs(),
+        }
     }
 }
 
@@ -204,8 +170,7 @@ mod tests {
         let want = Evaluator::evaluate_batch(&native, &[1, 2, 1]);
         let got = backend.evaluate_batch(&[1, 2, 1]).unwrap();
         assert_eq!(got, want);
-        assert_eq!(backend.evals_used(), 3);
-        assert_eq!(backend.distinct_evals(), 2);
+        assert_eq!((backend.stats().evals, backend.stats().distinct), (3, 2));
         assert_eq!(backend.budget_left(), Some(3));
         assert!(backend.has_budget());
     }
@@ -219,6 +184,6 @@ mod tests {
         assert!(backend.evaluate_index(5).unwrap().is_some());
         // Budget exhausted: batch-of-one truncates to empty, i.e. `None`.
         assert!(backend.evaluate_index(6).unwrap().is_none());
-        assert_eq!(backend.evals_used(), 2);
+        assert_eq!(backend.stats().evals, 2);
     }
 }

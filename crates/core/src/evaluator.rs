@@ -58,11 +58,31 @@ struct FaultEntry {
 }
 
 /// Installed fault-injection state: the model, the retry policy and the
-/// per-configuration attempt/strike ledger.
+/// per-configuration attempt/strike ledger. Every evaluator has one; the
+/// default [`FaultModel::disabled`] injects nothing.
 struct FaultInjection {
     model: FaultModel,
     policy: RetryPolicy,
-    state: Mutex<HashMap<u64, FaultEntry>>,
+    /// `model.salt_for(noise salt)`, fixed at construction.
+    salt: u64,
+    /// The model can flake, time out or crash. Only then do attempt
+    /// numbers and crash strikes matter, so only then is `ledger` kept.
+    can_fail: bool,
+    ledger: Mutex<HashMap<u64, FaultEntry>>,
+}
+
+impl FaultInjection {
+    fn new(model: FaultModel, policy: RetryPolicy, noise_salt: u64) -> Self {
+        FaultInjection {
+            model,
+            policy,
+            salt: model.salt_for(noise_salt),
+            can_fail: model.transient_rate > 0.0
+                || model.timeout_rate > 0.0
+                || model.crash_rate > 0.0,
+            ledger: Mutex::new(HashMap::new()),
+        }
+    }
 }
 
 /// Measurement-protocol settings.
@@ -122,41 +142,26 @@ impl Protocol {
 const CACHE_SHARDS: usize = 64;
 
 thread_local! {
-    /// Per-thread configuration decode scratch: `evaluate_index` sits in
-    /// every tuner's inner loop, so the per-call `Vec<i64>` is hoisted here.
+    /// Per-thread configuration decode scratch: measurement sits in every
+    /// tuner's inner loop, so the per-call `Vec<i64>` is hoisted here.
     static CONFIG_SCRATCH: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
 
-    /// Reusable dedup scratch for the batch paths: the ask/tell driver
-    /// calls `evaluate_batch` once per generation, so its bookkeeping
-    /// buffers are hoisted here instead of being reallocated per call.
+    /// Reusable dedup scratch: the ask/tell driver calls `evaluate_batch`
+    /// once per generation, so its bookkeeping buffers are hoisted here
+    /// instead of being reallocated per call.
     static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
-
-    /// Two flat per-worker decode banks for the pipelined large-batch path
-    /// (`measure_many`): a worker decodes each claimed block into one bank
-    /// and measures from it while the *other* bank is free for the next
-    /// block's decode, so consecutive blocks never alias.
-    static DECODE_BANKS: RefCell<[Vec<i64>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
 }
 
 /// Scratch buffers reused across `evaluate_batch` calls on one thread.
 #[derive(Default)]
 struct BatchScratch {
-    /// Unique cache-missing indices, in first-occurrence order.
+    /// Unique memo-missing indices, in first-occurrence order.
     to_measure: Vec<u64>,
-    /// `(output position, to_measure slot)` for every cache miss.
+    /// `(output position, to_measure slot)` for every memo miss.
     occurrences: Vec<(usize, usize)>,
-    /// First-occurrence slot per output position (faulty path).
-    slots: Vec<usize>,
-    /// Index → slot map for batches too large for a linear dedup scan.
+    /// Index → `to_measure` slot.
     slot_of: HashMap<u64, usize>,
-    /// Last output position of each slot (the occurrence that receives the
-    /// measured value by move instead of by clone).
-    last: Vec<usize>,
 }
-
-/// Batches up to this size deduplicate by linear scan; larger ones switch
-/// to the hash map (cleared, not reallocated, per call).
-const DEDUP_SCAN_MAX: usize = 128;
 
 /// Salt folded into the energy noise stream so a configuration's energy
 /// samples scatter independently of its time samples (a real power meter
@@ -179,19 +184,20 @@ struct EvalMetrics {
     backoff_charged: &'static bat_obs::metrics::Counter,
     crashes: &'static bat_obs::metrics::Counter,
     quarantined: &'static bat_obs::metrics::Counter,
-    decode_us: &'static bat_obs::metrics::Histogram,
-    measure_us: &'static bat_obs::metrics::Histogram,
 }
 
 fn obs() -> &'static EvalMetrics {
-    use bat_obs::metrics::{counter, histogram};
+    use bat_obs::metrics::counter;
     static M: std::sync::OnceLock<EvalMetrics> = std::sync::OnceLock::new();
     M.get_or_init(|| EvalMetrics {
         evals: counter(
             "bat_eval_evals_total",
             "Evaluations charged against budgets (incl. retry backoff), all evaluators.",
         ),
-        batches: counter("bat_eval_batches_total", "evaluate_batch calls."),
+        batches: counter(
+            "bat_eval_batches_total",
+            "Evaluation batches (a single evaluation is a batch of one).",
+        ),
         memo_hits: counter(
             "bat_eval_memo_hits_total",
             "Evaluations served from the memo cache.",
@@ -202,7 +208,7 @@ fn obs() -> &'static EvalMetrics {
         ),
         measured: counter(
             "bat_eval_measured_total",
-            "Configurations actually decoded and measured.",
+            "Configurations actually decoded and measured (one per retry chain).",
         ),
         retries_transient: counter(
             "bat_eval_retries_transient_total",
@@ -224,14 +230,6 @@ fn obs() -> &'static EvalMetrics {
             "bat_eval_quarantined_total",
             "Configurations quarantined after repeated crashes.",
         ),
-        decode_us: histogram(
-            "bat_eval_decode_block_us",
-            "Decode-phase duration per pipelined block, microseconds.",
-        ),
-        measure_us: histogram(
-            "bat_eval_measure_block_us",
-            "Measure-phase duration per pipelined block, microseconds.",
-        ),
     })
 }
 
@@ -245,7 +243,7 @@ pub struct Evaluator<'p> {
     measure_energy: bool,
     cache_enabled: bool,
     cache: Vec<Mutex<HashMap<u64, Result<Measurement, EvalFailure>>>>,
-    faults: Option<FaultInjection>,
+    faults: FaultInjection,
     evals: AtomicU64,
     distinct: AtomicU64,
     retries: AtomicU64,
@@ -273,16 +271,17 @@ impl<'p> Evaluator<'p> {
     /// Legacy shim: prefer [`Evaluator::builder`], which validates the
     /// protocol up front. Kept for one release.
     pub fn with_protocol(problem: &'p dyn TuningProblem, protocol: Protocol) -> Self {
+        let noise_salt = bat_gpusim::mix(problem.noise_salt(), protocol.seed);
         Evaluator {
             problem,
-            noise_salt: bat_gpusim::mix(problem.noise_salt(), protocol.seed),
+            noise_salt,
             protocol,
             measure_energy: false,
             cache_enabled: true,
             cache: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            faults: None,
+            faults: FaultInjection::new(FaultModel::disabled(), RetryPolicy::default(), noise_salt),
             evals: AtomicU64::new(0),
             distinct: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -317,18 +316,13 @@ impl<'p> Evaluator<'p> {
         self
     }
 
-    /// Install a fault model and retry policy. Measurements then run as
-    /// bounded retry chains: retryable failures (transient, timeout) are
+    /// Install a fault model and retry policy (default:
+    /// [`FaultModel::disabled`], which injects nothing). Measurements run
+    /// as bounded retry chains: retryable failures (transient, timeout) are
     /// re-attempted per `policy`, never memoized, and configurations that
-    /// crash `policy.quarantine_after` times are quarantined. A disabled
-    /// model injects nothing, and with no model installed at all the
-    /// evaluation path is byte-for-byte the pre-fault one.
+    /// crash `policy.quarantine_after` times are quarantined.
     pub fn with_faults(mut self, model: FaultModel, policy: RetryPolicy) -> Self {
-        self.faults = Some(FaultInjection {
-            model,
-            policy,
-            state: Mutex::new(HashMap::new()),
-        });
+        self.faults = FaultInjection::new(model, policy, self.noise_salt);
         self
     }
 
@@ -384,67 +378,26 @@ impl<'p> Evaluator<'p> {
         self.budget_left().is_none_or(|left| left > 0)
     }
 
-    /// Evaluate a configuration by dense index. Returns `None` when the
-    /// budget is exhausted.
+    /// Evaluate a configuration by dense index: a batch of one. Returns
+    /// `None` when the budget is exhausted.
     pub fn evaluate_index(&self, index: u64) -> Option<Result<Measurement, EvalFailure>> {
-        if !self.has_budget() {
-            return None;
-        }
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        obs().evals.inc();
-        if self.faults.is_some() {
-            return Some(self.evaluate_faulty(index));
-        }
-        if !self.cache_enabled {
-            let result = self.decode_and_measure(index);
-            self.distinct.fetch_add(1, Ordering::Relaxed);
-            obs().measured.inc();
-            return Some(result);
-        }
-        if let Some(hit) = self.shard(index).lock().get(&index) {
-            obs().memo_hits.inc();
-            return Some(hit.clone());
-        }
-        obs().measured.inc();
-        // Measure outside the lock (measurements are deterministic per
-        // index, so a racing duplicate measurement is identical), then
-        // insert through the entry API: one lock, and `distinct` counts a
-        // configuration exactly once even under races.
-        let result = self.decode_and_measure(index);
-        match self.shard(index).lock().entry(index) {
-            std::collections::hash_map::Entry::Occupied(e) => Some(e.get().clone()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(result.clone());
-                self.distinct.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
+        self.evaluate_batch(std::slice::from_ref(&index)).pop()
+    }
+
+    /// Evaluate a configuration by value vector. Returns `None` when the
+    /// budget is exhausted. Configurations with values outside the space are
+    /// reported as [`EvalFailure::Restricted`] (and still spend budget).
+    pub fn evaluate_config(&self, config: &[i64]) -> Option<Result<Measurement, EvalFailure>> {
+        match self.problem.space().index_of(config) {
+            Some(idx) => self.evaluate_index(idx),
+            None => (self.claim(1) == 1).then_some(Err(EvalFailure::Restricted)),
         }
     }
 
-    /// Evaluate a batch of configurations by dense index — the measurement
-    /// side of the ask/tell protocol.
-    ///
-    /// Semantically equivalent to calling [`Evaluator::evaluate_index`] on
-    /// each element in order (same results, same budget accounting, same
-    /// memo/distinct state), but:
-    ///
-    /// * the budget is claimed **once** for the whole batch (one atomic
-    ///   transaction instead of one per element);
-    /// * duplicate indices within the batch are decoded and measured once
-    ///   (each occurrence still spends budget, exactly like repeated serial
-    ///   calls);
-    /// * cache-missing configurations fan out over the compat-rayon pool,
-    ///   each worker decoding into its own thread-local scratch.
-    ///
-    /// The returned vector holds one outcome per element until the budget
-    /// ran out: if only `k` evaluations were affordable, it has length `k`
-    /// (serial calls would have returned `None` from element `k` on).
-    pub fn evaluate_batch(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
-        let want = indices.len() as u64;
-        if want == 0 {
-            return Vec::new();
-        }
-        // One budget claim for the whole batch.
+    /// Claim up to `want` evaluations from the budget in one
+    /// compare-and-swap transaction; returns how many were granted.
+    /// Concurrent callers can never spend past the budget together.
+    fn claim(&self, want: u64) -> u64 {
         let claimed = match self.budget {
             None => {
                 self.evals.fetch_add(want, Ordering::Relaxed);
@@ -464,22 +417,53 @@ impl<'p> Evaluator<'p> {
                     break claim;
                 }
             },
-        } as usize;
+        };
+        obs().evals.add(claimed);
+        claimed
+    }
+
+    /// Evaluate a batch of configurations by dense index — the measurement
+    /// side of the ask/tell protocol, and the evaluator's one evaluation
+    /// path.
+    ///
+    /// Semantically equivalent to evaluating each element in order (same
+    /// results, same budget accounting, same memo/distinct state), but:
+    ///
+    /// * the budget is claimed **once** for the whole batch;
+    /// * memo hits are served first, and duplicate misses within the batch
+    ///   run one retry chain (each occurrence still spends budget, exactly
+    ///   as the memo serves serial repeats);
+    /// * each unique miss runs its whole retry chain on one pool worker, so
+    ///   per-configuration attempt numbers never depend on thread count.
+    ///
+    /// Without memoization every occurrence measures; under a model that
+    /// can fail, those chains run in batch order so repeats draw their
+    /// attempt numbers in order.
+    ///
+    /// The returned vector holds one outcome per element until the budget
+    /// ran out: if only `k` evaluations were affordable, it has length `k`.
+    pub fn evaluate_batch(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
+        let claimed = self.claim(indices.len() as u64) as usize;
+        if claimed == 0 {
+            return Vec::new();
+        }
         let indices = &indices[..claimed];
-        obs().evals.add(claimed as u64);
         obs().batches.inc();
         let mut batch_span = bat_obs::trace::span("batch");
         batch_span.record_u64("size", claimed as u64);
 
-        if self.faults.is_some() {
-            return self.evaluate_batch_faulty(indices);
-        }
-
         if !self.cache_enabled {
-            // No memoization: every occurrence re-measures, as serially.
-            let out = self.measure_many(indices);
+            let out: Vec<_> = if self.faults.can_fail {
+                indices.iter().map(|&idx| self.measure_chain(idx)).collect()
+            } else {
+                (0..claimed)
+                    .into_par_iter()
+                    .map(|k| self.measure_chain(indices[k]))
+                    .collect()
+            };
             self.distinct.fetch_add(claimed as u64, Ordering::Relaxed);
             obs().measured.add(claimed as u64);
+            batch_span.record_u64("measured", claimed as u64);
             return out;
         }
 
@@ -487,15 +471,11 @@ impl<'p> Evaluator<'p> {
             let scratch = &mut *s.borrow_mut();
             scratch.to_measure.clear();
             scratch.occurrences.clear();
-            let use_map = claimed > DEDUP_SCAN_MAX;
-            if use_map {
-                scratch.slot_of.clear();
-            }
+            scratch.slot_of.clear();
 
-            // Partition into cache hits and a deduplicated measurement
-            // list (first-occurrence order, so `distinct` counts match
-            // serial calls). Every placeholder below is overwritten: each
-            // position is either a hit or recorded in `occurrences`.
+            // Partition into memo hits and a deduplicated measurement list
+            // in first-occurrence order. Every placeholder below is
+            // overwritten: each position is a hit or in `occurrences`.
             let mut out: Vec<Result<Measurement, EvalFailure>> =
                 vec![Err(EvalFailure::Restricted); claimed];
             for (i, &idx) in indices.iter().enumerate() {
@@ -503,225 +483,64 @@ impl<'p> Evaluator<'p> {
                     out[i] = hit.clone();
                     continue;
                 }
-                let slot = if use_map {
-                    *scratch.slot_of.entry(idx).or_insert_with(|| {
-                        scratch.to_measure.push(idx);
-                        scratch.to_measure.len() - 1
-                    })
-                } else {
-                    match scratch.to_measure.iter().position(|&m| m == idx) {
-                        Some(slot) => slot,
-                        None => {
-                            scratch.to_measure.push(idx);
-                            scratch.to_measure.len() - 1
-                        }
-                    }
-                };
+                let slot = *scratch.slot_of.entry(idx).or_insert_with(|| {
+                    scratch.to_measure.push(idx);
+                    scratch.to_measure.len() - 1
+                });
                 scratch.occurrences.push((i, slot));
             }
-            let memo_hits = claimed - scratch.occurrences.len();
-            let dedup_hits = scratch.occurrences.len() - scratch.to_measure.len();
-            obs().memo_hits.add(memo_hits as u64);
-            obs().dedup_hits.add(dedup_hits as u64);
-            obs().measured.add(scratch.to_measure.len() as u64);
-            batch_span.record_u64("memo_hits", memo_hits as u64);
-            batch_span.record_u64("dedup_hits", dedup_hits as u64);
-            batch_span.record_u64("measured", scratch.to_measure.len() as u64);
+            let memo_hits = (claimed - scratch.occurrences.len()) as u64;
+            let dedup_hits = (scratch.occurrences.len() - scratch.to_measure.len()) as u64;
+            let measured = scratch.to_measure.len() as u64;
+            obs().memo_hits.add(memo_hits);
+            obs().dedup_hits.add(dedup_hits);
+            obs().measured.add(measured);
+            batch_span.record_u64("memo_hits", memo_hits);
+            batch_span.record_u64("dedup_hits", dedup_hits);
+            batch_span.record_u64("measured", measured);
 
-            // Measure the unique misses in parallel (deterministic per
-            // index, collected in order), then publish through the entry
-            // API so `distinct` counts each configuration exactly once
-            // under races.
-            let mut measured = self.measure_many(&scratch.to_measure);
-            for (&idx, result) in scratch.to_measure.iter().zip(&measured) {
-                if let std::collections::hash_map::Entry::Vacant(e) =
-                    self.shard(idx).lock().entry(idx)
-                {
-                    e.insert(result.clone());
-                    self.distinct.fetch_add(1, Ordering::Relaxed);
+            let to_measure = &scratch.to_measure;
+            let results: Vec<Result<Measurement, EvalFailure>> = (0..to_measure.len())
+                .into_par_iter()
+                .map(|k| self.measure_chain(to_measure[k]))
+                .collect();
+
+            // Publish deterministic outcomes: a cached flake would be
+            // permanent, and crashes stay uncached so repeat proposals keep
+            // striking toward quarantine. A model that can fail counts new
+            // configurations in its ledger (their failures never reach the
+            // memo); otherwise a configuration is new exactly when its memo
+            // entry is, which also counts it once under racing batches.
+            let mut distinct = 0;
+            for (&idx, result) in to_measure.iter().zip(&results) {
+                let cacheable = !matches!(
+                    result,
+                    Err(EvalFailure::Transient(_) | EvalFailure::Timeout | EvalFailure::Crash(_))
+                );
+                if cacheable {
+                    if let std::collections::hash_map::Entry::Vacant(e) =
+                        self.shard(idx).lock().entry(idx)
+                    {
+                        e.insert(result.clone());
+                        distinct += u64::from(!self.faults.can_fail);
+                    }
                 }
             }
-            // Fill the outputs: each unique result *moves* into its last
-            // occurrence and only extra duplicates clone, so a dup-free
-            // batch pays one clone per configuration (the memo's), not two.
-            scratch.last.clear();
-            scratch.last.resize(measured.len(), usize::MAX);
+            self.distinct.fetch_add(distinct, Ordering::Relaxed);
             for &(i, slot) in &scratch.occurrences {
-                scratch.last[slot] = i;
-            }
-            for &(i, slot) in &scratch.occurrences {
-                out[i] = if scratch.last[slot] == i {
-                    std::mem::replace(&mut measured[slot], Err(EvalFailure::Restricted))
-                } else {
-                    measured[slot].clone()
-                };
+                out[i] = results[slot].clone();
             }
             out
         })
     }
 
-    /// Measure a list of indices in parallel, returning results in input
-    /// order (deterministic per index).
-    ///
-    /// Short lists fan each index out over the worker pool directly. Large
-    /// lists take a pipelined two-phase path: workers claim fixed-size
-    /// blocks, decode the whole block into one of two per-worker scratch
-    /// banks, then measure from that bank — decode of one block overlaps
-    /// measurement of others across workers, and the banks alternate
-    /// (double-buffering) so a block's decode never aliases the bank its
-    /// worker's previous measure phase read from.
-    fn measure_many(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
-        /// Indices per pipelined block: big enough to amortize the bank
-        /// resize and keep the decode loop tight, small enough to stay in
-        /// cache next to the measurement state.
-        const PIPE_BLOCK: usize = 64;
-        if indices.len() < 2 * PIPE_BLOCK {
-            return (0..indices.len())
-                .into_par_iter()
-                .map(|k| self.decode_and_measure(indices[k]))
-                .collect();
-        }
-        let space = self.problem.space();
-        let nparams = space.num_params();
-        // Workers write each block's results straight into its slot of the
-        // output vector: no per-block `Vec`, and no second pass copying
-        // block results into place (a real cost — `Measurement` is over a
-        // hundred bytes, and at batch 1024 that extra copy was ~20% of the
-        // whole evaluation).
-        let mut out: Vec<Result<Measurement, EvalFailure>> =
-            vec![Err(EvalFailure::Restricted); indices.len()];
-        // Phase timings (and spans, when tracing) are per block, not per
-        // index: two `Instant` reads per 64 evaluations, amortized to well
-        // under a nanosecond each. Spans carry the batch span as explicit
-        // parent because blocks run on pool worker threads.
-        let traced = bat_obs::trace::enabled();
-        let parent = if traced { bat_obs::trace::current() } else { 0 };
-        out.par_chunks_mut(PIPE_BLOCK)
-            .enumerate()
-            .for_each(|(b, block)| {
-                let lo = b * PIPE_BLOCK;
-                DECODE_BANKS.with(|banks| {
-                    let mut banks = banks.borrow_mut();
-                    let bank = &mut banks[b & 1];
-                    bank.resize(block.len() * nparams, 0);
-                    // Phase 1: decode the whole block back-to-back.
-                    let mut phase = bat_obs::trace::span_at("decode", parent);
-                    phase.record_u64("block", b as u64);
-                    let t0 = std::time::Instant::now();
-                    for (j, &idx) in indices[lo..lo + block.len()].iter().enumerate() {
-                        space.decode_into(idx, &mut bank[j * nparams..(j + 1) * nparams]);
-                    }
-                    obs().decode_us.observe(t0.elapsed().as_micros() as u64);
-                    drop(phase);
-                    // Phase 2: measure from the decoded bank.
-                    let mut phase = bat_obs::trace::span_at("measure", parent);
-                    phase.record_u64("block", b as u64);
-                    let t1 = std::time::Instant::now();
-                    for (j, slot) in block.iter_mut().enumerate() {
-                        *slot =
-                            self.measure(indices[lo + j], &bank[j * nparams..(j + 1) * nparams]);
-                    }
-                    obs().measure_us.observe(t1.elapsed().as_micros() as u64);
-                });
-            });
-        out
-    }
-
-    /// Evaluate a configuration by value vector. Returns `None` when the
-    /// budget is exhausted. Configurations with values outside the space are
-    /// reported as [`EvalFailure::Restricted`].
-    pub fn evaluate_config(&self, config: &[i64]) -> Option<Result<Measurement, EvalFailure>> {
-        match self.problem.space().index_of(config) {
-            Some(idx) => self.evaluate_index(idx),
-            None => {
-                if !self.has_budget() {
-                    return None;
-                }
-                self.evals.fetch_add(1, Ordering::Relaxed);
-                obs().evals.inc();
-                Some(Err(EvalFailure::Restricted))
-            }
-        }
-    }
-
-    /// The batch fan-out under fault injection. Each unique index runs its
-    /// whole retry chain on one worker, so per-configuration attempt
-    /// counters advance deterministically regardless of thread count;
-    /// duplicate occurrences within a batch share that chain's outcome
-    /// (each still spends budget, exactly as the memo cache serves serial
-    /// repeats of a cacheable outcome).
-    fn evaluate_batch_faulty(&self, indices: &[u64]) -> Vec<Result<Measurement, EvalFailure>> {
-        if !self.cache_enabled {
-            // Without memoization each occurrence re-runs its retry chain,
-            // sequentially so duplicates draw attempt numbers in order.
-            return indices
-                .iter()
-                .map(|&idx| self.evaluate_faulty(idx))
-                .collect();
-        }
-        // Deduplicate to first-occurrence slots (linear scan for the small
-        // batches the driver emits, HashMap beyond that), reusing the
-        // per-thread scratch buffers.
-        let claimed = indices.len();
-        BATCH_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.to_measure.clear();
-            scratch.slots.clear();
-            let use_map = claimed > DEDUP_SCAN_MAX;
-            if use_map {
-                scratch.slot_of.clear();
-            }
-            for &idx in indices {
-                let slot = if use_map {
-                    *scratch.slot_of.entry(idx).or_insert_with(|| {
-                        scratch.to_measure.push(idx);
-                        scratch.to_measure.len() - 1
-                    })
-                } else {
-                    match scratch.to_measure.iter().position(|&u| u == idx) {
-                        Some(slot) => slot,
-                        None => {
-                            scratch.to_measure.push(idx);
-                            scratch.to_measure.len() - 1
-                        }
-                    }
-                };
-                scratch.slots.push(slot);
-            }
-            let uniq = &scratch.to_measure;
-            let mut measured: Vec<Result<Measurement, EvalFailure>> = (0..uniq.len())
-                .into_par_iter()
-                .map(|k| self.evaluate_faulty(uniq[k]))
-                .collect();
-            // Move each unique outcome into its last occurrence; only
-            // extra duplicates clone.
-            scratch.last.clear();
-            scratch.last.resize(measured.len(), usize::MAX);
-            for (i, &slot) in scratch.slots.iter().enumerate() {
-                scratch.last[slot] = i;
-            }
-            let mut out: Vec<Result<Measurement, EvalFailure>> =
-                vec![Err(EvalFailure::Restricted); claimed];
-            for (i, &slot) in scratch.slots.iter().enumerate() {
-                out[i] = if scratch.last[slot] == i {
-                    std::mem::replace(&mut measured[slot], Err(EvalFailure::Restricted))
-                } else {
-                    measured[slot].clone()
-                };
-            }
-            out
-        })
-    }
-
-    /// One budget-charged evaluation under the installed fault model: cache
-    /// probe, then a bounded retry chain over measurement attempts.
-    fn evaluate_faulty(&self, index: u64) -> Result<Measurement, EvalFailure> {
-        let faults = self.faults.as_ref().expect("fault path without a model");
-        if self.cache_enabled {
-            if let Some(hit) = self.shard(index).lock().get(&index) {
-                obs().memo_hits.inc();
-                return hit.clone();
-            }
+    /// One budget-charged measurement of `index`: a bounded retry chain
+    /// over measurement attempts. Without a model that can fail, that is a
+    /// single attempt and no ledger is touched.
+    fn measure_chain(&self, index: u64) -> Result<Measurement, EvalFailure> {
+        let faults = &self.faults;
+        if !faults.can_fail {
+            return self.measure(index, 0);
         }
         let mut first_ever = false;
         let mut retry: u32 = 0;
@@ -729,8 +548,8 @@ impl<'p> Evaluator<'p> {
             // Claim the next attempt number (or observe quarantine) under
             // the ledger lock; the measurement itself runs outside it.
             let attempt = {
-                let mut state = faults.state.lock();
-                let entry = state.entry(index).or_default();
+                let mut ledger = faults.ledger.lock();
+                let entry = ledger.entry(index).or_default();
                 if entry.quarantined {
                     None
                 } else {
@@ -743,12 +562,11 @@ impl<'p> Evaluator<'p> {
             let result = match attempt {
                 None => Err(EvalFailure::Crash("quarantined configuration".into())),
                 Some(attempt) => {
-                    obs().measured.inc();
-                    let r = self.decode_and_measure_attempt(index, attempt);
+                    let r = self.measure(index, attempt);
                     if matches!(r, Err(EvalFailure::Crash(_))) {
                         obs().crashes.inc();
-                        let mut state = faults.state.lock();
-                        let entry = state.entry(index).or_default();
+                        let mut ledger = faults.ledger.lock();
+                        let entry = ledger.entry(index).or_default();
                         entry.crashes += 1;
                         if !entry.quarantined
                             && faults.policy.quarantine_after > 0
@@ -784,126 +602,62 @@ impl<'p> Evaluator<'p> {
                 _ => break result,
             }
         };
-        // Memoize deterministic outcomes only: a cached flake would be
-        // permanent, and crash outcomes stay uncached so repeat proposals
-        // keep striking toward quarantine.
-        let cacheable = !matches!(
-            &outcome,
-            Err(EvalFailure::Transient(_) | EvalFailure::Timeout | EvalFailure::Crash(_))
-        );
-        if self.cache_enabled && cacheable {
-            self.shard(index)
-                .lock()
-                .entry(index)
-                .or_insert_with(|| outcome.clone());
-        }
-        if first_ever || !self.cache_enabled {
+        // Memoized evaluators count a configuration once, on its first
+        // attempt; without the memo `evaluate_batch` counts every chain.
+        if first_ever && self.cache_enabled {
             self.distinct.fetch_add(1, Ordering::Relaxed);
         }
         outcome
     }
 
-    /// Decode `index` into the thread-local scratch and run one fault-model
-    /// measurement attempt.
-    fn decode_and_measure_attempt(
-        &self,
-        index: u64,
-        attempt: u64,
-    ) -> Result<Measurement, EvalFailure> {
-        let space = self.problem.space();
-        CONFIG_SCRATCH.with(|s| {
-            let mut config = s.borrow_mut();
-            config.resize(space.num_params(), 0);
-            space.decode_into(index, &mut config);
-            self.measure_attempt(index, &config, attempt)
-        })
-    }
-
-    /// One measurement attempt under the fault model. Deterministic model
+    /// Decode `index` into the thread-local scratch and run measurement
+    /// attempt `attempt` under the fault model. Deterministic model
     /// failures (restriction, launch) pass through untouched; then the
     /// sticky crash set, the per-attempt transient and timeout draws, and
     /// finally per-run outlier corruption — keyed independently of the
     /// attempt counter, so a retried success reproduces exactly the samples
-    /// an undisturbed first attempt would have yielded.
-    fn measure_attempt(
-        &self,
-        index: u64,
-        config: &[i64],
-        attempt: u64,
-    ) -> Result<Measurement, EvalFailure> {
-        let faults = self.faults.as_ref().expect("fault path without a model");
-        let model = &faults.model;
-        let salt = self.noise_salt;
-        let fsalt = model.salt_for(salt);
-        let (pure, pure_energy) = if self.measure_energy {
-            self.problem.evaluate_pure2(config)?
-        } else {
-            (self.problem.evaluate_pure(config)?, None)
-        };
-        if model.is_crasher(fsalt, index) {
-            return Err(EvalFailure::Crash("simulated device crash".into()));
-        }
-        if model.transient_fires(fsalt, index, attempt) {
-            return Err(EvalFailure::Transient("simulated launch flake".into()));
-        }
-        if model.timeout_fires(fsalt, index, attempt) {
-            return Err(EvalFailure::Timeout);
-        }
-        // Samples stream straight into the measurement's inline storage:
-        // no `Vec` is built for protocols that fit inline (runs ≤ 8).
-        let m = Measurement::from_samples((0..self.protocol.runs).map(|run| {
-            let s = noisy_time_ms(pure, self.protocol.sigma, noise_key(salt, index, run));
-            model.corrupt_sample(fsalt, index, run, s)
-        }));
-        Ok(match pure_energy {
-            Some(e) => {
-                let esalt = bat_gpusim::mix(salt, ENERGY_NOISE_STREAM);
-                m.with_energy_samples(
-                    (0..self.protocol.runs).map(|run| {
-                        noisy_time_ms(e, self.protocol.sigma, noise_key(esalt, index, run))
-                    }),
-                )
-            }
-            None => m,
-        })
-    }
-
-    /// Decode `index` into the thread-local scratch and measure it.
-    fn decode_and_measure(&self, index: u64) -> Result<Measurement, EvalFailure> {
+    /// an undisturbed first attempt would have yielded. The disabled model
+    /// fires none of them.
+    fn measure(&self, index: u64, attempt: u64) -> Result<Measurement, EvalFailure> {
         let space = self.problem.space();
         CONFIG_SCRATCH.with(|s| {
             let mut config = s.borrow_mut();
             config.resize(space.num_params(), 0);
             space.decode_into(index, &mut config);
-            self.measure(index, &config)
-        })
-    }
-
-    fn measure(&self, index: u64, config: &[i64]) -> Result<Measurement, EvalFailure> {
-        let salt = self.noise_salt;
-        let (pure, pure_energy) = if self.measure_energy {
-            self.problem.evaluate_pure2(config)?
-        } else {
-            (self.problem.evaluate_pure(config)?, None)
-        };
-        // Samples stream straight into the measurement's inline storage:
-        // no `Vec` is built for protocols that fit inline (runs ≤ 8).
-        let m = Measurement::from_samples(
-            (0..self.protocol.runs)
-                .map(|run| noisy_time_ms(pure, self.protocol.sigma, noise_key(salt, index, run))),
-        );
-        Ok(match pure_energy {
-            Some(e) => {
-                // Same noise discipline as the runtimes, on an independent
-                // deterministic stream.
-                let esalt = bat_gpusim::mix(salt, ENERGY_NOISE_STREAM);
-                m.with_energy_samples(
-                    (0..self.protocol.runs).map(|run| {
-                        noisy_time_ms(e, self.protocol.sigma, noise_key(esalt, index, run))
-                    }),
-                )
+            let (pure, pure_energy) = if self.measure_energy {
+                self.problem.evaluate_pure2(&config)?
+            } else {
+                (self.problem.evaluate_pure(&config)?, None)
+            };
+            let faults = &self.faults;
+            let (model, fsalt) = (&faults.model, faults.salt);
+            if model.is_crasher(fsalt, index) {
+                return Err(EvalFailure::Crash("simulated device crash".into()));
             }
-            None => m,
+            if model.transient_fires(fsalt, index, attempt) {
+                return Err(EvalFailure::Transient("simulated launch flake".into()));
+            }
+            if model.timeout_fires(fsalt, index, attempt) {
+                return Err(EvalFailure::Timeout);
+            }
+            let salt = self.noise_salt;
+            // Samples stream straight into the measurement's inline storage:
+            // no `Vec` is built for protocols that fit inline (runs ≤ 8).
+            let m = Measurement::from_samples((0..self.protocol.runs).map(|run| {
+                let s = noisy_time_ms(pure, self.protocol.sigma, noise_key(salt, index, run));
+                model.corrupt_sample(fsalt, index, run, s)
+            }));
+            Ok(match pure_energy {
+                Some(e) => {
+                    // Same noise discipline as the runtimes, on an
+                    // independent deterministic stream.
+                    let esalt = bat_gpusim::mix(salt, ENERGY_NOISE_STREAM);
+                    m.with_energy_samples((0..self.protocol.runs).map(|run| {
+                        noisy_time_ms(e, self.protocol.sigma, noise_key(esalt, index, run))
+                    }))
+                }
+                None => m,
+            })
         })
     }
 }
@@ -939,7 +693,7 @@ pub struct EvaluatorBuilder<'p> {
     budget: Option<u64>,
     energy: bool,
     cache: bool,
-    faults: Option<(FaultModel, RetryPolicy)>,
+    faults: (FaultModel, RetryPolicy),
     threads: Option<usize>,
 }
 
@@ -951,7 +705,7 @@ impl<'p> EvaluatorBuilder<'p> {
             budget: None,
             energy: false,
             cache: true,
-            faults: None,
+            faults: (FaultModel::disabled(), RetryPolicy::default()),
             threads: None,
         }
     }
@@ -989,10 +743,10 @@ impl<'p> EvaluatorBuilder<'p> {
         self
     }
 
-    /// Install a fault model and retry policy (default: none — the
-    /// evaluation path is byte-for-byte the pre-fault one).
+    /// Install a fault model and retry policy (default:
+    /// [`FaultModel::disabled`], which injects nothing).
     pub fn faults(mut self, model: FaultModel, policy: RetryPolicy) -> Self {
-        self.faults = Some((model, policy));
+        self.faults = (model, policy);
         self
     }
 
@@ -1026,13 +780,12 @@ impl<'p> EvaluatorBuilder<'p> {
         if let Some(threads) = self.threads {
             rayon::set_global_threads(threads);
         }
-        let mut eval = Evaluator::with_protocol(self.problem, self.protocol);
+        let (model, policy) = self.faults;
+        let mut eval =
+            Evaluator::with_protocol(self.problem, self.protocol).with_faults(model, policy);
         eval.budget = self.budget;
         eval.measure_energy = self.energy;
         eval.cache_enabled = self.cache;
-        if let Some((model, policy)) = self.faults {
-            eval = eval.with_faults(model, policy);
-        }
         Ok(eval)
     }
 }
@@ -1283,6 +1036,41 @@ mod tests {
         let e = Evaluator::new(&p).with_budget(1);
         assert!(e.evaluate_batch(&[]).is_empty());
         assert_eq!(e.evals_used(), 0);
+    }
+
+    /// Two threads start together and evaluate through `eval` until a
+    /// shared budget of 20 runs out; together they must get exactly 20
+    /// outcomes and spend exactly 20 evaluations, every repetition.
+    fn race_budget(
+        eval: impl Fn(&Evaluator<'_>) -> Option<Result<Measurement, EvalFailure>> + Sync,
+    ) {
+        let p = problem();
+        for _ in 0..2_000 {
+            let e = Evaluator::new(&p).with_budget(20);
+            let start = std::sync::Barrier::new(2);
+            let got: usize = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            std::iter::from_fn(|| eval(&e)).count()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert_eq!((got, e.evals_used()), (20, 20), "budget overspent");
+        }
+    }
+
+    #[test]
+    fn concurrent_evaluate_index_never_overspends() {
+        race_budget(|e| e.evaluate_index(3));
+    }
+
+    #[test]
+    fn concurrent_out_of_space_configs_never_overspend() {
+        race_budget(|e| e.evaluate_config(&[99]));
     }
 
     #[test]

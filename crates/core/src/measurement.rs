@@ -50,8 +50,8 @@ impl std::fmt::Display for EvalFailure {
 /// case fits inline exactly; anything larger is rare enough to pay for a
 /// spill. Kept at the default run count deliberately: every extra inline
 /// slot grows `Measurement` (it holds two of these) and the batched
-/// evaluation path moves measurements through block buffers, where a fatter
-/// struct costs real throughput at large batch sizes.
+/// evaluation path moves and clones measurements through its output and
+/// memo, where a fatter struct costs real throughput at large batch sizes.
 const INLINE_SAMPLES: usize = 5;
 
 /// An inline-first sample vector: up to [`INLINE_SAMPLES`] `f64`s live in

@@ -60,7 +60,7 @@ OPTIONS:
                    codec), or HOST:PORT of a running `bat serve` daemon;
                    artifacts are byte-identical across endpoints
     --trace FILE   write a bat/trace/v1 JSONL span trace of the run
-                   (campaign → trial → step → batch → decode/measure);
+                   (campaign → trial → step → batch);
                    telemetry only — the artifact stays byte-identical
     --cache FILE   persistent bat/cache/v1 best-config store: trials whose
                    exact fingerprint is cached replay verbatim (the warm

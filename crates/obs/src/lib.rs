@@ -13,8 +13,8 @@
 //!   and log-scale histograms, cheap enough for the evaluator hot path
 //!   (relaxed `fetch_add` on per-thread shards, merged on read), rendered
 //!   as Prometheus-style text exposition for `bat serve --metrics`.
-//! * [`trace`] — structured span tracing (campaign → trial → step → batch
-//!   → decode/measure), emitted as schema-versioned `bat/trace/v1` JSONL
+//! * [`trace`] — structured span tracing (campaign → trial → step →
+//!   batch), emitted as schema-versioned `bat/trace/v1` JSONL
 //!   behind `--trace PATH`. Timestamps are monotonic microseconds relative
 //!   to the sink's install instant; the single wall-clock anchor lives in
 //!   the file's meta line.

@@ -154,27 +154,11 @@ impl<S: Read + Write> EvalBackend for RemoteBackend<S> {
         }
     }
 
-    fn has_budget(&self) -> bool {
-        self.budget_left.get().is_none_or(|left| left > 0)
-    }
-
     fn budget_left(&self) -> Option<u64> {
         self.budget_left.get()
     }
 
-    fn evals_used(&self) -> u64 {
-        self.stats.get().evals
-    }
-
-    fn distinct_evals(&self) -> u64 {
-        self.stats.get().distinct
-    }
-
-    fn retries_used(&self) -> u64 {
-        self.stats.get().retries
-    }
-
-    fn quarantined_configs(&self) -> u64 {
-        self.stats.get().quarantined
+    fn stats(&self) -> SessionStats {
+        self.stats.get()
     }
 }

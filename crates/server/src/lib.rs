@@ -73,8 +73,7 @@ mod tests {
                 serde_json::to_string(l).unwrap()
             );
         }
-        assert_eq!(backend.evals_used(), native.evals_used());
-        assert_eq!(backend.distinct_evals(), native.distinct_evals());
+        assert_eq!(backend.stats(), EvalBackend::stats(&native));
         assert_eq!(backend.budget_left(), native.budget_left());
 
         let stats = backend.close().unwrap();

@@ -15,7 +15,7 @@
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bat::core::{EvalBackend, Evaluator, Protocol, RetryPolicy};
 use bat::gpusim::{FaultModel, GpuArch};
@@ -194,7 +194,9 @@ fn parse(text: &str) -> BTreeMap<String, u64> {
 
 #[test]
 fn artifacts_and_tuning_runs_match_the_golden_digests() {
-    let dir: PathBuf = [env!("CARGO_TARGET_TMPDIR"), "golden"].iter().collect();
+    // Per-process, so concurrent builds (say, with and without no-obs)
+    // never read each other's artifacts.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (mut got, runs) = std::thread::scope(|s| {
         let campaigns = s.spawn(|| campaign_digests(&dir));
@@ -202,6 +204,7 @@ fn artifacts_and_tuning_runs_match_the_golden_digests() {
         (campaigns.join().expect("campaign digests"), runs)
     });
     got.extend(runs);
+    std::fs::remove_dir_all(&dir).expect("removing the temp dir");
 
     if std::env::var_os("BAT_BLESS").is_some_and(|v| v == "1") {
         std::fs::write(TABLE, render(&got)).expect("writing the golden table");
