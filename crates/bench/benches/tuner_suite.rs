@@ -51,13 +51,18 @@ fn gp_fit(c: &mut Criterion) {
     g.finish();
 }
 
-/// GP posterior prediction (per-candidate cost of acquisition scoring).
+/// GP posterior prediction: one row, and the candidate pool of one
+/// `gp-bo-ei` step (~290 candidates) scored in one pass.
 fn gp_predict(c: &mut Criterion) {
     let (rows, ys) = training_rows(150);
     let gp = GaussianProcess::fit(&rows, &ys, &GpParams::default());
+    let pool: Vec<f64> = rows.iter().cycle().take(290).flatten().copied().collect();
     let mut g = c.benchmark_group("tuner_gp_predict");
     g.bench_function("posterior_n150", |b| {
         b.iter(|| black_box(gp.predict(&rows[7])))
+    });
+    g.bench_function("pool_n150_m290", |b| {
+        b.iter(|| black_box(gp.predict_pool(&pool)))
     });
     g.finish();
 }

@@ -42,6 +42,7 @@ pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
 /// Parse a JSON string into `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -166,6 +167,7 @@ fn write_value_compact(v: &Value, out: &mut String) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -326,13 +328,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary of
+                    // the source `&str`.
+                    let start = self.pos;
+                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -409,6 +412,35 @@ mod tests {
     fn pretty_output_shape() {
         let v = vec![1i64];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1\n]");
+    }
+
+    #[test]
+    fn strings_mix_runs_multibyte_characters_and_every_escape() {
+        let json = r#""plain ünï😀 \" \\ \/ \n \r \t \b \f \u00e9\u0041 end😀""#;
+        assert_eq!(
+            from_str::<String>(json).unwrap(),
+            "plain ünï😀 \" \\ / \n \r \t \u{8} \u{c} éA end😀"
+        );
+        assert_eq!(from_str::<String>(r#""""#).unwrap(), "");
+        assert_eq!(from_str::<String>(r#""\\""#).unwrap(), "\\");
+        assert_eq!(from_str::<String>(r#""ß""#).unwrap(), "ß");
+        let s = "tab\t, quote \", ∑ and 🦀\u{1}".to_string();
+        assert_eq!(from_str::<String>(&to_string(&s).unwrap()).unwrap(), s);
+    }
+
+    #[test]
+    fn long_string_documents_parse_in_linear_time() {
+        // About 256 KB of multi-byte string values. A parser that
+        // re-validates the rest of the document per character needs
+        // seconds for this in a debug build.
+        let value = "grüße, 世界 🦀 ".repeat(12);
+        let doc: Vec<String> = (0..1024).map(|i| format!("{i} {value}")).collect();
+        let json = to_string(&doc).unwrap();
+        assert!(json.len() > 256 << 10, "{} bytes", json.len());
+        let started = std::time::Instant::now();
+        assert_eq!(from_str::<Vec<String>>(&json).unwrap(), doc);
+        let elapsed = started.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "parsing took {elapsed:?}");
     }
 
     #[test]

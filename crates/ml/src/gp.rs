@@ -26,9 +26,15 @@ pub enum KernelKind {
 impl KernelKind {
     /// Covariance of two normalized points at lengthscale `ell`
     /// (unit signal variance).
+    pub fn eval(self, a: &[f64], b: &[f64], ell: f64) -> f64 {
+        self.of_sq_dist(sq_dist(a, b), ell)
+    }
+
+    /// Covariance at squared distance `d2` and lengthscale `ell`: the one
+    /// kernel formula behind [`eval`](Self::eval), the training kernel
+    /// matrix and [`GaussianProcess::predict_pool`].
     #[inline]
-    fn eval(self, a: &[f64], b: &[f64], ell: f64) -> f64 {
-        let d2 = sq_dist(a, b);
+    pub fn of_sq_dist(self, d2: f64, ell: f64) -> f64 {
         match self {
             KernelKind::Rbf => (-0.5 * d2 / (ell * ell)).exp(),
             KernelKind::Matern52 => {
@@ -113,12 +119,13 @@ impl GaussianProcess {
     /// highest log-marginal likelihood from the grids in `params`.
     ///
     /// # Panics
-    /// If `rows` is empty or ragged.
+    /// If `rows` is empty, ragged or zero-width.
     pub fn fit(rows: &[Vec<f64>], y: &[f64], params: &GpParams) -> Self {
         assert!(!rows.is_empty(), "GP needs at least one observation");
         assert_eq!(rows.len(), y.len(), "row/target count mismatch");
         let n = rows.len();
         let d = rows[0].len();
+        assert!(d > 0, "GP needs at least one feature");
 
         // Input normalization to the unit cube.
         let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); d];
@@ -142,10 +149,12 @@ impl GaussianProcess {
         let y_std = if var > 1e-24 { var.sqrt() } else { 1.0 };
         let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
 
-        // Grid search over (lengthscale, noise) maximizing the LML.
+        // Grid search over (lengthscale, noise) maximizing the LML; the
+        // pairwise distances serve every lengthscale.
+        let d2 = sq_dist_matrix(&x, n, d);
         let mut best: Option<(f64, f64, f64, Cholesky, Vec<f64>)> = None;
         for &ell in &params.lengthscales {
-            let k = kernel_matrix(params.kernel, &x, n, d, ell);
+            let k = kernel_matrix(params.kernel, &d2, ell);
             for &noise in &params.noises {
                 let mut kn = k.clone();
                 kn.add_diagonal(noise + 1e-10);
@@ -200,32 +209,80 @@ impl GaussianProcess {
         self.lml
     }
 
-    /// Posterior mean and latent variance at `row` (raw input units).
+    /// Posterior mean and latent variance at `row` (raw input units): a
+    /// pool of one.
     pub fn predict(&self, row: &[f64]) -> GpPrediction {
         assert_eq!(row.len(), self.d, "feature-count mismatch");
-        let n = self.n_observations();
-        let q: Vec<f64> = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| normalize(v, self.ranges[j]))
-            .collect();
-        let kstar: Vec<f64> = (0..n)
-            .map(|i| {
-                self.kernel
-                    .eval(&q, &self.x[i * self.d..(i + 1) * self.d], self.lengthscale)
-            })
-            .collect();
-        let mean_s = crate::linalg::dot(&kstar, &self.alpha);
-        // v = L⁻¹ k*; var = k** − vᵀv.
-        let v = self.chol.solve_lower(&kstar);
-        let kss = 1.0; // unit signal variance on standardized targets
-        let var_s = (kss - crate::linalg::dot(&v, &v)).max(0.0);
-        GpPrediction {
-            mean: mean_s * self.y_std + self.y_mean,
-            variance: var_s * self.y_std * self.y_std,
+        self.predict_pool(row)[0]
+    }
+
+    /// Posterior mean and latent variance at every row of `rows`, a
+    /// row-major `m × d` block of raw inputs, in row order.
+    ///
+    /// Each candidate's sums run in the order of a one-candidate pass
+    /// (`sq_dist`, `dot`, forward substitution), so a prediction does not
+    /// depend on the rest of the pool, bit for bit.
+    pub fn predict_pool(&self, rows: &[f64]) -> Vec<GpPrediction> {
+        let (n, d) = (self.n_observations(), self.d);
+        assert_eq!(rows.len() % d, 0, "feature-count mismatch");
+        let m = rows.len() / d;
+        // Normalized candidates, dimension-major and zero-padded to whole
+        // tiles: `q[j * mp + c]`.
+        let mp = m.next_multiple_of(TILE);
+        let mut q = vec![0.0; d * mp];
+        for (c, row) in rows.chunks_exact(d).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                q[j * mp + c] = normalize(v, self.ranges[j]);
+            }
         }
+        let mut out = Vec::with_capacity(m);
+        // One tile of K* (n × TILE), solved in place into V = L⁻¹ K*.
+        let mut kv = vec![0.0; n * TILE];
+        for c0 in (0..m).step_by(TILE) {
+            let mut mean = [0.0; TILE];
+            for ((xi, ki), &a) in self
+                .x
+                .chunks_exact(d)
+                .zip(kv.chunks_exact_mut(TILE))
+                .zip(&self.alpha)
+            {
+                // Squared distances, summed dimension by dimension as in
+                // `sq_dist`, then the kernel and the running K*ᵀα.
+                let mut d2 = [0.0; TILE];
+                for (&xij, qj) in xi.iter().zip(q.chunks_exact(mp)) {
+                    for (s, &qc) in d2.iter_mut().zip(&qj[c0..c0 + TILE]) {
+                        let diff = qc - xij;
+                        *s += diff * diff;
+                    }
+                }
+                for ((k, s), mean_s) in ki.iter_mut().zip(d2).zip(&mut mean) {
+                    *k = self.kernel.of_sq_dist(s, self.lengthscale);
+                    *mean_s += *k * a;
+                }
+            }
+            self.chol.solve_lower_tile::<TILE>(&mut kv);
+            // var = k** − vᵀv, with unit signal variance k**.
+            let mut vv = [0.0; TILE];
+            for vi in kv.chunks_exact(TILE) {
+                for (s, &v) in vv.iter_mut().zip(vi) {
+                    *s += v * v;
+                }
+            }
+            for (&mean_s, &vv) in mean.iter().zip(&vv).take(m - c0) {
+                let var_s = (1.0 - vv).max(0.0);
+                out.push(GpPrediction {
+                    mean: mean_s * self.y_std + self.y_mean,
+                    variance: var_s * self.y_std * self.y_std,
+                });
+            }
+        }
+        out
     }
 }
+
+/// Candidates per forward-substitution tile in
+/// [`GaussianProcess::predict_pool`].
+const TILE: usize = 8;
 
 fn normalize(v: f64, (lo, hi): (f64, f64)) -> f64 {
     if hi > lo {
@@ -235,12 +292,27 @@ fn normalize(v: f64, (lo, hi): (f64, f64)) -> f64 {
     }
 }
 
-fn kernel_matrix(kernel: KernelKind, x: &[f64], n: usize, d: usize, ell: f64) -> SymMatrix {
+/// Pairwise squared distances of the `n` rows of the row-major `x`.
+fn sq_dist_matrix(x: &[f64], n: usize, d: usize) -> SymMatrix {
+    let mut d2 = SymMatrix::zeros(n);
+    for i in 0..n {
+        for j in 0..=i {
+            d2.set(
+                i,
+                j,
+                sq_dist(&x[i * d..(i + 1) * d], &x[j * d..(j + 1) * d]),
+            );
+        }
+    }
+    d2
+}
+
+fn kernel_matrix(kernel: KernelKind, d2: &SymMatrix, ell: f64) -> SymMatrix {
+    let n = d2.n();
     let mut k = SymMatrix::zeros(n);
     for i in 0..n {
         for j in 0..=i {
-            let v = kernel.eval(&x[i * d..(i + 1) * d], &x[j * d..(j + 1) * d], ell);
-            k.set(i, j, v);
+            k.set(i, j, kernel.of_sq_dist(d2.get(i, j), ell));
         }
     }
     k
@@ -249,6 +321,7 @@ fn kernel_matrix(kernel: KernelKind, x: &[f64], n: usize, d: usize, ell: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::dot;
 
     fn sine_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let rows: Vec<Vec<f64>> = (0..n)
@@ -351,6 +424,52 @@ mod tests {
         let p = gp.predict(&[2.0, 30.0]);
         let truth = (2.0_f64 - 2.5).powi(2) + (3.0_f64 - 2.5).powi(2);
         assert!((p.mean - truth).abs() < 0.5, "{} vs {truth}", p.mean);
+    }
+
+    #[test]
+    fn pool_matches_the_one_candidate_formula_bit_for_bit() {
+        let mut rows = Vec::new();
+        let mut y = Vec::new();
+        for i in 0..6 {
+            for j in 0..5 {
+                rows.push(vec![i as f64, j as f64 * 10.0]);
+                y.push((i as f64 - 2.5).powi(2) + (j as f64 * 0.7).sin());
+            }
+        }
+        // 21 candidates: two full tiles and a partial one, some off-range.
+        let pool: Vec<f64> = (0..21)
+            .flat_map(|c| [c as f64 * 0.37 - 1.0, (c * c % 60) as f64])
+            .collect();
+        for kernel in [KernelKind::Rbf, KernelKind::Matern52] {
+            let params = GpParams {
+                kernel,
+                ..GpParams::default()
+            };
+            let gp = GaussianProcess::fit(&rows, &y, &params);
+            let preds = gp.predict_pool(&pool);
+            assert_eq!(preds.len(), 21);
+            for (row, p) in pool.chunks_exact(2).zip(preds) {
+                // Kernel row, dot with α, forward substitution, vᵀv.
+                let q: Vec<f64> = row
+                    .iter()
+                    .zip(&gp.ranges)
+                    .map(|(&v, &r)| normalize(v, r))
+                    .collect();
+                let kstar: Vec<f64> =
+                    gp.x.chunks_exact(2)
+                        .map(|xi| kernel.eval(&q, xi, gp.lengthscale))
+                        .collect();
+                let v = gp.chol.solve_lower(&kstar);
+                let mean = dot(&kstar, &gp.alpha) * gp.y_std + gp.y_mean;
+                let variance = (1.0 - dot(&v, &v)).max(0.0) * gp.y_std * gp.y_std;
+                assert_eq!(p.mean.to_bits(), mean.to_bits(), "{kernel:?} {row:?}");
+                assert_eq!(
+                    p.variance.to_bits(),
+                    variance.to_bits(),
+                    "{kernel:?} {row:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -143,15 +143,36 @@ impl Cholesky {
         self.l[i * self.n + j]
     }
 
-    /// Solve `L y = b` (forward substitution).
+    /// Solve `L y = b` (forward substitution): a tile of one column.
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n);
-        let mut y = vec![0.0; self.n];
-        for i in 0..self.n {
-            let s = dot(&self.l[i * self.n..i * self.n + i], &y[..i]);
-            y[i] = (b[i] - s) / self.l[i * self.n + i];
-        }
+        let mut y = b.to_vec();
+        self.solve_lower_tile::<1>(&mut y);
         y
+    }
+
+    /// Solve `L Y = B` in place for `W` right-hand sides at once, with `b`
+    /// the row-major `n × W` block `B`.
+    ///
+    /// Every column's sums run in the order of a one-column [`dot`], so
+    /// each column is bit-identical to solving it alone; the `W`
+    /// independent accumulators are what make the tile faster than `W`
+    /// serially dependent solves.
+    pub(crate) fn solve_lower_tile<const W: usize>(&self, b: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(b.len(), n * W);
+        for i in 0..n {
+            let (done, rest) = b.split_at_mut(i * W);
+            let mut s = [0.0; W];
+            for (&lik, yk) in self.l[i * n..i * n + i].iter().zip(done.chunks_exact(W)) {
+                for (sc, &y) in s.iter_mut().zip(yk) {
+                    *sc += lik * y;
+                }
+            }
+            let lii = self.l[i * n + i];
+            for (bc, sc) in rest[..W].iter_mut().zip(s) {
+                *bc = (*bc - sc) / lii;
+            }
+        }
     }
 
     /// Solve `Lᵀ x = y` (backward substitution).
@@ -306,6 +327,35 @@ mod tests {
         let direct = ch.solve(&b);
         for (a, b) in x.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-14);
+        }
+    }
+
+    #[test]
+    fn tile_columns_match_one_column_dot_solves() {
+        let n = 13;
+        let ch = Cholesky::factor(&spd(n, 9)).unwrap();
+        let cols: Vec<Vec<f64>> = (0..8)
+            .map(|c| (0..n).map(|i| ((i * 7 + c * 3) as f64).sin()).collect())
+            .collect();
+        let mut tile = vec![0.0; n * 8];
+        for (c, col) in cols.iter().enumerate() {
+            for (i, &b) in col.iter().enumerate() {
+                tile[i * 8 + c] = b;
+            }
+        }
+        ch.solve_lower_tile::<8>(&mut tile);
+        for (c, b) in cols.iter().enumerate() {
+            // Forward substitution with one `dot` per row.
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let s = dot(&ch.l[i * n..i * n + i], &y[..i]);
+                y[i] = (b[i] - s) / ch.l(i, i);
+            }
+            for i in 0..n {
+                assert_eq!(tile[i * 8 + c].to_bits(), y[i].to_bits(), "({i},{c})");
+            }
+            let one: Vec<u64> = ch.solve_lower(b).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(one, y.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         }
     }
 

@@ -24,6 +24,10 @@ use crate::wire::{Request, RequestEnvelope, Response, ResponseEnvelope, WIRE_SCH
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// Write one `value` as a length-prefixed JSON frame.
+///
+/// Prefix and payload go out in one `write_all`: written separately, the
+/// payload of a small frame would sit in the sender's Nagle buffer until
+/// the peer's delayed ACK of the prefix.
 pub fn write_frame<W: Write + ?Sized, T: Serialize>(w: &mut W, value: &T) -> Result<(), Error> {
     let json = serde_json::to_string(value).map_err(Error::wire)?;
     let bytes = json.as_bytes();
@@ -33,9 +37,10 @@ pub fn write_frame<W: Write + ?Sized, T: Serialize>(w: &mut W, value: &T) -> Res
             bytes.len()
         )));
     }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len).map_err(Error::transport)?;
-    w.write_all(bytes).map_err(Error::transport)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame).map_err(Error::transport)?;
     w.flush().map_err(Error::transport)?;
     Ok(())
 }
@@ -133,6 +138,26 @@ mod tests {
         write_request(&mut buf, req.clone()).unwrap();
         let back = read_request(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        /// Counts `write` calls, accepting every byte at once.
+        struct Writes(usize, Vec<u8>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(0, Vec::new());
+        write_request(&mut w, Request::Ping).unwrap();
+        assert_eq!(w.0, 1);
+        assert_eq!(read_request(&mut Cursor::new(&w.1)).unwrap(), Request::Ping);
     }
 
     #[test]

@@ -184,6 +184,10 @@ impl Daemon {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false).map_err(Error::io)?;
+                    // Responses go out as soon as they are written; with
+                    // Nagle on, a response queued behind an unacknowledged
+                    // one waits for the client's delayed ACK.
+                    stream.set_nodelay(true).map_err(Error::io)?;
                     let reader = stream.try_clone().map_err(Error::io)?;
                     let shared = Arc::clone(&self.shared);
                     let config = self.config;

@@ -296,4 +296,60 @@ mod tests {
         codec::write_request(&mut conn, Request::Shutdown).unwrap();
         let _ = codec::read_response(&mut conn);
     }
+
+    /// Run `exchange` on a TCP connection to a serving daemon (client side
+    /// set up as `RemoteBackend::connect` does), then shut the daemon down.
+    /// Returns the exchange's wall time.
+    fn time_tcp_exchange(exchange: impl FnOnce(&mut std::net::TcpStream)) -> std::time::Duration {
+        let daemon = std::sync::Arc::new(Daemon::new(ServerConfig::default()));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let serving = {
+            let daemon = std::sync::Arc::clone(&daemon);
+            std::thread::spawn(move || daemon.serve(listener).unwrap())
+        };
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.set_nodelay(true).unwrap();
+        let started = std::time::Instant::now();
+        exchange(&mut conn);
+        let elapsed = started.elapsed();
+        codec::write_request(&mut conn, Request::Shutdown).unwrap();
+        assert_eq!(
+            codec::read_response(&mut conn).unwrap(),
+            Response::ShuttingDown
+        );
+        serving.join().unwrap();
+        elapsed
+    }
+
+    #[test]
+    fn tcp_sequential_round_trips_do_not_wait_for_delayed_acks() {
+        // A frame written in two pieces leaves its payload behind the
+        // daemon's Nagle buffer until the client ACKs the prefix (~40 ms).
+        let elapsed = time_tcp_exchange(|conn| {
+            for _ in 0..100 {
+                codec::write_request(conn, Request::Ping).unwrap();
+                assert_eq!(codec::read_response(conn).unwrap(), Response::Pong);
+            }
+        });
+        assert!(elapsed.as_secs_f64() < 1.0, "100 pings took {elapsed:?}");
+    }
+
+    #[test]
+    fn tcp_pipelined_round_trips_do_not_wait_for_delayed_acks() {
+        // With Nagle on the daemon's socket, the second response waits for
+        // the client's delayed ACK of the first.
+        let elapsed = time_tcp_exchange(|conn| {
+            for _ in 0..50 {
+                codec::write_request(conn, Request::Ping).unwrap();
+                codec::write_request(conn, Request::Ping).unwrap();
+                assert_eq!(codec::read_response(conn).unwrap(), Response::Pong);
+                assert_eq!(codec::read_response(conn).unwrap(), Response::Pong);
+            }
+        });
+        assert!(
+            elapsed.as_secs_f64() < 1.0,
+            "50 pipelined pairs took {elapsed:?}"
+        );
+    }
 }

@@ -122,10 +122,17 @@ impl Default for BayesianOptimization {
 /// GP-based kernel tuning uses in practice (ref \[22\]) — with raw values a
 /// single lengthscale cannot serve both ends of the sequence.
 fn gp_features(space: &bat_space::ConfigSpace, index: u64) -> Vec<f64> {
-    ordinal::positions_of(space, index)
-        .into_iter()
-        .map(|p| p as f64)
-        .collect()
+    let mut row = Vec::with_capacity(space.num_params());
+    push_gp_features(space, index, &mut row);
+    row
+}
+
+/// Append the [`gp_features`] of `index` to `out`.
+fn push_gp_features(space: &bat_space::ConfigSpace, mut index: u64, out: &mut Vec<f64>) {
+    for i in 0..space.num_params() {
+        out.push((index / space.stride(i)) as f64);
+        index %= space.stride(i);
+    }
 }
 
 /// Observation store: feature rows + log-times, with the bookkeeping
@@ -234,20 +241,26 @@ impl StepTuner for BayesStep<'_> {
             }
         }
 
-        // Score unseen candidates; ask the top `batch` distinct (stable
-        // order, so `batch = 1` is the classic first-strict-maximum pick).
-        let mut scored: Vec<(f64, u64)> = Vec::new();
+        // Score the unseen candidates in one pool pass, in candidate order;
+        // ask the top `batch` distinct (stable order, so `batch = 1` is the
+        // classic first-strict-maximum pick).
+        candidates.retain(|idx| !self.seen.contains(idx));
+        let mut rows = Vec::with_capacity(candidates.len() * self.space.num_params());
         for &idx in &candidates {
-            if self.seen.contains(&idx) {
-                continue;
-            }
-            let p = gp.predict(&gp_features(self.space, idx));
-            let s = self
-                .cfg
-                .acquisition
-                .score(p.mean, p.std_dev(), self.best_log);
-            scored.push((s, idx));
+            push_gp_features(self.space, idx, &mut rows);
         }
+        let scored: Vec<(f64, u64)> = gp
+            .predict_pool(&rows)
+            .iter()
+            .zip(candidates)
+            .map(|(p, idx)| {
+                let s = self
+                    .cfg
+                    .acquisition
+                    .score(p.mean, p.std_dev(), self.best_log);
+                (s, idx)
+            })
+            .collect();
         let mut out = crate::step::take_top_distinct(scored, ctx.batch, false);
         if out.is_empty() {
             // Whole pool already evaluated (tiny spaces): fall back to a

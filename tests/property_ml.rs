@@ -2,7 +2,7 @@
 //! tuners: dense Cholesky, Gaussian-process posteriors, random forests and
 //! acquisition functions.
 
-use bat::ml::linalg::{dot, Cholesky, SymMatrix};
+use bat::ml::linalg::{dot, sq_dist, Cholesky, SymMatrix};
 use bat::ml::stats::{norm_cdf, norm_pdf};
 use bat::ml::{Dataset, ForestParams, GaussianProcess, GpParams, KernelKind, RandomForest};
 use bat::tuners::Acquisition;
@@ -23,6 +23,29 @@ fn arb_spd(max_n: usize) -> impl Strategy<Value = SymMatrix> {
             a
         })
     })
+}
+
+/// Uniform draw in [0, 1) from a xorshift state.
+fn unit(state: &mut u64) -> f64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    (*state >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A `d`-feature row: small-integer (ordinal-like) features in even
+/// dimensions, so duplicates and constant columns occur, continuous ones in
+/// odd dimensions. `spread` widens the integer range past the training one.
+fn gp_row(state: &mut u64, d: usize, spread: f64) -> Vec<f64> {
+    (0..d)
+        .map(|j| {
+            if j % 2 == 0 {
+                (unit(state) * (4.0 + 2.0 * spread)).floor() - spread
+            } else {
+                unit(state) * 10.0 - 5.0
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -106,6 +129,59 @@ proptest! {
         prop_assert!(
             fitted.log_marginal_likelihood() >= single.log_marginal_likelihood() - 1e-9
         );
+    }
+
+    /// Scoring a pool gives every candidate the bits of predicting its row
+    /// alone: both kernels, grid and fixed hyperparameters, and pool sizes
+    /// on either side of the candidate tile width (8).
+    #[test]
+    fn gp_pool_predictions_match_single_rows_bit_for_bit(
+        n in 1usize..=60,
+        d in 1usize..=6,
+        seed in 1u64..1_000_000,
+        matern in 0u8..2,
+        grid in 0u8..2,
+    ) {
+        let kernel = if matern == 1 { KernelKind::Matern52 } else { KernelKind::Rbf };
+        let params = if grid == 1 {
+            GpParams { kernel, ..GpParams::default() }
+        } else {
+            GpParams::fixed(kernel, 0.35, 1e-3)
+        };
+        let mut state = seed;
+        let rows: Vec<Vec<f64>> = (0..n).map(|_| gp_row(&mut state, d, 0.0)).collect();
+        let ys: Vec<f64> = rows
+            .iter()
+            .map(|r| r.iter().sum::<f64>().sin() + 0.1 * unit(&mut state))
+            .collect();
+        let gp = GaussianProcess::fit(&rows, &ys, &params);
+        for m in [0, 1, 7, 8, 9, 16, 17, 1 + (seed % 40) as usize] {
+            // Training rows first (predictions at the data), then fresh ones.
+            let pool: Vec<f64> = rows
+                .iter()
+                .cloned()
+                .chain(std::iter::repeat_with(|| gp_row(&mut state, d, 1.0)))
+                .take(m)
+                .flatten()
+                .collect();
+            let preds = gp.predict_pool(&pool);
+            prop_assert_eq!(preds.len(), m);
+            for (row, p) in pool.chunks_exact(d).zip(&preds) {
+                let one = gp.predict(row);
+                prop_assert_eq!(p.mean.to_bits(), one.mean.to_bits(), "m={} row={:?}", m, row);
+                prop_assert_eq!(p.variance.to_bits(), one.variance.to_bits(), "m={} row={:?}", m, row);
+            }
+        }
+        // The d² kernel function is the pairwise one, bit for bit.
+        for ell in GpParams::default().lengthscales {
+            let (a, b) = (gp_row(&mut state, d, 1.0), gp_row(&mut state, d, 1.0));
+            for (x, y) in [(&a, &b), (&a, &a)] {
+                prop_assert_eq!(
+                    kernel.of_sq_dist(sq_dist(x, y), ell).to_bits(),
+                    kernel.eval(x, y, ell).to_bits()
+                );
+            }
+        }
     }
 
     /// Forest predictions are convex combinations of tree predictions:
