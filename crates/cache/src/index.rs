@@ -1,154 +1,39 @@
-//! The lock-free read path: an immutable sharded hash index over cache
-//! cells, republished wholesale on every write.
-//!
-//! Readers hold an `Arc<CacheIndex>` and do hash → shard → binary-search
-//! lookups against immutable data — no lock, no atomic write, nothing
-//! shared mutably — so lookup throughput scales linearly with reader
-//! count. Writers go through [`SharedCache`]: mutate the authoritative
-//! [`CacheStore`] under a mutex, rebuild the index off to the side, then
-//! swap the published `Arc` behind a briefly-held `RwLock`. A reader that
-//! grabbed the old `Arc` keeps a consistent (merely stale) view until it
-//! re-fetches.
+//! The cell index: a store's cells kept sorted by their (benchmark,
+//! architecture, scenario) key and found by binary search. Every lookup
+//! and insertion of a [`CacheStore`](crate::CacheStore) cell goes through
+//! these two functions, so the sorted invariant the byte-stable JSON form
+//! relies on has one owner. Keys compare field by field, so ("ab", "c")
+//! and ("a", "bc") never meet.
 
-use crate::obs;
-use crate::store::{CacheCell, CacheStore};
-use std::sync::{Arc, Mutex, RwLock};
+use crate::store::CacheCell;
 
-/// Number of index shards. Keys spread by the top bits of their hash, so
-/// with uniform hashing each shard holds ~1/64th of the cells.
-pub const SHARDS: usize = 64;
-
-fn fnv1a_key(benchmark: &str, architecture: &str, scenario: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for part in [benchmark, architecture, scenario] {
-        for b in part.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        // NUL separator so ("ab","c") and ("a","bc") hash differently.
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+/// Where the cell with this key sits: `Ok(i)` when present, `Err(i)` where
+/// it would be inserted to keep `cells` sorted.
+pub(crate) fn position(cells: &[CacheCell], key: (&str, &str, &str)) -> Result<usize, usize> {
+    cells.binary_search_by(|c| c.key().cmp(&key))
 }
 
-/// An immutable snapshot of a store's cells, arranged for O(log n/64)
-/// lock-free lookup.
-pub struct CacheIndex {
-    cells: Vec<CacheCell>,
-    /// Per shard: (key hash, index into `cells`), sorted by hash.
-    shards: Vec<Vec<(u64, u32)>>,
-}
-
-impl CacheIndex {
-    /// Build an index over a store's current cells.
-    pub fn build(store: &CacheStore) -> CacheIndex {
-        let cells = store.cells.clone();
-        let mut shards: Vec<Vec<(u64, u32)>> = vec![Vec::new(); SHARDS];
-        for (i, cell) in cells.iter().enumerate() {
-            let h = fnv1a_key(&cell.benchmark, &cell.architecture, &cell.scenario);
-            shards[(h >> 58) as usize].push((h, i as u32));
+/// The cell with this key, inserted empty at its sorted position on first
+/// use.
+pub(crate) fn entry<'a>(
+    cells: &'a mut Vec<CacheCell>,
+    key: (&str, &str, &str),
+) -> &'a mut CacheCell {
+    let i = match position(cells, key) {
+        Ok(i) => i,
+        Err(i) => {
+            let (benchmark, architecture, scenario) = key;
+            cells.insert(i, CacheCell::new(benchmark, architecture, scenario));
+            i
         }
-        for shard in &mut shards {
-            shard.sort_unstable();
-        }
-        CacheIndex { cells, shards }
-    }
-
-    /// Look up the cell for a key. Touches no locks; safe to call from any
-    /// number of threads concurrently.
-    pub fn lookup(
-        &self,
-        benchmark: &str,
-        architecture: &str,
-        scenario: &str,
-    ) -> Option<&CacheCell> {
-        obs().lookups.inc();
-        let h = fnv1a_key(benchmark, architecture, scenario);
-        let shard = &self.shards[(h >> 58) as usize];
-        let mut at = shard.partition_point(|&(sh, _)| sh < h);
-        while let Some(&(sh, i)) = shard.get(at) {
-            if sh != h {
-                break;
-            }
-            let cell = &self.cells[i as usize];
-            if cell.key() == (benchmark, architecture, scenario) {
-                obs().hits.inc();
-                return Some(cell);
-            }
-            at += 1;
-        }
-        obs().misses.inc();
-        None
-    }
-
-    /// Number of indexed cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the index holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// All indexed cells, in store (sorted-key) order.
-    pub fn cells(&self) -> &[CacheCell] {
-        &self.cells
-    }
-}
-
-/// Single-writer, many-reader handle pairing the authoritative store with
-/// its published index.
-pub struct SharedCache {
-    store: Mutex<CacheStore>,
-    published: RwLock<Arc<CacheIndex>>,
-}
-
-impl SharedCache {
-    /// Wrap a store, building and publishing its initial index.
-    pub fn new(store: CacheStore) -> SharedCache {
-        let index = Arc::new(CacheIndex::build(&store));
-        SharedCache {
-            store: Mutex::new(store),
-            published: RwLock::new(index),
-        }
-    }
-
-    /// The current published index. Cheap (one `Arc` clone); the returned
-    /// snapshot stays valid and consistent however long the caller holds
-    /// it.
-    pub fn index(&self) -> Arc<CacheIndex> {
-        self.published
-            .read()
-            .expect("cache index lock poisoned")
-            .clone()
-    }
-
-    /// Mutate the store, then rebuild and atomically publish the index.
-    /// Serializes writers; readers are never blocked beyond the final
-    /// pointer swap.
-    pub fn update<R>(&self, f: impl FnOnce(&mut CacheStore) -> R) -> R {
-        let mut store = self.store.lock().expect("cache store lock poisoned");
-        let out = f(&mut store);
-        let rebuilt = Arc::new(CacheIndex::build(&store));
-        *self.published.write().expect("cache index lock poisoned") = rebuilt;
-        out
-    }
-
-    /// A clone of the authoritative store (for saving to disk).
-    pub fn snapshot(&self) -> CacheStore {
-        self.store
-            .lock()
-            .expect("cache store lock poisoned")
-            .clone()
-    }
+    };
+    &mut cells[i]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CacheStore;
     use std::collections::BTreeMap;
 
     fn store_with(n: i64) -> CacheStore {
@@ -171,62 +56,18 @@ mod tests {
     #[test]
     fn index_finds_every_cell_and_misses_cleanly() {
         let store = store_with(200);
-        let index = CacheIndex::build(&store);
-        assert_eq!(index.len(), store.cells.len());
-        for cell in &store.cells {
-            let found = index
-                .lookup(&cell.benchmark, &cell.architecture, &cell.scenario)
-                .expect("indexed cell found");
+        assert_eq!(store.cells.len(), 200);
+        assert!(store.cells.windows(2).all(|w| w[0].key() < w[1].key()));
+        for (i, cell) in store.cells.iter().enumerate() {
+            assert_eq!(position(&store.cells, cell.key()), Ok(i));
+            let found = store
+                .cell(&cell.benchmark, &cell.architecture, &cell.scenario)
+                .expect("stored cell found");
             assert_eq!(found, cell);
         }
-        assert!(index.lookup("bench-0", "arch-0", "scenario-9999").is_none());
-        assert!(index.lookup("", "", "").is_none());
-    }
-
-    #[test]
-    fn concurrent_readers_see_consistent_snapshots() {
-        let shared = Arc::new(SharedCache::new(store_with(50)));
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        let index = shared.index();
-                        // Whatever snapshot we got, it is internally consistent.
-                        for cell in index.cells() {
-                            assert!(index
-                                .lookup(&cell.benchmark, &cell.architecture, &cell.scenario)
-                                .is_some());
-                        }
-                    }
-                })
-            })
-            .collect();
-        for round in 0..20 {
-            shared.update(|store| {
-                let mut config = BTreeMap::new();
-                config.insert("block_size_x".to_string(), round);
-                store.observe(
-                    "writer-bench",
-                    "arch-w",
-                    &format!("round-{round}"),
-                    &config,
-                    0.5,
-                    None,
-                );
-            });
-        }
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(
-            shared
-                .index()
-                .lookup("writer-bench", "arch-w", "round-0")
-                .map(|c| c.evals),
-            Some(0)
-        );
-        assert_eq!(shared.snapshot().cells.len(), 70);
+        assert!(store.cell("bench-0", "arch-0", "scenario-9999").is_none());
+        assert!(store.cell("", "", "").is_none());
+        assert_eq!(position(&store.cells, ("", "", "")), Err(0));
     }
 
     #[test]
@@ -234,8 +75,11 @@ mod tests {
         let mut s = CacheStore::new();
         let config = BTreeMap::new();
         s.observe("ab", "c", "x", &config, 1.0, None);
-        let index = CacheIndex::build(&s);
-        assert!(index.lookup("a", "bc", "x").is_none());
-        assert!(index.lookup("ab", "c", "x").is_some());
+        assert!(s.cell("a", "bc", "x").is_none());
+        assert!(s.cell("ab", "c", "x").is_some());
+        entry(&mut s.cells, ("a", "bc", "x"));
+        assert_eq!(s.cells.len(), 2);
+        assert_eq!(s.cell("ab", "c", "x").unwrap().top.len(), 1);
+        assert!(s.cell("a", "bc", "x").unwrap().top.is_empty());
     }
 }

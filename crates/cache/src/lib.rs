@@ -1,5 +1,5 @@
 //! The shippable autotune cache: a persistent `bat/cache/v1` best-config
-//! store with a lock-free read path.
+//! store.
 //!
 //! Kernel tuning is an expensive search that should be done once and
 //! reused. This crate is where the reuse lives:
@@ -13,11 +13,8 @@
 //!   is byte-stable: entries are kept sorted, nothing volatile is
 //!   recorded, and [`merge`](CacheStore::merge) is commutative and
 //!   associative, so shard caches recombine into the unsharded cache
-//!   byte-for-byte.
-//! * [`CacheIndex`] — an immutable sharded hash index over the cells.
-//!   Lookups take `&self`, touch no locks and scale linearly with reader
-//!   count; writers go through [`SharedCache`], which rebuilds the index
-//!   off to the side and atomically publishes the new `Arc`.
+//!   byte-for-byte. Cells are kept sorted by key and looked up by binary
+//!   search ([`cell`](CacheStore::cell)).
 //! * [`transfer`] — deterministic cross-architecture warm starts: cells
 //!   recorded on *other* GPUs feed a
 //!   [`TransferDatabase`](bat_tuners::TransferDatabase), nearest
@@ -32,7 +29,6 @@ mod store;
 pub mod transfer;
 
 pub use digest::{DigestEntry, QuantileSketch, SKETCH_BINS, TOP_K};
-pub use index::{CacheIndex, SharedCache, SHARDS};
 pub use store::{CacheCell, CacheError, CacheStore, CachedTrial, CACHE_SCHEMA};
 
 /// Observability handles for the cache. Telemetry only: lookup results are
@@ -45,11 +41,10 @@ pub(crate) struct CacheMetrics {
     pub(crate) warm_starts: &'static bat_obs::metrics::Counter,
 }
 
-/// Record one logical cache lookup in the observability counters. The
-/// lock-free [`CacheIndex`] records its own lookups; front-ends that query
-/// a [`CacheStore`] directly (the campaign `--cache` exact-hit path) call
-/// this so hit rates stay observable regardless of the read path. Under
-/// the `no-obs` feature this is a no-op.
+/// Record one logical cache lookup in the observability counters. Every
+/// front-end that queries a [`CacheStore`] (the campaign `--cache`
+/// exact-hit path, the daemon's `cache_lookup`) calls this, so hit rates
+/// stay observable. Under the `no-obs` feature this is a no-op.
 pub fn record_lookup(hit: bool) {
     let m = obs();
     m.lookups.inc();
@@ -64,14 +59,14 @@ pub(crate) fn obs() -> &'static CacheMetrics {
     use bat_obs::metrics::counter;
     static M: std::sync::OnceLock<CacheMetrics> = std::sync::OnceLock::new();
     M.get_or_init(|| CacheMetrics {
-        lookups: counter("bat_cache_lookups_total", "Cache index lookups."),
+        lookups: counter("bat_cache_lookups_total", "Cache lookups."),
         hits: counter(
             "bat_cache_hits_total",
-            "Cache index lookups that found a cell.",
+            "Cache lookups that found a cell or trial.",
         ),
         misses: counter(
             "bat_cache_misses_total",
-            "Cache index lookups that found nothing.",
+            "Cache lookups that found nothing.",
         ),
         warm_starts: counter(
             "bat_cache_warm_starts_total",

@@ -2,8 +2,8 @@
 //! merge and the byte-stable on-disk JSON form.
 
 use crate::digest::{merge_top, DigestEntry, QuantileSketch};
+use crate::index;
 use serde::{Deserialize, Serialize, Value};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -95,10 +95,6 @@ impl CacheCell {
     }
 }
 
-fn cell_key_order(a: &CacheCell, b: &CacheCell) -> Ordering {
-    a.key().cmp(&b.key())
-}
-
 /// One finished tuning trial, stored verbatim. The record is an opaque
 /// JSON blob (a `bat/result/v1` trial record) keyed by an exact
 /// fingerprint of everything that determined it, so a campaign run with
@@ -174,17 +170,26 @@ impl CacheStore {
     pub fn load(path: &str) -> Result<CacheStore, CacheError> {
         let contents = std::fs::read_to_string(path)
             .map_err(|e| CacheError::Io(format!("reading {path}: {e}")))?;
-        CacheStore::from_json(&contents)
+        CacheStore::parse_file(path, &contents)
     }
 
     /// Load a store from `path`, or start empty when the file does not
     /// exist yet (a corrupt existing file is still an error).
     pub fn load_or_empty(path: &str) -> Result<CacheStore, CacheError> {
         match std::fs::read_to_string(path) {
-            Ok(contents) => CacheStore::from_json(&contents),
+            Ok(contents) => CacheStore::parse_file(path, &contents),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(CacheStore::new()),
             Err(e) => Err(CacheError::Io(format!("reading {path}: {e}"))),
         }
+    }
+
+    /// [`from_json`](CacheStore::from_json), with parse errors naming the
+    /// file the text came from.
+    fn parse_file(path: &str, contents: &str) -> Result<CacheStore, CacheError> {
+        CacheStore::from_json(contents).map_err(|e| match e {
+            CacheError::Parse(m) => CacheError::Parse(format!("parsing {path}: {m}")),
+            io => io,
+        })
     }
 
     /// Write the store to `path` atomically (temp file + rename), so a
@@ -199,8 +204,7 @@ impl CacheStore {
 
     /// The cell for a key, if present (binary search over the sorted list).
     pub fn cell(&self, benchmark: &str, architecture: &str, scenario: &str) -> Option<&CacheCell> {
-        self.cells
-            .binary_search_by(|c| c.key().cmp(&(benchmark, architecture, scenario)))
+        index::position(&self.cells, (benchmark, architecture, scenario))
             .ok()
             .map(|i| &self.cells[i])
     }
@@ -229,33 +233,14 @@ impl CacheStore {
         ms: f64,
         energy_mj: Option<f64>,
     ) {
-        let key = (benchmark, architecture, scenario);
-        let at = self.cells.binary_search_by(|c| c.key().cmp(&key));
-        let cell = match at {
-            Ok(i) => &mut self.cells[i],
-            Err(i) => {
-                self.cells
-                    .insert(i, CacheCell::new(benchmark, architecture, scenario));
-                &mut self.cells[i]
-            }
-        };
-        cell.observe(config, ms, energy_mj);
+        index::entry(&mut self.cells, (benchmark, architecture, scenario))
+            .observe(config, ms, energy_mj);
     }
 
     /// Count one evaluation against the cell for a key (failed evaluations
     /// spend budget too, but contribute no digest entry).
     pub fn count_evals(&mut self, benchmark: &str, architecture: &str, scenario: &str, n: u64) {
-        let key = (benchmark, architecture, scenario);
-        let at = self.cells.binary_search_by(|c| c.key().cmp(&key));
-        let cell = match at {
-            Ok(i) => &mut self.cells[i],
-            Err(i) => {
-                self.cells
-                    .insert(i, CacheCell::new(benchmark, architecture, scenario));
-                &mut self.cells[i]
-            }
-        };
-        cell.evals += n;
+        index::entry(&mut self.cells, (benchmark, architecture, scenario)).evals += n;
     }
 
     /// Insert one trial blob, keeping the sorted invariant. The record is
@@ -288,8 +273,7 @@ impl CacheStore {
     /// over the same shards yields the same bytes.
     pub fn merge(&mut self, other: &CacheStore) {
         for cell in &other.cells {
-            let at = self.cells.binary_search_by(|c| cell_key_order(c, cell));
-            match at {
+            match index::position(&self.cells, cell.key()) {
                 Ok(i) => self.cells[i].merge(cell),
                 Err(i) => self.cells.insert(i, cell.clone()),
             }
@@ -399,6 +383,25 @@ mod tests {
         assert!(s.trials.is_empty());
         assert_eq!(s.cells.len(), 1);
         assert_eq!(s.summary(), "1 cell, 0 trials");
+    }
+
+    #[test]
+    fn parse_errors_name_the_file() {
+        let path =
+            std::env::temp_dir().join(format!("bat-cache-truncated-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let json = sample_store(1).to_json();
+        std::fs::write(path, &json[..json.len() / 2]).unwrap();
+        for err in [
+            CacheStore::load(path).unwrap_err(),
+            CacheStore::load_or_empty(path).unwrap_err(),
+        ] {
+            let CacheError::Parse(msg) = err else {
+                panic!("expected a parse error, got {err:?}");
+            };
+            assert!(msg.starts_with(&format!("parsing {path}: ")), "{msg}");
+        }
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

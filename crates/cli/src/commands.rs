@@ -7,20 +7,21 @@ use bat_analysis::{
     random_search_convergence, reduce_space, FitnessFlowGraph, Landscape, PageRankParams,
     PerformanceDistribution,
 };
-use bat_core::{Error, Protocol, TuningProblem};
+use bat_core::{Error, EvalBackend, Evaluator, Protocol, TuningProblem};
 use bat_harness::{
-    run_campaign, CampaignSummary, Endpoint, ExperimentSpec, RecordLevel, SeedPolicy, Selector,
+    cache_error, run_campaign, tuner_by_name, CampaignOptions, CampaignResult, CampaignSummary,
+    ExperimentSpec, RecordLevel, SeedPolicy, Selector,
 };
 use bat_space::Neighborhood;
-use bat_tuners::default_tuners;
+use bat_tuners::{default_tuners, Tuner};
 
 use crate::ctx::{
-    bench_on, f, paper_landscape, pct, print_table, selected_archs, selected_benches, Opts,
-    EXHAUSTIVE_BENCHES,
+    apply_threads, bench_on, f, kernel, paper_landscape, pct, print_table, selected_archs,
+    selected_benches, Opts, EXHAUSTIVE_BENCHES,
 };
 
 /// `bat list` — benchmarks, spaces, architectures.
-pub fn cmd_list(_opts: &Opts) {
+pub fn cmd_list(_opts: &Opts) -> Result<(), Error> {
     println!("BAT-rs benchmark suite (BAT 2.0 reproduction)\n");
     println!("Benchmarks:");
     let mut rows = Vec::new();
@@ -72,12 +73,13 @@ pub fn cmd_list(_opts: &Opts) {
     for t in bat_moo::moo_tuners() {
         println!("  {}", t.name());
     }
+    Ok(())
 }
 
 /// `bat tables` — Tables I–VII (the tunable parameter spaces).
-pub fn cmd_tables(opts: &Opts) {
-    for name in selected_benches(opts) {
-        let k = bat_kernels::kernel_by_name(&name).unwrap();
+pub fn cmd_tables(opts: &Opts) -> Result<(), Error> {
+    for name in selected_benches(opts)? {
+        let k = kernel(&name)?;
         let s = k.build_space();
         println!("\nTable: tunable parameters — {name} kernel");
         let rows: Vec<Vec<String>> = s
@@ -103,18 +105,19 @@ pub fn cmd_tables(opts: &Opts) {
         }
         println!("  cardinality: {}", s.cardinality());
     }
+    Ok(())
 }
 
 /// `bat table8` — search-space sizes (cardinality, constrained, valid,
 /// reduced, reduce-constrained).
-pub fn cmd_table8(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let archs = selected_archs(opts);
+pub fn cmd_table8(opts: &Opts) -> Result<(), Error> {
+    let samples = opts.get_usize("--samples", 10_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
+    let archs = selected_archs(opts)?;
     println!("Table VIII: search space sizes of benchmarks in BAT-rs\n");
     let mut rows = Vec::new();
-    for name in selected_benches(opts) {
-        let k = bat_kernels::kernel_by_name(&name).unwrap();
+    for name in selected_benches(opts)? {
+        let k = kernel(&name)?;
         let space = k.build_space();
         let cardinality = space.cardinality();
         let constrained = space.count_valid_factored();
@@ -125,7 +128,7 @@ pub fn cmd_table8(opts: &Opts) {
             let mut lo = u64::MAX;
             let mut hi = 0u64;
             for arch in &archs {
-                let b = bench_on(&name, arch);
+                let b = bench_on(&name, arch)?;
                 let l = Landscape::exhaustive(&b);
                 let v = l.valid_count() as u64;
                 lo = lo.min(v);
@@ -145,7 +148,7 @@ pub fn cmd_table8(opts: &Opts) {
         let mut best_cfg: Option<Vec<i64>> = None;
         let mut best_time = f64::INFINITY;
         for arch in &archs {
-            let b = bench_on(&name, arch);
+            let b = bench_on(&name, arch)?;
             let l = paper_landscape(&b, samples, seed);
             if let Some(fi) = feature_importance(b.space(), &l, &default_gbdt_params(), 2, seed) {
                 per_arch.push((fi.pfi.feature_names.clone(), fi.pfi.importances.clone()));
@@ -190,20 +193,21 @@ pub fn cmd_table8(opts: &Opts) {
         ],
         &rows,
     );
+    Ok(())
 }
 
 /// `bat fig1` — performance distributions centred on the median config.
-pub fn cmd_fig1(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let bins = opts.get_usize("--bins", 20);
-    for name in selected_benches(opts) {
+pub fn cmd_fig1(opts: &Opts) -> Result<(), Error> {
+    let samples = opts.get_usize("--samples", 10_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
+    let bins = opts.get_usize("--bins", 20)?;
+    for name in selected_benches(opts)? {
         println!(
             "\nFig 1 ({name}): distribution of configuration performance (relative to median)"
         );
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
+        for arch in selected_archs(opts)? {
+            let b = bench_on(&name, &arch)?;
             let l = paper_landscape(&b, samples, seed);
             let times = l.times();
             let Some(d) = PerformanceDistribution::from_times(&times, bins) else {
@@ -231,19 +235,20 @@ pub fn cmd_fig1(opts: &Opts) {
             &rows,
         );
     }
+    Ok(())
 }
 
 /// `bat fig2` — random-search convergence curves.
-pub fn cmd_fig2(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    let reps = opts.get_usize("--reps", 100);
-    let max_evals = opts.get_usize("--max-evals", 1000);
-    for name in selected_benches(opts) {
+pub fn cmd_fig2(opts: &Opts) -> Result<(), Error> {
+    let samples = opts.get_usize("--samples", 10_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
+    let reps = opts.get_usize("--reps", 100)?;
+    let max_evals = opts.get_usize("--max-evals", 1000)?;
+    for name in selected_benches(opts)? {
         println!("\nFig 2 ({name}): median best-so-far relative performance vs evaluations");
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
+        for arch in selected_archs(opts)? {
+            let b = bench_on(&name, &arch)?;
             let l = paper_landscape(&b, samples, seed);
             let times: Vec<Option<f64>> = l.samples.iter().map(|s| s.time_ms).collect();
             let c = random_search_convergence(&times, max_evals, reps, seed);
@@ -275,13 +280,14 @@ pub fn cmd_fig2(opts: &Opts) {
             &rows,
         );
     }
+    Ok(())
 }
 
 /// `bat fig3` — proportion of centrality (exhaustive benchmarks).
-pub fn cmd_fig3(opts: &Opts) {
-    let seed = opts.get_u64("--seed", 0);
+pub fn cmd_fig3(opts: &Opts) -> Result<(), Error> {
+    let seed = opts.get_u64("--seed", 0)?;
     let benches = match opts.get("--bench") {
-        Some(_) => selected_benches(opts),
+        Some(_) => selected_benches(opts)?,
         // The paper computes the metric only where exhaustion was feasible.
         None => vec!["gemm".into(), "convolution".into(), "pnpoly".into()],
     };
@@ -289,9 +295,9 @@ pub fn cmd_fig3(opts: &Opts) {
     for name in benches {
         println!("\nFig 3 ({name}): proportion of centrality (p = 0.00 .. 0.50)");
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
-            let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), seed);
+        for arch in selected_archs(opts)? {
+            let b = bench_on(&name, &arch)?;
+            let l = paper_landscape(&b, opts.get_usize("--samples", 10_000)?, seed);
             let g = FitnessFlowGraph::build(b.space(), &l, Neighborhood::HammingAny);
             if g.is_empty() {
                 rows.push(vec![arch.name.to_string(), "empty FFG".into()]);
@@ -310,19 +316,20 @@ pub fn cmd_fig3(opts: &Opts) {
         }
         print_table(&header, &rows);
     }
+    Ok(())
 }
 
 /// `bat fig4` — max speedup over the median configuration.
-pub fn cmd_fig4(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
+pub fn cmd_fig4(opts: &Opts) -> Result<(), Error> {
+    let samples = opts.get_usize("--samples", 10_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
     println!("Fig 4: max speedup of optimum over median configuration\n");
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     let mut rows = Vec::new();
-    for name in selected_benches(opts) {
+    for name in selected_benches(opts)? {
         let mut row = vec![name.clone()];
         for arch in &archs {
-            let b = bench_on(&name, arch);
+            let b = bench_on(&name, arch)?;
             let l = paper_landscape(&b, samples, seed);
             row.push(
                 max_speedup_over_median(&l)
@@ -335,20 +342,24 @@ pub fn cmd_fig4(opts: &Opts) {
     let mut header = vec!["benchmark".to_string()];
     header.extend(archs.iter().map(|a| a.name.to_string()));
     print_table(&header, &rows);
+    Ok(())
 }
 
 /// `bat fig5` — performance portability matrices.
-pub fn cmd_fig5(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
+pub fn cmd_fig5(opts: &Opts) -> Result<(), Error> {
+    let samples = opts.get_usize("--samples", 10_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
     let benches = match opts.get("--bench") {
-        Some(_) => selected_benches(opts),
+        Some(_) => selected_benches(opts)?,
         None => vec!["convolution".into(), "pnpoly".into(), "nbody".into()],
     };
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     for name in benches {
         println!("\nFig 5 ({name}): portability of optimal configs (row = tuned on, col = run on)");
-        let problems: Vec<_> = archs.iter().map(|a| bench_on(&name, a)).collect();
+        let problems: Vec<_> = archs
+            .iter()
+            .map(|a| bench_on(&name, a))
+            .collect::<Result<_, _>>()?;
         let landscapes: Vec<_> = problems
             .iter()
             .map(|b| paper_landscape(b, samples, seed))
@@ -375,24 +386,25 @@ pub fn cmd_fig5(opts: &Opts) {
             );
         }
     }
+    Ok(())
 }
 
 /// `bat fig6` — permutation feature importance per benchmark × GPU.
-pub fn cmd_fig6(opts: &Opts) {
-    let samples = opts.get_usize("--samples", 10_000);
-    let seed = opts.get_u64("--seed", 0);
-    for name in selected_benches(opts) {
+pub fn cmd_fig6(opts: &Opts) -> Result<(), Error> {
+    let samples = opts.get_usize("--samples", 10_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
+    for name in selected_benches(opts)? {
         println!(
             "\nFig 6 ({name}): permutation feature importance (GBDT regressor on log-runtime)"
         );
-        let k = bat_kernels::kernel_by_name(&name).unwrap();
+        let k = kernel(&name)?;
         let space = k.build_space();
         let mut header = vec!["gpu".to_string(), "R²".to_string()];
         header.extend(space.names().iter().cloned());
         header.push("Σ importance".into());
         let mut rows = Vec::new();
-        for arch in selected_archs(opts) {
-            let b = bench_on(&name, &arch);
+        for arch in selected_archs(opts)? {
+            let b = bench_on(&name, &arch)?;
             let l = paper_landscape(&b, samples, seed);
             let Some(fi) = feature_importance(b.space(), &l, &default_gbdt_params(), 2, seed)
             else {
@@ -408,6 +420,7 @@ pub fn cmd_fig6(opts: &Opts) {
         }
         print_table(&header, &rows);
     }
+    Ok(())
 }
 
 /// Build the sequential-seed campaign the comparison-style subcommands
@@ -416,57 +429,67 @@ pub fn cmd_fig6(opts: &Opts) {
 /// `0..repeats`, compact (curve-only) records. Benchmark names are
 /// lowercased here because spec selectors match exactly, unlike the
 /// fuzzy kernel registry.
-fn comparison_spec(
+fn comparison_campaign(
     name: &str,
     benches: &[String],
     archs: &[bat_gpusim::GpuArch],
     budget: u64,
     repeats: u64,
-) -> ExperimentSpec {
-    ExperimentSpec {
+) -> Result<CampaignResult, Error> {
+    let spec = ExperimentSpec {
         tuners: Selector::All,
         benchmarks: Selector::Subset(benches.iter().map(|b| b.to_ascii_lowercase()).collect()),
         architectures: Selector::Subset(archs.iter().map(|a| a.name.to_string()).collect()),
         budget,
-        repetitions: u32::try_from(repeats).expect("--repeats out of range"),
+        repetitions: u32::try_from(repeats)
+            .map_err(|_| Error::spec(format!("--repeats {repeats} is out of range")))?,
         seed_policy: SeedPolicy::Sequential,
         record: RecordLevel::Curve,
         ..ExperimentSpec::new(name)
-    }
+    };
+    Ok(run_campaign(&spec, &CampaignOptions::default())?.result)
 }
 
 /// Parse and validate the CLI's `--batch` knob with the same rules the
 /// spec path applies: positive, and no wider than the budget.
-fn batch_arg(opts: &Opts, budget: u64) -> u32 {
-    let batch = opts.get_u64("--batch", 1);
-    assert!(batch >= 1, "--batch must be positive");
-    assert!(
-        batch <= budget,
-        "--batch {batch} exceeds the budget {budget}"
-    );
-    u32::try_from(batch).expect("--batch out of range")
+fn batch_arg(opts: &Opts, budget: u64) -> Result<u32, Error> {
+    let batch = opts.get_u64("--batch", 1)?;
+    if batch == 0 {
+        return Err(Error::spec("--batch must be positive"));
+    }
+    if batch > budget {
+        return Err(Error::spec(format!(
+            "--batch {batch} exceeds the budget {budget}"
+        )));
+    }
+    u32::try_from(batch).map_err(|_| Error::spec(format!("--batch {batch} is out of range")))
 }
 
-/// `bat tune` — run one tuner on one benchmark (through the harness's
-/// shared tuning entry point).
-pub fn cmd_tune(opts: &Opts) {
+/// The tuner named by `--tuner`, or `default`.
+fn tuner_arg(opts: &Opts, default: &str) -> Result<Box<dyn Tuner>, Error> {
+    let name = opts.get("--tuner").unwrap_or_else(|| default.into());
+    tuner_by_name(&name)
+        .ok_or_else(|| Error::spec(format!("unknown tuner {name:?}; see `bat list`")))
+}
+
+/// `bat tune` — run one tuner on one benchmark.
+pub fn cmd_tune(opts: &Opts) -> Result<(), Error> {
     let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 500);
-    let seed = opts.get_u64("--seed", 0);
+    let budget = opts.get_u64("--budget", 500)?;
+    let seed = opts.get_u64("--seed", 0)?;
     // Measurement parallelism of the ask/tell protocol (1 = the classic
     // serial protocol, byte-identical to the historical output).
-    let batch = batch_arg(opts, budget);
-    let tuner_name = opts
-        .get("--tuner")
-        .unwrap_or_else(|| "random-search".into());
-    let tuner = bat_harness::tuner_by_name(&tuner_name)
-        .unwrap_or_else(|| panic!("unknown tuner {tuner_name:?}; see `bat list`"));
+    let batch = batch_arg(opts, budget)?;
+    let tuner = tuner_arg(opts, "random-search")?;
 
-    let b = bench_on(&bench, arch);
-    let protocol = Protocol::default().with_batch(batch);
-    let (run, _stats) = bat_harness::run_tuning(&b, tuner.as_ref(), protocol, budget, seed);
+    let b = bench_on(&bench, arch)?;
+    let eval = Evaluator::builder(&b)
+        .protocol(Protocol::default().with_batch(batch))
+        .budget(budget)
+        .build()?;
+    let run = tuner.tune(&eval, seed);
     println!(
         "tuned {bench} on {} with {} ({} evaluations, {} successful)",
         arch.name,
@@ -497,21 +520,22 @@ pub fn cmd_tune(opts: &Opts) {
         let t4 = bat_core::t4::T4Results::from_run(&run, b.space().names());
         println!("{}", t4.to_json());
     }
+    Ok(())
 }
 
 /// `bat noise` — measurement-noise sensitivity: the noise-free quality of
 /// the configuration each protocol selects, across noise levels.
-pub fn cmd_noise(opts: &Opts) {
+pub fn cmd_noise(opts: &Opts) -> Result<(), Error> {
     // Convolution's dense near-optimal plateau makes it the benchmark
     // where noise actually flips selections; wide-margin benchmarks
     // (e.g. expdist) are noise-robust.
     let bench = opts.get("--bench").unwrap_or_else(|| "convolution".into());
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 150);
-    let repeats = opts.get_u64("--repeats", 15);
-    let seed = opts.get_u64("--seed", 0);
-    let b = bench_on(&bench, arch);
+    let budget = opts.get_u64("--budget", 150)?;
+    let repeats = opts.get_u64("--repeats", 15)?;
+    let seed = opts.get_u64("--seed", 0)?;
+    let b = bench_on(&bench, arch)?;
     let sigmas = [0.0, 0.01, 0.05, 0.10, 0.20, 0.40];
 
     println!(
@@ -552,31 +576,31 @@ pub fn cmd_noise(opts: &Opts) {
          show the winner's curse; 5 runs/config (the paper-style protocol) \
          defends against it."
     );
+    Ok(())
 }
 
 /// `bat t1` — print a benchmark's specification as a T1 JSON document
 /// (the BAT ecosystem's benchmark-definition format).
-pub fn cmd_t1(opts: &Opts) {
+pub fn cmd_t1(opts: &Opts) -> Result<(), Error> {
     let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let spec = bat_kernels::kernel_by_name(&bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench:?}; see `bat list`"));
-    let doc = bat_kernels::t1::to_t1(spec.as_ref(), "CUDA");
+    let doc = bat_kernels::t1::to_t1(kernel(&bench)?.as_ref(), "CUDA");
     println!("{}", doc.to_json());
+    Ok(())
 }
 
 /// `bat difficulty` — classical landscape-difficulty metrics (FDC,
 /// random-walk autocorrelation, local-minima statistics) complementing
 /// the fig3 centrality metric.
-pub fn cmd_difficulty(opts: &Opts) {
+pub fn cmd_difficulty(opts: &Opts) -> Result<(), Error> {
     // Walk metrics need dense landscapes; default to the paper's four
     // exhaustively-searched benchmarks (same scoping as fig3's centrality).
     let benches = match opts.get("--bench") {
-        Some(_) => selected_benches(opts),
+        Some(_) => selected_benches(opts)?,
         None => EXHAUSTIVE_BENCHES.iter().map(|s| s.to_string()).collect(),
     };
-    let archs = selected_archs(opts);
-    let samples = opts.get_usize("--samples", 3_000);
-    let seed = opts.get_u64("--seed", 0);
+    let archs = selected_archs(opts)?;
+    let samples = opts.get_usize("--samples", 3_000)?;
+    let seed = opts.get_u64("--seed", 0)?;
 
     println!(
         "Landscape difficulty metrics (Hamming-any walks, {samples} samples for large spaces)\n"
@@ -593,7 +617,7 @@ pub fn cmd_difficulty(opts: &Opts) {
     let mut rows = Vec::new();
     for bench in &benches {
         for arch in &archs {
-            let b = bench_on(bench, arch);
+            let b = bench_on(bench, arch)?;
             let l = paper_landscape(&b, samples, seed);
             let r = bat_analysis::difficulty_default(b.space(), &l, seed);
             rows.push(vec![
@@ -622,35 +646,35 @@ pub fn cmd_difficulty(opts: &Opts) {
          autocorrelation (higher = smoother). min quality: mean t_opt/t_min \
          over local minima."
     );
+    Ok(())
 }
 
 /// `bat compare` — all tuners on one benchmark at equal budget.
-pub fn cmd_compare(opts: &Opts) {
+pub fn cmd_compare(opts: &Opts) -> Result<(), Error> {
     let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 300);
-    let seeds = opts.get_u64("--repeats", 5);
+    let budget = opts.get_u64("--budget", 300)?;
+    let seeds = opts.get_u64("--repeats", 5)?;
 
     println!(
         "Tuner comparison on {bench} / {} (budget {budget} evals, {seeds} repeats)\n",
         arch.name
     );
-    let b = bench_on(&bench, arch);
+    let b = bench_on(&bench, arch)?;
     // Ground truth via exhaustive or heavy random sampling.
-    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), 0);
+    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000)?, 0);
     let t_opt = l.best().map(|s| s.time_ms.unwrap()).unwrap_or(f64::NAN);
 
     // One declarative campaign replaces the bespoke (tuner × seed) loop;
     // sequential seeds reproduce the historical numbers exactly.
-    let spec = comparison_spec(
+    let campaign = comparison_campaign(
         "compare",
         std::slice::from_ref(&bench),
         &archs[..1],
         budget,
         seeds,
-    );
-    let campaign = run_campaign(&spec).expect("comparison campaign").result;
+    )?;
 
     let mut rows = Vec::new();
     for tuner in bat_harness::known_tuners() {
@@ -680,18 +704,23 @@ pub fn cmd_compare(opts: &Opts) {
         &rows,
     );
     println!("\n  sampled optimum: {t_opt:.4} ms");
+    Ok(())
 }
 
 /// `bat source` — print generated CUDA for a configuration.
-pub fn cmd_source(opts: &Opts) {
+pub fn cmd_source(opts: &Opts) -> Result<(), Error> {
     let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let k = bat_kernels::kernel_by_name(&bench).unwrap();
+    let k = kernel(&bench)?;
     let space = k.build_space();
     let config: Vec<i64> = match opts.get("--config") {
         Some(s) => s
             .split(',')
-            .map(|v| v.trim().parse().expect("config values must be integers"))
-            .collect(),
+            .map(|v| {
+                v.trim().parse().map_err(|_| {
+                    Error::spec(format!("--config values must be integers, got {v:?}"))
+                })
+            })
+            .collect::<Result<_, _>>()?,
         None => {
             // Default: first valid configuration.
             let mut cfg = None;
@@ -703,23 +732,30 @@ pub fn cmd_source(opts: &Opts) {
                     break;
                 }
             }
-            cfg.expect("no valid configuration")
+            cfg.ok_or_else(|| Error::spec(format!("{bench} has no valid configuration")))?
         }
     };
-    assert_eq!(config.len(), space.num_params(), "config arity mismatch");
+    if config.len() != space.num_params() {
+        return Err(Error::spec(format!(
+            "--config has {} values; {bench} has {} parameters",
+            config.len(),
+            space.num_params()
+        )));
+    }
     println!("{}", k.source(&config));
+    Ok(())
 }
 
 /// `bat convergence-tuners` — Fig 2-style curves for every tuner (an
 /// extension beyond the paper's random-search-only figure).
-pub fn cmd_convergence_tuners(opts: &Opts) {
+pub fn cmd_convergence_tuners(opts: &Opts) -> Result<(), Error> {
     let bench = opts.get("--bench").unwrap_or_else(|| "gemm".into());
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     let arch = &archs[0];
-    let budget = opts.get_u64("--budget", 400);
-    let seeds = opts.get_u64("--repeats", 9);
-    let b = bench_on(&bench, arch);
-    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), 0);
+    let budget = opts.get_u64("--budget", 400)?;
+    let seeds = opts.get_u64("--repeats", 9)?;
+    let b = bench_on(&bench, arch)?;
+    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000)?, 0);
     let t_opt = l.best().map(|s| s.time_ms.unwrap()).unwrap_or(f64::NAN);
 
     println!(
@@ -729,14 +765,13 @@ pub fn cmd_convergence_tuners(opts: &Opts) {
     let checkpoints = [10usize, 25, 50, 100, 200, 400];
     // The campaign's compact best-so-far curves answer every checkpoint
     // probe, so no bespoke (tuner × seed) loop is needed.
-    let spec = comparison_spec(
+    let campaign = comparison_campaign(
         "convergence",
         std::slice::from_ref(&bench),
         &archs[..1],
         budget,
         seeds,
-    );
-    let campaign = run_campaign(&spec).expect("convergence campaign").result;
+    )?;
     let mut rows = Vec::new();
     for tuner in bat_harness::known_tuners() {
         let mut row = vec![tuner.clone()];
@@ -755,15 +790,16 @@ pub fn cmd_convergence_tuners(opts: &Opts) {
     let mut header = vec!["tuner".to_string()];
     header.extend(checkpoints.iter().map(|c| format!("@{c}")));
     print_table(&header, &rows);
+    Ok(())
 }
 
 /// `bat ranks` — cross-benchmark tuner ranking (Friedman-style mean
 /// ranks over all selected benchmarks and GPUs).
-pub fn cmd_ranks(opts: &Opts) {
-    let benches = selected_benches(opts);
-    let archs = selected_archs(opts);
-    let budget = opts.get_u64("--budget", 150);
-    let repeats = opts.get_u64("--repeats", 5);
+pub fn cmd_ranks(opts: &Opts) -> Result<(), Error> {
+    let benches = selected_benches(opts)?;
+    let archs = selected_archs(opts)?;
+    let budget = opts.get_u64("--budget", 150)?;
+    let repeats = opts.get_u64("--repeats", 5)?;
 
     println!(
         "Cross-benchmark tuner ranking (budget {budget} evals, {repeats} repeats, {} benchmark×GPU cells)\n",
@@ -772,8 +808,7 @@ pub fn cmd_ranks(opts: &Opts) {
     // One campaign covers every benchmark × GPU cell; the harness summary's
     // Friedman-style rank reducer matches the comparison module's
     // aggregation (per-repetition ranks, failures last, ties averaged).
-    let spec = comparison_spec("ranks", &benches, &archs, budget, repeats);
-    let campaign = run_campaign(&spec).expect("ranking campaign").result;
+    let campaign = comparison_campaign("ranks", &benches, &archs, budget, repeats)?;
     let summary = CampaignSummary::from_result(&campaign);
     for cell in &summary.cells {
         println!(
@@ -793,6 +828,7 @@ pub fn cmd_ranks(opts: &Opts) {
             summary.tuners[t], summary.overall_rank[t]
         );
     }
+    Ok(())
 }
 
 /// `bat pareto` — multi-objective tuning: the non-dominated time × energy
@@ -801,25 +837,23 @@ pub fn cmd_ranks(opts: &Opts) {
 /// Deterministic end to end: the tuner is seeded, measurements are
 /// deterministic, and the archive resolves ties by fixed keys — two
 /// invocations (at any thread count) print identical fronts.
-pub fn cmd_pareto(opts: &Opts) {
-    let budget = opts.get_u64("--budget", 300);
-    let seed = opts.get_u64("--seed", 0);
-    let capacity = opts.get_usize("--capacity", 16);
-    let batch = batch_arg(opts, budget);
-    let tuner_name = opts.get("--tuner").unwrap_or_else(|| "nsga2".into());
-    let tuner = bat_harness::tuner_by_name(&tuner_name)
-        .unwrap_or_else(|| panic!("unknown tuner {tuner_name:?}; see `bat list`"));
+pub fn cmd_pareto(opts: &Opts) -> Result<(), Error> {
+    let budget = opts.get_u64("--budget", 300)?;
+    let seed = opts.get_u64("--seed", 0)?;
+    let capacity = opts.get_usize("--capacity", 16)?;
+    let batch = batch_arg(opts, budget)?;
+    let tuner = tuner_arg(opts, "nsga2")?;
 
-    for bench in selected_benches(opts) {
-        for arch in selected_archs(opts) {
-            let b = bench_on(&bench, &arch);
-            let (run, stats) = bat_harness::run_tuning_with_energy(
-                &b,
-                tuner.as_ref(),
-                Protocol::default().with_batch(batch),
-                budget,
-                seed,
-            );
+    for bench in selected_benches(opts)? {
+        for arch in selected_archs(opts)? {
+            let b = bench_on(&bench, &arch)?;
+            let eval = Evaluator::builder(&b)
+                .protocol(Protocol::default().with_batch(batch))
+                .budget(budget)
+                .energy(true)
+                .build()?;
+            let run = tuner.tune(&eval, seed);
+            let stats = EvalBackend::stats(&eval);
             let archive = bat_moo::front_of_run(&run, capacity);
             println!(
                 "\nPareto front: {bench} on {} ({} with {} evaluations, {} distinct)",
@@ -879,82 +913,12 @@ pub fn cmd_pareto(opts: &Opts) {
             }
         }
     }
-}
-
-/// Parse `--threads N` and size the worker pool before any parallel work.
-fn apply_threads(opts: &Opts) -> Result<(), Error> {
-    if let Some(threads) = opts.get("--threads") {
-        let n: usize = threads.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            Error::spec(format!(
-                "--threads expects a positive integer, got {threads:?}"
-            ))
-        })?;
-        if !rayon::set_global_threads(n) {
-            return Err(Error::spec(
-                "--threads came too late: the worker pool already started",
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// `bat campaign` — run a declarative campaign spec through the harness
-/// (the CLI face of the `bat-harness` binary). `--connect` routes trial
-/// evaluation through a tuning daemon (loopback or TCP); the artifact is
-/// byte-identical to the in-process run.
-pub fn cmd_campaign(opts: &Opts) -> Result<(), Error> {
-    apply_threads(opts)?;
-    if let Some(trace) = opts.get("--trace") {
-        bat_obs::trace::install(std::path::Path::new(&trace))
-            .map_err(|e| Error::io(format!("--trace {trace}: {e}")))?;
-    }
-    let path = opts
-        .get("--spec")
-        .ok_or_else(|| Error::spec("--spec FILE is required; see specs/ for examples"))?;
-    let mut spec = bat_harness::load_spec_file(&path)?;
-    if let Some(batch) = opts.get("--batch") {
-        let batch: u32 = batch
-            .parse()
-            .map_err(|_| Error::spec(format!("bad --batch value {batch:?}")))?;
-        spec.protocol.set_batch(batch);
-    }
-    if let Some(rate) = opts.get("--fault-rate") {
-        let rate: f64 = rate
-            .parse()
-            .ok()
-            .filter(|r| (0.0..=1.0).contains(r))
-            .ok_or_else(|| Error::spec(format!("--fault-rate must be in [0, 1], got {rate:?}")))?;
-        spec.set_fault_rate(rate);
-    }
-    let endpoint = match opts.get("--connect") {
-        Some(ep) => Endpoint::parse(&ep).map_err(Error::from)?,
-        None => Endpoint::InProcess,
-    };
-    let out = opts.get("--out");
-    let cache = opts.get("--cache");
-    let run = bat_harness::run_spec_to_file_cached(
-        &spec,
-        out.as_deref(),
-        opts.has("--resume"),
-        false,
-        &endpoint,
-        cache.as_deref(),
-    )?;
-
-    match &out {
-        Some(p) => println!("wrote {p}"),
-        // Artifact on stdout; the report goes to stderr so a redirected
-        // artifact stays parseable.
-        None => println!("{}", run.result.to_json()),
-    }
-    bat_harness::report_run(&run, false);
-    bat_obs::trace::flush();
     Ok(())
 }
 
 /// `bat serve` — host tuning sessions as a long-running daemon. Clients
-/// (`bat campaign --connect HOST:PORT`, `bat-harness run --connect ...`,
-/// or any `bat/wire/v1` speaker) open sessions, stream evaluation batches
+/// (`bat campaign --connect HOST:PORT`, or any `bat/wire/v1` speaker)
+/// open sessions, stream evaluation batches
 /// and read budget/statistics accounting; the daemon schedules batches
 /// fairly across sessions and bounds each session's in-flight work.
 /// Serves until a client sends a `shutdown` request.
@@ -1007,34 +971,25 @@ pub fn cmd_serve(opts: &Opts) -> Result<(), Error> {
         println!("bat serve: metrics on http://{mlocal}/metrics");
         let _ = bat_server::spawn_metrics_endpoint(mlistener);
     }
-    // `--cache FILE` loads a shipped `bat/cache/v1` artifact into the
-    // lock-free index; the daemon then answers wire-level `cache_lookup`
-    // requests from it.
+    // `--cache FILE` loads a shipped `bat/cache/v1` artifact; the daemon
+    // then answers wire-level `cache_lookup` requests from it.
     let cache = match opts.get("--cache") {
         Some(path) => {
             let store = bat_cache::CacheStore::load(&path).map_err(cache_error)?;
             println!("bat serve: cache {path} loaded ({})", store.summary());
-            Some(std::sync::Arc::new(bat_cache::CacheIndex::build(&store)))
+            Some(std::sync::Arc::new(store))
         }
         None => None,
     };
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let daemon = match cache {
-        Some(index) => bat_server::Daemon::with_cache(config, index),
+        Some(store) => bat_server::Daemon::with_cache(config, store),
         None => bat_server::Daemon::new(config),
     };
     daemon.serve(listener)?;
     eprintln!("bat serve: shutdown requested, exiting");
     Ok(())
-}
-
-/// Map a typed cache error onto the CLI's unified error hierarchy.
-fn cache_error(e: bat_cache::CacheError) -> Error {
-    match e {
-        bat_cache::CacheError::Io(m) => Error::io(m),
-        bat_cache::CacheError::Parse(m) => Error::spec(m),
-    }
 }
 
 /// `bat cache` — inspect, merge and slim `bat/cache/v1` artifacts.
@@ -1054,9 +1009,7 @@ pub fn cmd_cache(opts: &Opts) -> Result<(), Error> {
         .ok_or_else(|| Error::spec("usage: bat cache <inspect|merge|evict> [options]"))?;
     match sub.as_str() {
         "inspect" => {
-            let path = opts
-                .get("--input")
-                .ok_or_else(|| Error::spec("cache inspect requires --input FILE"))?;
+            let path = opts.require("--input", "FILE")?;
             let store = bat_cache::CacheStore::load(&path).map_err(cache_error)?;
             println!("{path}: {} ({})", store.summary(), store.schema);
             let mut rows = Vec::new();
@@ -1108,12 +1061,8 @@ pub fn cmd_cache(opts: &Opts) -> Result<(), Error> {
             Ok(())
         }
         "merge" => {
-            let inputs = opts
-                .get("--inputs")
-                .ok_or_else(|| Error::spec("cache merge requires --inputs A,B,..."))?;
-            let out = opts
-                .get("--out")
-                .ok_or_else(|| Error::spec("cache merge requires --out FILE"))?;
+            let inputs = opts.require("--inputs", "A,B,...")?;
+            let out = opts.require("--out", "FILE")?;
             let mut merged = bat_cache::CacheStore::new();
             for path in inputs.split(',').map(str::trim).filter(|p| !p.is_empty()) {
                 let store = bat_cache::CacheStore::load(path).map_err(cache_error)?;
@@ -1124,12 +1073,8 @@ pub fn cmd_cache(opts: &Opts) -> Result<(), Error> {
             Ok(())
         }
         "evict" => {
-            let input = opts
-                .get("--input")
-                .ok_or_else(|| Error::spec("cache evict requires --input FILE"))?;
-            let out = opts
-                .get("--out")
-                .ok_or_else(|| Error::spec("cache evict requires --out FILE"))?;
+            let input = opts.require("--input", "FILE")?;
+            let out = opts.require("--out", "FILE")?;
             let mut store = bat_cache::CacheStore::load(&input).map_err(cache_error)?;
             store.evict_trials();
             store.save_atomic(&out).map_err(cache_error)?;
@@ -1144,16 +1089,16 @@ pub fn cmd_cache(opts: &Opts) -> Result<(), Error> {
 
 /// `bat online` — KTT-style dynamic autotuning: does tuning during the
 /// application run pay for itself?
-pub fn cmd_online(opts: &Opts) {
+pub fn cmd_online(opts: &Opts) -> Result<(), Error> {
     let bench = opts.get("--bench").unwrap_or_else(|| "convolution".into());
-    let archs = selected_archs(opts);
+    let archs = selected_archs(opts)?;
     let arch = &archs[0];
-    let invocations = opts.get_usize("--invocations", 5000);
-    let tuning_budget = opts.get_u64("--budget", 200);
-    let seed = opts.get_u64("--seed", 0);
+    let invocations = opts.get_usize("--invocations", 5000)?;
+    let tuning_budget = opts.get_u64("--budget", 200)?;
+    let seed = opts.get_u64("--seed", 0)?;
 
-    let b = bench_on(&bench, arch);
-    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000), seed);
+    let b = bench_on(&bench, arch)?;
+    let l = paper_landscape(&b, opts.get_usize("--samples", 10_000)?, seed);
     let t_opt = l.best().map(|s| s.time_ms.unwrap());
 
     println!(
@@ -1198,6 +1143,7 @@ pub fn cmd_online(opts: &Opts) {
         f(static_ms / 1000.0, 2),
         t_opt.map_or("-".into(), |t| f(t * invocations as f64 / 1000.0, 2)),
     );
+    Ok(())
 }
 
 fn sparkline(counts: &[u64]) -> String {

@@ -1,8 +1,11 @@
 //! Shared helpers for the `bat` CLI.
 
+use std::sync::Arc;
+
 use bat_analysis::{sampled_valid, Landscape};
+use bat_core::Error;
 use bat_gpusim::GpuArch;
-use bat_kernels::{benchmark, GpuBenchmark, BENCHMARK_NAMES};
+use bat_kernels::{GpuBenchmark, KernelSpec, BENCHMARK_NAMES};
 
 /// The benchmarks the paper searches exhaustively (§V).
 pub const EXHAUSTIVE_BENCHES: [&str; 4] = ["pnpoly", "nbody", "gemm", "convolution"];
@@ -29,24 +32,30 @@ impl Opts {
             .cloned()
     }
 
+    /// Numeric option, or `default` when absent.
+    fn get_number<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Error> {
+        match self.get(key) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| Error::spec(format!("{key} expects a number, got {v:?}"))),
+            None => Ok(default),
+        }
+    }
+
     /// Integer option with default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
+    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, Error> {
+        self.get_number(key, default)
     }
 
     /// u64 option with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
+    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, Error> {
+        self.get_number(key, default)
+    }
+
+    /// Required string option, e.g. `--spec FILE`.
+    pub fn require(&self, key: &str, what: &str) -> Result<String, Error> {
         self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
+            .ok_or_else(|| Error::spec(format!("{key} {what} is required")))
     }
 
     /// Flag presence, e.g. `--csv`.
@@ -66,43 +75,66 @@ impl Opts {
 }
 
 /// Benchmarks selected by `--bench` (comma-separated) or all seven.
-pub fn selected_benches(opts: &Opts) -> Vec<String> {
+pub fn selected_benches(opts: &Opts) -> Result<Vec<String>, Error> {
     match opts.get("--bench") {
         Some(list) => list
             .split(',')
             .map(|s| {
                 let s = s.trim().to_ascii_lowercase();
-                assert!(
-                    BENCHMARK_NAMES.contains(&s.as_str()),
-                    "unknown benchmark {s:?}; available: {BENCHMARK_NAMES:?}"
-                );
-                s
+                kernel(&s)?;
+                Ok(s)
             })
             .collect(),
-        None => BENCHMARK_NAMES.iter().map(|s| s.to_string()).collect(),
+        None => Ok(BENCHMARK_NAMES.iter().map(|s| s.to_string()).collect()),
     }
 }
 
 /// Architectures selected by `--arch` (comma-separated) or the testbed.
-pub fn selected_archs(opts: &Opts) -> Vec<GpuArch> {
+pub fn selected_archs(opts: &Opts) -> Result<Vec<GpuArch>, Error> {
     match opts.get("--arch") {
         Some(list) => list
             .split(',')
             .map(|s| {
-                GpuArch::by_name(s.trim()).unwrap_or_else(|| {
-                    panic!(
+                GpuArch::by_name(s.trim()).ok_or_else(|| {
+                    Error::spec(format!(
                         "unknown GPU {s:?}; available: RTX 2080 Ti, RTX 3060, RTX 3090, RTX Titan"
-                    )
+                    ))
                 })
             })
             .collect(),
-        None => GpuArch::paper_testbed(),
+        None => Ok(GpuArch::paper_testbed()),
     }
 }
 
-/// Bind a benchmark to an architecture (panics on unknown name).
-pub fn bench_on(name: &str, arch: &GpuArch) -> GpuBenchmark {
-    benchmark(name, arch.clone()).unwrap_or_else(|| panic!("unknown benchmark {name:?}"))
+/// The kernel named `name` (case-insensitive).
+pub fn kernel(name: &str) -> Result<Arc<dyn KernelSpec>, Error> {
+    bat_kernels::kernel_by_name(name).ok_or_else(|| {
+        Error::spec(format!(
+            "unknown benchmark {name:?}; available: {BENCHMARK_NAMES:?}"
+        ))
+    })
+}
+
+/// Bind a benchmark to an architecture.
+pub fn bench_on(name: &str, arch: &GpuArch) -> Result<GpuBenchmark, Error> {
+    Ok(GpuBenchmark::new(kernel(name)?, arch.clone()))
+}
+
+/// Parse `--threads N` and size the worker pool before any parallel work.
+pub fn apply_threads(opts: &Opts) -> Result<(), Error> {
+    if let Some(threads) = opts.get("--threads") {
+        let n: usize = threads.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+            Error::spec(format!(
+                "--threads expects a positive integer, got {threads:?}"
+            ))
+        })?;
+        if !rayon::set_global_threads(n) {
+            return Err(Error::spec(
+                "--threads came too late: the worker pool already started",
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Collect the paper-protocol landscape: exhaustive for the four small

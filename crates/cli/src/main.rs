@@ -3,6 +3,7 @@
 //! Regenerates every table and figure of the BAT 2.0 paper on the simulated
 //! GPU testbed, and runs/compares tuners on the benchmark suite.
 
+mod campaign;
 mod commands;
 mod ctx;
 
@@ -29,16 +30,31 @@ SUITE COMMANDS:
     tune                 run one tuner  (--bench, --tuner, --budget, --seed, --batch, --json, --t4, --source)
     pareto               multi-objective tuning: time × energy Pareto fronts
                          (--bench, --arch, --budget, --seed, --tuner, --capacity, --batch)
-    campaign             run a declarative campaign spec (--spec FILE, --out FILE, --resume,
-                         --batch N, --fault-rate R, --threads N, --connect EP,
-                         --cache FILE reuses a bat/cache/v1 store: exact-hit
-                         trials replay verbatim (warm artifact byte-identical
-                         to cold), misses tune and fold back in atomically;
-                         --trace FILE writes a bat/trace/v1 JSONL span trace;
-                         EP = in-process | loopback | HOST:PORT of a
-                         `bat serve` daemon — artifacts are byte-identical
-                         across endpoints; thread-count precedence:
-                         --threads > BAT_THREADS > host cores)
+    campaign             run a declarative campaign spec (--spec FILE, --out FILE
+                         plus a FILE.meta.json T4 document, default stdout;
+                         --resume reuses the trials already in --out;
+                         --serial runs trials one by one (the determinism
+                         oracle); --shard I/N runs every N-th trial from I;
+                         --batch N, --fault-rate R override the spec;
+                         --threads N, --connect EP, --strict exits non-zero
+                         when a trial finds no valid configuration, --quiet
+                         drops the summary tables; --cache FILE reuses a
+                         bat/cache/v1 store: exact-hit trials replay verbatim
+                         (warm artifact byte-identical to cold), misses tune
+                         and fold back in atomically; --trace FILE writes a
+                         bat/trace/v1 JSONL span trace; EP = in-process |
+                         loopback | HOST:PORT of a `bat serve` daemon —
+                         artifacts are byte-identical across endpoints;
+                         thread-count precedence: --threads > BAT_THREADS >
+                         host cores)
+    campaign merge       merge shard artifacts (--spec FILE, --inputs A,B,...,
+                         --out FILE, --quiet); missing trials execute, so the
+                         result is byte-identical to the unsharded run
+    campaign summary     summary tables of an artifact (--input FILE)
+    campaign trials      list a spec's compiled trials (--spec FILE)
+    campaign sweep-batch batch-vs-quality table: throughput, mean best and
+                         mean convergence AUC per batch size (--spec FILE,
+                         --batches 1,4,16,64, --threads N)
     cache                inspect/merge/evict bat/cache/v1 stores:
                          inspect --input FILE [--bench B --arch A ranks
                          warm-start donor architectures], merge --inputs
@@ -52,8 +68,8 @@ SUITE COMMANDS:
                          --heartbeat N prints a status line every N seconds,
                          0 disables, default 10, --cache FILE loads a
                          bat/cache/v1 store and answers wire cache_lookup
-                         requests from a lock-free index); clients connect
-                         with `bat campaign --connect HOST:PORT`
+                         requests from it); clients connect with
+                         `bat campaign --connect HOST:PORT`
     compare              compare all tuners at equal budget (--bench, --budget, --repeats)
     ranks                cross-benchmark tuner ranking, Friedman-style (--budget, --repeats)
     online               KTT-style dynamic autotuning time-to-solution (--bench, --invocations)
@@ -76,9 +92,9 @@ EXAMPLES:
     bat campaign --spec specs/ci-smoke.json --out smoke.json
 ";
 
-/// Print a typed [`bat_core::Error`] and exit non-zero — the service
-/// subcommands report failures through the unified error hierarchy
-/// instead of panicking.
+/// Print a typed [`bat_core::Error`] and exit non-zero — every subcommand
+/// reports failures through the unified error hierarchy instead of
+/// panicking.
 fn fail_on_error(outcome: Result<(), bat_core::Error>) {
     if let Err(e) = outcome {
         eprintln!("error: {e}");
@@ -93,7 +109,7 @@ fn main() {
         std::process::exit(2);
     };
     let opts = Opts::new(&args[1..]);
-    match cmd {
+    fail_on_error(match cmd {
         "list" => commands::cmd_list(&opts),
         "tables" => commands::cmd_tables(&opts),
         "table8" => commands::cmd_table8(&opts),
@@ -105,9 +121,9 @@ fn main() {
         "fig6" => commands::cmd_fig6(&opts),
         "tune" => commands::cmd_tune(&opts),
         "pareto" => commands::cmd_pareto(&opts),
-        "campaign" => fail_on_error(commands::cmd_campaign(&opts)),
-        "serve" => fail_on_error(commands::cmd_serve(&opts)),
-        "cache" => fail_on_error(commands::cmd_cache(&opts)),
+        "campaign" => campaign::cmd_campaign(&opts),
+        "serve" => commands::cmd_serve(&opts),
+        "cache" => commands::cmd_cache(&opts),
         "compare" => commands::cmd_compare(&opts),
         "ranks" => commands::cmd_ranks(&opts),
         "online" => commands::cmd_online(&opts),
@@ -116,11 +132,14 @@ fn main() {
         "t1" => commands::cmd_t1(&opts),
         "convergence-tuners" => commands::cmd_convergence_tuners(&opts),
         "source" => commands::cmd_source(&opts),
-        "help" | "--help" | "-h" => print!("{HELP}"),
+        "help" | "--help" | "-h" => {
+            print!("{HELP}");
+            Ok(())
+        }
         other => {
             eprintln!("unknown command {other:?}\n");
             print!("{HELP}");
             std::process::exit(2);
         }
-    }
+    });
 }

@@ -233,7 +233,7 @@ pub fn cache_prior(store: &CacheStore, spec: &ExperimentSpec) -> Option<Campaign
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{run_campaign, CampaignOptions};
     use crate::spec::{FaultSpec, Selector};
 
     fn spec() -> ExperimentSpec {
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn fold_then_prior_replays_every_trial_verbatim() {
         let s = spec();
-        let run = run_campaign(&s).unwrap();
+        let run = run_campaign(&s, &CampaignOptions::default()).unwrap();
         let mut store = CacheStore::new();
         fold_run_into_cache(&mut store, &run.result);
         assert_eq!(store.trials.len(), 2);
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn foreign_scenarios_and_seeds_miss() {
         let s = spec();
-        let run = run_campaign(&s).unwrap();
+        let run = run_campaign(&s, &CampaignOptions::default()).unwrap();
         let mut store = CacheStore::new();
         fold_run_into_cache(&mut store, &run.result);
         // Same campaign under a different budget: nothing may replay.
@@ -332,7 +332,7 @@ mod tests {
             record: RecordLevel::Curve,
             ..spec()
         };
-        let run = run_campaign(&s).unwrap();
+        let run = run_campaign(&s, &CampaignOptions::default()).unwrap();
         let mut store = CacheStore::new();
         fold_run_into_cache(&mut store, &run.result);
         let cell = store

@@ -12,75 +12,22 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use bat_core::{
-    Error, EvalBackend, Evaluator, FaultModel, Protocol, RetryPolicy, TuningProblem, TuningRun,
-};
+use bat_cache::CacheStore;
+use bat_core::{Error, EvalBackend, Evaluator, TuningProblem, TuningRun};
 use bat_server::wire::OpenSession;
 use bat_server::{Daemon, RemoteBackend, ServerConfig};
 use bat_tuners::{default_tuners, Tuner};
 
+use crate::cache_integration::{cache_prior, fold_run_into_cache};
+use crate::files::{cache_error, read_resume_artifact, write_artifact, write_metadata};
 use crate::result::{CampaignResult, TrialRecord, RESULT_SCHEMA};
-use crate::spec::{CompiledTrial, ExperimentSpec, ObjectiveMode, RecordLevel, SpecError};
+use crate::spec::{CompiledTrial, ExperimentSpec, ObjectiveMode, RecordLevel};
 
-/// A campaign execution failure.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HarnessError {
-    /// The spec is not runnable.
-    Spec(SpecError),
-    /// A prior result offered for resume does not belong to this spec.
-    ResumeMismatch(String),
-    /// A trial could not be executed (unknown tuner/benchmark/arch —
-    /// normally caught by validation, but resumable artifacts make this
-    /// reachable again).
-    Trial(String),
-    /// A checkpoint callback (artifact write) failed.
-    Io(String),
-    /// The evaluation backend failed (remote endpoints only: transport,
-    /// wire or session errors from the daemon — the in-process path
-    /// cannot produce these).
-    Eval(Error),
-}
-
-impl std::fmt::Display for HarnessError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HarnessError::Spec(e) => e.fmt(f),
-            HarnessError::ResumeMismatch(m) => write!(f, "cannot resume: {m}"),
-            HarnessError::Trial(m) => write!(f, "trial failed: {m}"),
-            HarnessError::Io(m) => write!(f, "checkpoint failed: {m}"),
-            HarnessError::Eval(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for HarnessError {}
-
-impl From<SpecError> for HarnessError {
-    fn from(e: SpecError) -> Self {
-        HarnessError::Spec(e)
-    }
-}
-
-impl From<Error> for HarnessError {
-    fn from(e: Error) -> Self {
-        HarnessError::Eval(e)
-    }
-}
-
-/// Every harness failure folds into the unified [`bat_core::Error`]
-/// hierarchy, so front-ends (the CLI, the daemon) report one error type
-/// regardless of which layer failed.
-impl From<HarnessError> for Error {
-    fn from(e: HarnessError) -> Self {
-        match e {
-            HarnessError::Spec(s) => Error::spec(s),
-            HarnessError::ResumeMismatch(m) => Error::session(format!("cannot resume: {m}")),
-            HarnessError::Trial(m) => Error::spec(m),
-            HarnessError::Io(m) => Error::io(m),
-            HarnessError::Eval(e) => e,
-        }
-    }
-}
+/// Trials executed between checkpoint writes of the output artifact.
+/// Small enough that an interrupted long campaign loses little work,
+/// large enough that serialization stays a rounding error next to trial
+/// execution.
+pub(crate) const CHECKPOINT_TRIALS: usize = 32;
 
 /// Where campaign trials evaluate.
 ///
@@ -107,14 +54,14 @@ pub enum Endpoint {
 impl Endpoint {
     /// Parse a `--connect` argument: `in-process`, `loopback`, or a
     /// `host:port` address.
-    pub fn parse(s: &str) -> Result<Endpoint, HarnessError> {
+    pub fn parse(s: &str) -> Result<Endpoint, Error> {
         match s {
             "in-process" => Ok(Endpoint::InProcess),
             "loopback" => Ok(Endpoint::Loopback),
             addr if addr.contains(':') => Ok(Endpoint::Tcp(addr.to_string())),
-            other => Err(HarnessError::Eval(Error::spec(format!(
+            other => Err(Error::spec(format!(
                 "bad endpoint {other:?}: expected in-process, loopback, or host:port"
-            )))),
+            ))),
         }
     }
 }
@@ -139,16 +86,45 @@ impl Target {
     }
 }
 
+/// How [`run_campaign`] runs a spec. The default evaluates every trial in
+/// this process, in parallel, and writes no file.
+#[derive(Debug, Default)]
+pub struct CampaignOptions {
+    /// Where trials evaluate. The artifact is byte-identical across
+    /// endpoints.
+    pub endpoint: Endpoint,
+    /// Where to write the artifact: rewritten every 32 executed trials,
+    /// so an interrupted run leaves a partial artifact that `resume`
+    /// picks up, plus its T4 metadata document at `<out>.meta.json`.
+    pub out: Option<String>,
+    /// Reuse the trials already in `out`. A missing file runs everything;
+    /// an unreadable or foreign one is an error, since re-running would
+    /// overwrite it.
+    pub resume: bool,
+    /// A prior result of exactly this spec (possibly partial): its
+    /// trials are reused verbatim.
+    pub prior: Option<CampaignResult>,
+    /// Results of this campaign under any shard block, typically shard
+    /// artifacts: their trials are reused, so merging every shard
+    /// reproduces the unsharded artifact without executing anything.
+    pub merge: Vec<CampaignResult>,
+    /// A `bat/cache/v1` file (missing is fine: it starts empty). Trials
+    /// whose exact fingerprint is stored replay verbatim, and the finished
+    /// campaign folds back into the file, which a fully warm run leaves
+    /// untouched.
+    pub cache: Option<String>,
+    /// Run trials one by one on the calling thread: the determinism
+    /// oracle, whose artifact equals the parallel run's.
+    pub serial: bool,
+}
+
 /// A finished campaign plus execution metadata. The metadata (wall time,
 /// executed/reused counts) is deliberately *not* part of the serialized
 /// [`CampaignResult`], which must stay a pure function of the spec.
 #[derive(Debug)]
 pub struct CampaignRun {
-    /// The deterministic artifact (partial under [`advance_campaign`]'s
-    /// trial limit, complete otherwise).
+    /// The deterministic artifact.
     pub result: CampaignResult,
-    /// Whether every compiled trial is present in `result`.
-    pub complete: bool,
     /// Trials executed in this run.
     pub executed: usize,
     /// Trials reused from a prior result.
@@ -177,8 +153,7 @@ impl CampaignRun {
         self.executed_evals as f64 / self.wall.as_secs_f64()
     }
 
-    /// One-line execution report (trial counts, wall time, throughput) —
-    /// shared by every front-end so the binaries cannot drift.
+    /// One-line execution report (trial counts, wall time, throughput).
     pub fn report(&self) -> String {
         format!(
             "{} trials ({} executed, {} reused) in {:.2}s — {:.1} trials/s, {:.0} evals/s",
@@ -201,76 +176,11 @@ pub fn tuner_by_name(name: &str) -> Option<Box<dyn Tuner>> {
         .find(|t| t.name() == name)
 }
 
-/// Statistics of one tuning run's evaluator — the single source of truth
-/// shared with the wire protocol (`SessionStats`) and the summary's
-/// resilience tallies. Defined in `bat-core` next to [`EvalBackend`],
-/// whose provided `stats()` builds it from the backend's own counters.
-pub use bat_core::EvalStats;
-
-fn run_tuning_impl(
-    problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
-    protocol: Protocol,
-    budget: u64,
-    seed: u64,
-    energy: bool,
-    faults: Option<(FaultModel, RetryPolicy)>,
-) -> (TuningRun, EvalStats) {
-    let mut eval = Evaluator::with_protocol(problem, protocol).with_budget(budget);
-    if energy {
-        eval = eval.with_energy();
-    }
-    if let Some((model, policy)) = faults {
-        eval = eval.with_faults(model, policy);
-    }
-    let run = tuner.tune(&eval, seed);
-    let stats = EvalBackend::stats(&eval);
-    (run, stats)
+fn trial_tuner(ct: &CompiledTrial) -> Result<Box<dyn Tuner>, Error> {
+    tuner_by_name(&ct.key.tuner)
+        .ok_or_else(|| Error::spec(format!("unknown tuner {:?}", ct.key.tuner)))
 }
 
-/// Run one tuner on one problem under the harness measurement discipline:
-/// a fresh budgeted [`Evaluator`] per run, everything flowing through the
-/// shared protocol. This is the single tuning entry point used by the
-/// campaign engine and the `bat tune` subcommand alike.
-pub fn run_tuning(
-    problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
-    protocol: Protocol,
-    budget: u64,
-    seed: u64,
-) -> (TuningRun, EvalStats) {
-    run_tuning_impl(problem, tuner, protocol, budget, seed, false, None)
-}
-
-/// [`run_tuning`] with energy measurement enabled: measurements carry
-/// `energy_mj` whenever the problem prices it. The entry point of every
-/// non-`time` objective.
-pub fn run_tuning_with_energy(
-    problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
-    protocol: Protocol,
-    budget: u64,
-    seed: u64,
-) -> (TuningRun, EvalStats) {
-    run_tuning_impl(problem, tuner, protocol, budget, seed, true, None)
-}
-
-/// [`run_tuning`] under a fault model: evaluations flow through the
-/// resilient retry/quarantine pipeline and the returned stats carry its
-/// counters. `energy` selects the two-objective measurement path.
-pub fn run_tuning_with_faults(
-    problem: &dyn TuningProblem,
-    tuner: &dyn Tuner,
-    protocol: Protocol,
-    budget: u64,
-    seed: u64,
-    energy: bool,
-    faults: (FaultModel, RetryPolicy),
-) -> (TuningRun, EvalStats) {
-    run_tuning_impl(problem, tuner, protocol, budget, seed, energy, Some(faults))
-}
-
-/// Execute one compiled trial under its objective.
 /// The wire-session description of one compiled trial: same protocol,
 /// budget, energy flag, scalarization and fault block the in-process
 /// evaluator would get, so the daemon's session is semantically the
@@ -284,6 +194,23 @@ fn open_session(ct: &CompiledTrial) -> OpenSession {
     open
 }
 
+/// The record of one finished trial; Pareto trials also record their
+/// bounded non-dominated front.
+fn trial_record(
+    ct: &CompiledTrial,
+    run: &TuningRun,
+    names: &[String],
+    stats: bat_core::EvalStats,
+) -> TrialRecord {
+    let keep_history = ct.record == RecordLevel::Full;
+    let mut record = TrialRecord::from_run(&ct.key, ct.seed, run, names, stats, keep_history);
+    if ct.objective.mode == ObjectiveMode::Pareto {
+        let front = bat_moo::front_of_run(run, ct.objective.front_capacity());
+        record.front = Some(front.front().to_vec());
+    }
+    record
+}
+
 /// Execute one trial against an open remote session. The shared ask/tell
 /// driver runs against the [`RemoteBackend`] exactly as it runs against
 /// the in-process evaluator; the Pareto front (like the rest of the
@@ -291,18 +218,11 @@ fn open_session(ct: &CompiledTrial) -> OpenSession {
 fn execute_trial_remote<S: Read + Write>(
     ct: &CompiledTrial,
     backend: RemoteBackend<S>,
-) -> Result<TrialRecord, HarnessError> {
-    let tuner = tuner_by_name(&ct.key.tuner)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown tuner {:?}", ct.key.tuner)))?;
-    let keep_history = ct.record == RecordLevel::Full;
+) -> Result<TrialRecord, Error> {
+    let tuner = trial_tuner(ct)?;
     let names = backend.space().names().to_vec();
     let run = tuner.try_tune(&backend, ct.seed)?;
-    let stats = EvalBackend::stats(&backend);
-    let mut record = TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history);
-    if ct.objective.mode == ObjectiveMode::Pareto {
-        let front = bat_moo::front_of_run(&run, ct.objective.front_capacity());
-        record.front = Some(front.front().to_vec());
-    }
+    let record = trial_record(ct, &run, &names, EvalBackend::stats(&backend));
     backend.close()?;
     Ok(record)
 }
@@ -314,7 +234,7 @@ fn execute_trial_traced(
     ct: &CompiledTrial,
     target: &Target,
     parent: u64,
-) -> Result<TrialRecord, HarnessError> {
+) -> Result<TrialRecord, Error> {
     let mut sp = bat_obs::trace::span_at("trial", parent);
     sp.record_str("tuner", &ct.key.tuner);
     sp.record_str("benchmark", &ct.key.benchmark);
@@ -326,7 +246,7 @@ fn execute_trial_traced(
     out
 }
 
-fn execute_trial(ct: &CompiledTrial, target: &Target) -> Result<TrialRecord, HarnessError> {
+fn execute_trial(ct: &CompiledTrial, target: &Target) -> Result<TrialRecord, Error> {
     match target {
         Target::InProcess => execute_trial_in_process(ct),
         Target::Loopback(daemon) => execute_trial_remote(
@@ -339,122 +259,67 @@ fn execute_trial(ct: &CompiledTrial, target: &Target) -> Result<TrialRecord, Har
     }
 }
 
-fn execute_trial_in_process(ct: &CompiledTrial) -> Result<TrialRecord, HarnessError> {
+fn execute_trial_in_process(ct: &CompiledTrial) -> Result<TrialRecord, Error> {
     let arch = bat_gpusim::GpuArch::by_name(&ct.key.architecture)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown GPU {:?}", ct.key.architecture)))?;
+        .ok_or_else(|| Error::spec(format!("unknown GPU {:?}", ct.key.architecture)))?;
     let problem = bat_kernels::benchmark(&ct.key.benchmark, arch)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown benchmark {:?}", ct.key.benchmark)))?;
-    let tuner = tuner_by_name(&ct.key.tuner)
-        .ok_or_else(|| HarnessError::Trial(format!("unknown tuner {:?}", ct.key.tuner)))?;
-    let keep_history = ct.record == RecordLevel::Full;
-    let names = bat_core::TuningProblem::space(&problem).names().to_vec();
+        .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", ct.key.benchmark)))?;
+    let tuner = trial_tuner(ct)?;
+    let names = problem.space().names().to_vec();
+    // Blended modes tune the scalarization through the ordinary evaluator
+    // interface: `best_ms` holds the blended objective and
+    // `best_energy_mj` the underlying energy. Every mode but `time`
+    // measures energy; a `time` trial measures exactly what the
+    // pre-energy suite did.
+    let blended;
+    let tuned: &dyn TuningProblem = match ct.objective.scalarization() {
+        Some(s) => {
+            blended = bat_moo::Scalarized::new(problem, s);
+            &blended
+        }
+        None => &problem,
+    };
+    let mut builder = Evaluator::builder(tuned)
+        .protocol(ct.protocol)
+        .budget(ct.budget)
+        .energy(ct.objective.mode != ObjectiveMode::Time);
     // A spec-level `faults` block installs the fault model + retry policy
     // on the trial's evaluator; without one, the evaluation path — and
     // therefore every artifact byte — is exactly the pre-fault one.
-    let faults = ct.faults.map(|f| (f.model(), f.retry_policy()));
-
-    let record = match ct.objective.mode {
-        // The historical single-objective path, untouched: no energy is
-        // measured, so the artifact is byte-identical to the pre-moo suite.
-        ObjectiveMode::Time => {
-            let (run, stats) = run_tuning_impl(
-                &problem,
-                tuner.as_ref(),
-                ct.protocol,
-                ct.budget,
-                ct.seed,
-                false,
-                faults,
-            );
-            TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history)
-        }
-        // Scalarized modes: every tuner optimizes the blend through the
-        // ordinary evaluator interface; `best_ms` holds the blended
-        // objective and `best_energy_mj` the underlying energy.
-        ObjectiveMode::Energy
-        | ObjectiveMode::Edp
-        | ObjectiveMode::Scalarized
-        | ObjectiveMode::Chebyshev => {
-            let scalarization = ct
-                .objective
-                .scalarization()
-                .expect("blended modes always map to a scalarization");
-            let blended = bat_moo::Scalarized::new(problem, scalarization);
-            let (run, stats) = run_tuning_impl(
-                &blended,
-                tuner.as_ref(),
-                ct.protocol,
-                ct.budget,
-                ct.seed,
-                true,
-                faults,
-            );
-            TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history)
-        }
-        // Pareto mode: both objectives are measured and the trial records
-        // its bounded non-dominated front.
-        ObjectiveMode::Pareto => {
-            let (run, stats) = run_tuning_impl(
-                &problem,
-                tuner.as_ref(),
-                ct.protocol,
-                ct.budget,
-                ct.seed,
-                true,
-                faults,
-            );
-            let front = bat_moo::front_of_run(&run, ct.objective.front_capacity());
-            let mut record =
-                TrialRecord::from_run(&ct.key, ct.seed, &run, &names, stats, keep_history);
-            record.front = Some(front.front().to_vec());
-            record
-        }
-    };
-    Ok(record)
+    if let Some(f) = ct.faults {
+        builder = builder.faults(f.model(), f.retry_policy());
+    }
+    let eval = builder.build()?;
+    let run = tuner.tune(&eval, ct.seed);
+    Ok(trial_record(ct, &run, &names, EvalBackend::stats(&eval)))
 }
 
-/// How trials are scheduled (internal: callers pick via
-/// [`run_campaign`] vs [`run_campaign_serial`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Execution {
-    /// Fan trials out over the compat-rayon pool (the default).
-    Parallel,
-    /// Run trials one by one on the calling thread (determinism oracle).
-    Serial,
-}
-
-/// How strictly a prior artifact's spec must match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PriorMatch {
-    /// Byte-for-byte spec equality — the resume contract. Kept strict on
-    /// purpose: resuming a *sharded* spec from an unsharded artifact would
-    /// let the checkpoint writer overwrite a complete artifact with the
-    /// shard's subset, destroying the other shards' trials.
-    Exact,
-    /// Equality modulo the shard block — the merge contract, where shard
-    /// artifacts deliberately recombine into the unsharded campaign
-    /// (per-trial seeds never depend on the shard block).
-    IgnoreShard,
-}
-
-fn validate_prior(
+/// Check that `prior` holds trials of `spec`'s campaign: the result
+/// schema, and the spec itself — exactly, or modulo the shard block when
+/// `any_shard`. Resume stays exact on purpose: resuming a *sharded* spec
+/// from an unsharded artifact would let the checkpoint writer overwrite a
+/// complete artifact with the shard's subset. Merging is where shard
+/// artifacts deliberately recombine (per-trial seeds never depend on the
+/// shard block).
+fn check_prior(
     spec: &ExperimentSpec,
     prior: &CampaignResult,
-    matching: PriorMatch,
-) -> Result<(), HarnessError> {
+    any_shard: bool,
+) -> Result<(), Error> {
     if prior.schema != RESULT_SCHEMA {
-        return Err(HarnessError::ResumeMismatch(format!(
-            "prior result schema {:?} is not {RESULT_SCHEMA:?}",
+        return Err(Error::session(format!(
+            "cannot resume: prior result schema {:?} is not {RESULT_SCHEMA:?}",
             prior.schema
         )));
     }
-    let matches = match matching {
-        PriorMatch::Exact => prior.spec == *spec,
-        PriorMatch::IgnoreShard => prior.spec.same_campaign(spec),
+    let same = if any_shard {
+        prior.spec.same_campaign(spec)
+    } else {
+        prior.spec == *spec
     };
-    if !matches {
-        return Err(HarnessError::ResumeMismatch(
-            "prior result was produced by a different spec".into(),
+    if !same {
+        return Err(Error::session(
+            "cannot resume: prior result was produced by a different spec",
         ));
     }
     Ok(())
@@ -495,206 +360,48 @@ fn reuse_record(index: &PriorIndex<'_>, ct: &CompiledTrial) -> Option<TrialRecor
         .map(|r| (*r).clone())
 }
 
-fn run_impl(
-    spec: &ExperimentSpec,
-    priors: &[&CampaignResult],
-    matching: PriorMatch,
-    execution: Execution,
-    limit: Option<usize>,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, HarnessError> {
-    let target = Target::of(endpoint);
-    let compiled = spec.compile()?;
-    for p in priors {
-        validate_prior(spec, p, matching)?;
+/// Run a campaign: compile `spec`, reuse every trial a prior already
+/// holds (the `out` artifact under `resume`, the in-memory `prior`, the
+/// `merge` inputs and the cache, first holder of a key wins), execute
+/// the rest and return the canonical-order artifact.
+pub fn run_campaign(spec: &ExperimentSpec, opts: &CampaignOptions) -> Result<CampaignRun, Error> {
+    if opts.resume && opts.serial {
+        return Err(Error::spec("--resume and --serial are mutually exclusive"));
     }
-
-    // Slot per compiled trial: resume fills what it can, execution fills
-    // the rest. Output order is the canonical compiled order either way.
-    let prior_index = index_prior(priors);
-    let mut slots: Vec<Option<TrialRecord>> = compiled
-        .iter()
-        .map(|ct| reuse_record(&prior_index, ct))
-        .collect();
-    let mut todo: Vec<(usize, &CompiledTrial)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| (i, &compiled[i]))
-        .collect();
-    let reused = compiled.len() - todo.len();
-    if let Some(limit) = limit {
-        todo.truncate(limit);
+    if opts.serial && opts.endpoint != Endpoint::InProcess {
+        return Err(Error::spec(
+            "--serial runs the in-process determinism oracle; drop --connect",
+        ));
     }
-    let executed = todo.len();
-
-    let mut campaign_span = bat_obs::trace::span("campaign");
-    campaign_span.record_str("name", &spec.name);
-    campaign_span.record_u64("trials", compiled.len() as u64);
-    campaign_span.record_u64("reused", reused as u64);
-    let parent = campaign_span.id();
-
-    let start = Instant::now();
-    let outcomes: Vec<(usize, Result<TrialRecord, HarnessError>)> = match execution {
-        Execution::Parallel => todo
-            .into_par_iter()
-            .map(|(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
-            .collect(),
-        Execution::Serial => todo
-            .into_iter()
-            .map(|(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
-            .collect(),
+    let out = opts.out.as_deref();
+    let disk = match (opts.resume, out) {
+        (false, _) => None,
+        (true, None) => {
+            return Err(Error::spec(
+                "--resume requires --out (the file to resume from)",
+            ))
+        }
+        (true, Some(path)) => read_resume_artifact(path)?,
     };
-    let wall = start.elapsed();
-    let mut executed_evals = 0u64;
-    for (i, outcome) in outcomes {
-        let record = outcome?;
-        executed_evals += record.evals;
-        slots[i] = Some(record);
-    }
-
-    // Under a `limit`, unexecuted slots stay empty and the result is a
-    // canonical-order partial artifact (what checkpointed runs write).
-    let complete = slots.iter().all(Option::is_some);
-    Ok(CampaignRun {
-        result: CampaignResult {
-            schema: RESULT_SCHEMA.to_string(),
-            spec: spec.clone(),
-            trials: slots.into_iter().flatten().collect(),
-        },
-        complete,
-        executed,
-        reused,
-        executed_evals,
-        wall,
-    })
-}
-
-/// Run a campaign, fanning trials out over the compat-rayon pool.
-pub fn run_campaign(spec: &ExperimentSpec) -> Result<CampaignRun, HarnessError> {
-    run_campaign_at(spec, &Endpoint::InProcess)
-}
-
-/// [`run_campaign`] against an explicit evaluation [`Endpoint`]. The
-/// artifact is byte-identical across endpoints; only where evaluations
-/// execute changes.
-pub fn run_campaign_at(
-    spec: &ExperimentSpec,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, HarnessError> {
-    run_impl(
-        spec,
-        &[],
-        PriorMatch::Exact,
-        Execution::Parallel,
-        None,
-        endpoint,
-    )
-}
-
-/// Run a campaign strictly sequentially (the determinism oracle: its
-/// result must be byte-identical to [`run_campaign`]'s).
-pub fn run_campaign_serial(spec: &ExperimentSpec) -> Result<CampaignRun, HarnessError> {
-    run_campaign_serial_primed(spec, None)
-}
-
-/// [`run_campaign_serial`] with an optional prior (e.g. a cache-synthesized
-/// one): matching trials are reused verbatim, the rest execute one by one
-/// on the calling thread. The oracle property extends to priors — the
-/// artifact is byte-identical to the parallel primed run's.
-pub fn run_campaign_serial_primed(
-    spec: &ExperimentSpec,
-    prior: Option<&CampaignResult>,
-) -> Result<CampaignRun, HarnessError> {
-    let priors: Vec<&CampaignResult> = prior.into_iter().collect();
-    run_impl(
-        spec,
-        &priors,
-        PriorMatch::Exact,
-        Execution::Serial,
-        None,
-        &Endpoint::InProcess,
-    )
-}
-
-/// Run a campaign, reusing every trial of `prior` that matches the spec
-/// (same key and derived seed). `prior` may be partial — e.g. an artifact
-/// from an interrupted run — and may even contain no usable trials, in
-/// which case this degenerates to a full run.
-pub fn resume_campaign(
-    spec: &ExperimentSpec,
-    prior: &CampaignResult,
-) -> Result<CampaignRun, HarnessError> {
-    run_impl(
-        spec,
-        &[prior],
-        PriorMatch::Exact,
-        Execution::Parallel,
-        None,
-        &Endpoint::InProcess,
-    )
-}
-
-/// Merge any number of (typically shard) artifacts into `spec`'s campaign:
-/// every compiled trial found in a prior is reused (first prior wins),
-/// missing trials execute. Merging the complete shards of a spec therefore
-/// reproduces the unsharded artifact byte-for-byte without executing
-/// anything.
-pub fn merge_campaigns(
-    spec: &ExperimentSpec,
-    priors: &[CampaignResult],
-) -> Result<CampaignRun, HarnessError> {
-    let refs: Vec<&CampaignResult> = priors.iter().collect();
-    run_impl(
-        spec,
-        &refs,
-        PriorMatch::IgnoreShard,
-        Execution::Parallel,
-        None,
-        &Endpoint::InProcess,
-    )
-}
-
-/// Execute at most `limit` pending trials of `spec`, reusing everything
-/// `prior` already holds. The returned run's result is a canonical-order
-/// (possibly partial) artifact; `complete` reports whether every compiled
-/// trial is now present.
-pub fn advance_campaign(
-    spec: &ExperimentSpec,
-    prior: Option<&CampaignResult>,
-    limit: usize,
-) -> Result<CampaignRun, HarnessError> {
-    let priors: Vec<&CampaignResult> = prior.into_iter().collect();
-    run_impl(
-        spec,
-        &priors,
-        PriorMatch::Exact,
-        Execution::Parallel,
-        Some(limit),
-        &Endpoint::InProcess,
-    )
-}
-
-/// Run a campaign to completion in `batch`-sized steps, invoking
-/// `checkpoint` with the canonical-order partial artifact after each step
-/// (and once up front when every trial was already reused). Records
-/// accumulate in place — unlike chaining [`advance_campaign`] calls,
-/// prior trials are cloned once, not once per batch — so checkpointing a
-/// large campaign costs only the periodic serialization.
-pub fn run_campaign_checkpointed(
-    spec: &ExperimentSpec,
-    prior: Option<&CampaignResult>,
-    batch: usize,
-    checkpoint: &mut dyn FnMut(&CampaignResult) -> Result<(), HarnessError>,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, HarnessError> {
-    assert!(batch > 0, "checkpoint batch must be positive");
-    let target = Target::of(endpoint);
+    let mut store = match opts.cache.as_deref() {
+        Some(path) => Some(CacheStore::load_or_empty(path).map_err(cache_error)?),
+        None => None,
+    };
+    let target = Target::of(&opts.endpoint);
     let compiled = spec.compile()?;
-    if let Some(p) = prior {
-        validate_prior(spec, p, PriorMatch::Exact)?;
+    for p in disk.iter().chain(&opts.prior) {
+        check_prior(spec, p, false)?;
     }
-    let priors: Vec<&CampaignResult> = prior.into_iter().collect();
+    for p in &opts.merge {
+        check_prior(spec, p, true)?;
+    }
+    let cached = store.as_ref().and_then(|s| cache_prior(s, spec));
+    let priors: Vec<&CampaignResult> = disk
+        .iter()
+        .chain(&opts.prior)
+        .chain(&opts.merge)
+        .chain(&cached)
+        .collect();
     let prior_index = index_prior(&priors);
 
     // `present[i]` ⇔ compiled trial `i` is already in `result.trials`
@@ -720,9 +427,20 @@ pub fn run_campaign_checkpointed(
         .map(|(i, _)| (i, &compiled[i]))
         .collect();
     let executed = todo.len();
+    let checkpoint = |result: &CampaignResult| match out {
+        Some(path) => write_artifact(path, result),
+        None => Ok(()),
+    };
     if executed == 0 {
         checkpoint(&result)?;
     }
+    // Without an output file there is nothing to checkpoint into, so every
+    // pending trial runs in one chunk.
+    let chunk_len = if out.is_some() {
+        CHECKPOINT_TRIALS
+    } else {
+        executed.max(1)
+    };
 
     let mut campaign_span = bat_obs::trace::span("campaign");
     campaign_span.record_str("name", &spec.name);
@@ -738,12 +456,14 @@ pub fn run_campaign_checkpointed(
     // before reused trials; fresh runs append.
     let mut cursor_i = 0usize;
     let mut cursor_pos = 0usize;
-    for chunk in todo.chunks(batch) {
-        let outcomes: Vec<(usize, Result<TrialRecord, HarnessError>)> = chunk
-            .to_vec()
-            .into_par_iter()
-            .map(|(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
-            .collect();
+    for chunk in todo.chunks(chunk_len) {
+        let execute =
+            |&(i, ct): &(usize, &CompiledTrial)| (i, execute_trial_traced(ct, &target, parent));
+        let outcomes: Vec<(usize, Result<TrialRecord, Error>)> = if opts.serial {
+            chunk.iter().map(execute).collect()
+        } else {
+            chunk.par_iter().map(execute).collect()
+        };
         for (i, outcome) in outcomes {
             let record = outcome?;
             executed_evals += record.evals;
@@ -756,14 +476,27 @@ pub fn run_campaign_checkpointed(
         }
         checkpoint(&result)?;
     }
+    let wall = start.elapsed();
+    drop(campaign_span);
 
+    if let Some(path) = out {
+        write_metadata(path, spec)?;
+    }
+    if let (Some(path), Some(store)) = (opts.cache.as_deref(), store.as_mut()) {
+        let before = store.to_json();
+        fold_run_into_cache(store, &result);
+        // Skip the write when nothing changed (fully-warm runs) so a
+        // shipped cache can sit on read-only media.
+        if store.to_json() != before {
+            store.save_atomic(path).map_err(cache_error)?;
+        }
+    }
     Ok(CampaignRun {
         result,
-        complete: true,
         executed,
         reused,
         executed_evals,
-        wall: start.elapsed(),
+        wall,
     })
 }
 
@@ -783,11 +516,47 @@ mod tests {
         }
     }
 
+    fn run(s: &ExperimentSpec) -> CampaignRun {
+        run_campaign(s, &CampaignOptions::default()).unwrap()
+    }
+
+    fn serial(s: &ExperimentSpec) -> CampaignRun {
+        let opts = CampaignOptions {
+            serial: true,
+            ..CampaignOptions::default()
+        };
+        run_campaign(s, &opts).unwrap()
+    }
+
+    fn at(s: &ExperimentSpec, endpoint: Endpoint) -> Result<CampaignRun, Error> {
+        let opts = CampaignOptions {
+            endpoint,
+            ..CampaignOptions::default()
+        };
+        run_campaign(s, &opts)
+    }
+
+    fn resume(s: &ExperimentSpec, prior: &CampaignResult) -> Result<CampaignRun, Error> {
+        let opts = CampaignOptions {
+            prior: Some(prior.clone()),
+            ..CampaignOptions::default()
+        };
+        run_campaign(s, &opts)
+    }
+
+    fn merge(s: &ExperimentSpec, shards: &[CampaignResult]) -> Result<CampaignRun, Error> {
+        let opts = CampaignOptions {
+            merge: shards.to_vec(),
+            ..CampaignOptions::default()
+        };
+        run_campaign(s, &opts)
+    }
+
     #[test]
     fn parallel_and_serial_runs_are_byte_identical() {
         let s = spec();
-        let a = run_campaign(&s).unwrap();
-        let b = run_campaign_serial(&s).unwrap();
+        let a = run(&s);
+        let b = serial(&s);
         assert_eq!(a.result.to_json(), b.result.to_json());
         assert_eq!(a.executed, 4);
         assert_eq!(a.reused, 0);
@@ -796,8 +565,8 @@ mod tests {
     #[test]
     fn loopback_campaign_is_byte_identical_to_in_process() {
         let s = spec();
-        let local = run_campaign(&s).unwrap();
-        let loopback = run_campaign_at(&s, &Endpoint::Loopback).unwrap();
+        let local = run(&s);
+        let loopback = at(&s, Endpoint::Loopback).unwrap();
         assert_eq!(loopback.result.to_json(), local.result.to_json());
         assert_eq!(loopback.executed, 4);
     }
@@ -821,14 +590,14 @@ mod tests {
                     front_capacity: (mode == ObjectiveMode::Pareto).then_some(8),
                     ..ObjectiveSpec::default()
                 },
-                record: crate::spec::RecordLevel::Curve,
+                record: RecordLevel::Curve,
                 budget: 15,
                 repetitions: 1,
                 ..spec()
             };
             s.set_fault_rate(0.05);
-            let local = run_campaign(&s).unwrap();
-            let loopback = run_campaign_at(&s, &Endpoint::Loopback).unwrap();
+            let local = run(&s);
+            let loopback = at(&s, Endpoint::Loopback).unwrap();
             assert_eq!(
                 loopback.result.to_json(),
                 local.result.to_json(),
@@ -850,22 +619,15 @@ mod tests {
 
     #[test]
     fn remote_failures_are_typed_not_stringly() {
-        // A daemonless TCP endpoint fails with a transport error wrapped
-        // in the unified hierarchy, not a panic or ad-hoc string.
-        let s = spec();
-        let err = run_campaign_at(&s, &Endpoint::Tcp("127.0.0.1:1".into())).unwrap_err();
-        match err {
-            HarnessError::Eval(e) => assert!(matches!(e, Error::Transport(_)), "{e:?}"),
-            other => panic!("expected an Eval(transport) error, got {other:?}"),
-        }
-        let core: Error = HarnessError::Trial("unknown tuner".into()).into();
-        assert!(matches!(core, Error::Spec(_)));
+        // A daemonless TCP endpoint fails with a transport error in the
+        // unified hierarchy, not a panic or ad-hoc string.
+        let err = at(&spec(), Endpoint::Tcp("127.0.0.1:1".into())).unwrap_err();
+        assert!(matches!(err, Error::Transport(_)), "{err:?}");
     }
 
     #[test]
     fn trials_spend_their_budget_and_record_order_is_canonical() {
-        let s = spec();
-        let run = run_campaign(&s).unwrap();
+        let run = run(&spec());
         assert_eq!(run.result.trials.len(), 4);
         for t in &run.result.trials {
             assert_eq!(t.evals, 25);
@@ -892,10 +654,10 @@ mod tests {
     #[test]
     fn resume_from_partial_result_reproduces_full_result() {
         let s = spec();
-        let full = run_campaign(&s).unwrap();
+        let full = run(&s);
         let mut partial = full.result.clone();
         partial.trials.truncate(1);
-        let resumed = resume_campaign(&s, &partial).unwrap();
+        let resumed = resume(&s, &partial).unwrap();
         assert_eq!(resumed.reused, 1);
         assert_eq!(resumed.executed, 3);
         assert_eq!(resumed.result.to_json(), full.result.to_json());
@@ -904,48 +666,48 @@ mod tests {
     #[test]
     fn resume_rejects_foreign_artifacts() {
         let s = spec();
-        let full = run_campaign(&s).unwrap();
+        let full = run(&s);
         let other = ExperimentSpec { seed: 99, ..spec() };
         assert!(matches!(
-            resume_campaign(&other, &full.result),
-            Err(HarnessError::ResumeMismatch(_))
+            resume(&other, &full.result),
+            Err(Error::Session(_))
         ));
         // Resume is shard-strict: a sharded spec must not resume from (and
         // later overwrite) the unsharded artifact — recombination goes
-        // through `merge_campaigns` only.
+        // through the merge inputs only.
         let sharded = ExperimentSpec {
             shard: Some(ShardSpec { index: 0, count: 2 }),
             ..spec()
         };
         assert!(matches!(
-            resume_campaign(&sharded, &full.result),
-            Err(HarnessError::ResumeMismatch(_))
+            resume(&sharded, &full.result),
+            Err(Error::Session(_))
         ));
-        // Merge accepts the same pairing by design.
-        assert!(merge_campaigns(&sharded, std::slice::from_ref(&full.result)).is_ok());
+        // Merge accepts the same pairing by design, but not a foreign spec.
+        assert!(merge(&sharded, std::slice::from_ref(&full.result)).is_ok());
+        assert!(merge(&other, std::slice::from_ref(&full.result)).is_err());
     }
 
     #[test]
     fn sharded_runs_merge_to_the_unsharded_artifact() {
         let s = spec();
-        let full = run_campaign(&s).unwrap();
+        let full = run(&s);
         let shards: Vec<CampaignResult> = (0..2)
             .map(|index| {
-                run_campaign(&ExperimentSpec {
+                run(&ExperimentSpec {
                     shard: Some(ShardSpec { index, count: 2 }),
                     ..spec()
                 })
-                .unwrap()
                 .result
             })
             .collect();
         assert_eq!(shards[0].trials.len() + shards[1].trials.len(), 4);
-        let merged = merge_campaigns(&s, &shards).unwrap();
+        let merged = merge(&s, &shards).unwrap();
         assert_eq!(merged.executed, 0);
         assert_eq!(merged.reused, 4);
         assert_eq!(merged.result.to_json(), full.result.to_json());
         // A missing shard degenerates to executing the hole.
-        let partial = merge_campaigns(&s, &shards[..1]).unwrap();
+        let partial = merge(&s, &shards[..1]).unwrap();
         assert_eq!(partial.reused, shards[0].trials.len());
         assert_eq!(partial.result.to_json(), full.result.to_json());
     }
@@ -959,14 +721,13 @@ mod tests {
                 front_capacity: Some(8),
                 ..ObjectiveSpec::default()
             },
-            record: crate::spec::RecordLevel::Curve,
+            record: RecordLevel::Curve,
             budget: 60,
             repetitions: 1,
             ..spec()
         };
-        let run = run_campaign(&s).unwrap();
-        let serial = run_campaign_serial(&s).unwrap();
-        assert_eq!(run.result.to_json(), serial.result.to_json());
+        let run = run(&s);
+        assert_eq!(run.result.to_json(), serial(&s).result.to_json());
         for t in &run.result.trials {
             let front = t.front.as_ref().expect("pareto trials record fronts");
             assert!(!front.is_empty() && front.len() <= 8);
@@ -992,13 +753,12 @@ mod tests {
                     weight: (mode == ObjectiveMode::Scalarized).then_some(0.5),
                     ..ObjectiveSpec::default()
                 },
-                record: crate::spec::RecordLevel::Curve,
+                record: RecordLevel::Curve,
                 budget: 20,
                 ..spec()
             };
-            let a = run_campaign(&s).unwrap();
-            let b = run_campaign_serial(&s).unwrap();
-            assert_eq!(a.result.to_json(), b.result.to_json(), "{mode:?}");
+            let a = run(&s);
+            assert_eq!(a.result.to_json(), serial(&s).result.to_json(), "{mode:?}");
             for t in &a.result.trials {
                 assert!(t.best_ms.is_some(), "{mode:?}");
                 assert!(t.best_energy_mj.is_some(), "{mode:?}");
@@ -1017,32 +777,19 @@ mod tests {
             architectures: Selector::Subset(vec!["RTX 3090".into()]),
             budget: 400,
             repetitions: 1,
-            record: crate::spec::RecordLevel::Curve,
+            record: RecordLevel::Curve,
             ..ExperimentSpec::new("objective-split")
         };
-        let time = run_campaign(&base).unwrap();
-        let energy = run_campaign(&ExperimentSpec {
+        let time = run(&base);
+        let energy = run(&ExperimentSpec {
             objective: ObjectiveSpec {
                 mode: ObjectiveMode::Energy,
                 ..ObjectiveSpec::default()
             },
             ..base.clone()
-        })
-        .unwrap();
+        });
         let t_cfg = &time.result.trials[0].best_config;
         let e_cfg = &energy.result.trials[0].best_config;
         assert_ne!(t_cfg, e_cfg, "time and energy optima coincide");
-    }
-
-    #[test]
-    fn run_tuning_matches_direct_evaluator_use() {
-        let arch = bat_gpusim::GpuArch::rtx_3090();
-        let p = bat_kernels::benchmark("nbody", arch).unwrap();
-        let tuner = tuner_by_name("random-search").unwrap();
-        let (run, stats) = run_tuning(&p, tuner.as_ref(), Protocol::default(), 30, 7);
-        let eval = Evaluator::with_protocol(&p, Protocol::default()).with_budget(30);
-        let direct = bat_tuners::RandomSearch.tune(&eval, 7);
-        assert_eq!(run, direct);
-        assert_eq!(stats.evals, 30);
     }
 }

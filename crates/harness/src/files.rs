@@ -1,28 +1,15 @@
-//! The shared file-level front-end flow: spec in, artifact out.
-//!
-//! Both campaign entry points (`bat-harness run` and `bat campaign`) are
-//! thin shells over these helpers, so resume semantics, checkpointing,
-//! error handling and the post-run report cannot drift between the two
-//! binaries.
+//! The file side of a campaign: spec and artifact loading, atomic
+//! artifact and metadata writes, and the post-run report that `bat
+//! campaign` prints.
 
-use bat_cache::{CacheError, CacheStore};
+use bat_cache::CacheError;
 use bat_core::t4::{T4Metadata, T4_SCHEMA_VERSION};
 use bat_core::Error;
 
-use crate::cache_integration::{cache_prior, fold_run_into_cache};
-use crate::campaign::{
-    merge_campaigns, run_campaign_at, run_campaign_checkpointed, run_campaign_serial_primed,
-    CampaignRun, Endpoint, HarnessError,
-};
+use crate::campaign::CampaignRun;
 use crate::result::{CampaignResult, RESULT_SCHEMA};
 use crate::spec::{ExperimentSpec, SPEC_SCHEMA};
 use crate::summary::CampaignSummary;
-
-/// Trials executed between checkpoint writes of the output artifact.
-/// Small enough that an interrupted long campaign loses little work,
-/// large enough that serialization stays a rounding error next to trial
-/// execution.
-const CHECKPOINT_TRIALS: usize = 32;
 
 /// Load and parse a campaign spec file.
 pub fn load_spec_file(path: &str) -> Result<ExperimentSpec, Error> {
@@ -35,169 +22,31 @@ pub fn load_spec_file(path: &str) -> Result<ExperimentSpec, Error> {
 pub fn load_result_file(path: &str) -> Result<CampaignResult, Error> {
     let text =
         std::fs::read_to_string(path).map_err(|e| Error::io(format!("reading {path}: {e}")))?;
-    CampaignResult::from_json(&text).map_err(|e| Error::spec(format!("parsing {path}: {e}")))
+    parse_result(path, &text)
 }
 
-/// Execute `spec` and, when `out` is given, write the artifact there —
-/// checkpointed every [`CHECKPOINT_TRIALS`] completed trials, so an
-/// interrupted run leaves a partial artifact that `resume` picks up.
-///
-/// With `resume`, trials already present in the `out` artifact are reused
-/// (a missing file degenerates to a full run; any other read or parse
-/// failure is an error — silently re-running would overwrite the
-/// artifact). `serial` runs the determinism oracle and is mutually
-/// exclusive with `resume`. `endpoint` selects where trials evaluate
-/// (in-process, loopback, or a `bat serve` daemon); the artifact is
-/// byte-identical across endpoints.
-pub fn run_spec_to_file(
-    spec: &ExperimentSpec,
-    out: Option<&str>,
-    resume: bool,
-    serial: bool,
-    endpoint: &Endpoint,
-) -> Result<CampaignRun, Error> {
-    run_spec_to_file_cached(spec, out, resume, serial, endpoint, None)
+/// The artifact `--resume` continues from: `None` when `path` does not
+/// exist yet. Any other read or parse failure is an error, since silently
+/// re-running would overwrite the artifact.
+pub(crate) fn read_resume_artifact(path: &str) -> Result<Option<CampaignResult>, Error> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => parse_result(path, &text).map(Some),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(Error::io(format!("reading {path}: {e}"))),
+    }
 }
 
-/// [`run_spec_to_file`] with an optional persistent cache (`--cache`).
-///
-/// When `cache` names a `bat/cache/v1` file (missing is fine — it starts
-/// empty), every compiled trial whose exact fingerprint has a stored blob
-/// short-circuits: the stored record replays verbatim through the resume
-/// machinery, so a warm run's artifact is byte-identical to the cold
-/// run's while executing nothing. Misses fall through to tuning, and the
-/// finished campaign folds back into the cache atomically (idempotently:
-/// a fully-warm run leaves the file untouched, so shipped caches can live
-/// on read-only media).
-pub fn run_spec_to_file_cached(
-    spec: &ExperimentSpec,
-    out: Option<&str>,
-    resume: bool,
-    serial: bool,
-    endpoint: &Endpoint,
-    cache: Option<&str>,
-) -> Result<CampaignRun, Error> {
-    if resume && serial {
-        return Err(Error::spec("--resume and --serial are mutually exclusive"));
-    }
-    if serial && *endpoint != Endpoint::InProcess {
-        return Err(Error::spec(
-            "--serial runs the in-process determinism oracle; drop --connect",
-        ));
-    }
-    let disk_prior: Option<CampaignResult> = if resume {
-        let path =
-            out.ok_or_else(|| Error::spec("--resume requires --out (the file to resume from)"))?;
-        match std::fs::read_to_string(path) {
-            Ok(text) => Some(
-                CampaignResult::from_json(&text)
-                    .map_err(|e| Error::spec(format!("parsing {path}: {e}")))?,
-            ),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(Error::io(format!("reading {path}: {e}"))),
-        }
-    } else {
-        None
-    };
-
-    let mut store: Option<CacheStore> = match cache {
-        Some(path) => Some(CacheStore::load_or_empty(path).map_err(cache_error)?),
-        None => None,
-    };
-    let prior = combined_prior(spec, disk_prior, store.as_ref())?;
-
-    let run = if serial {
-        // The determinism oracle runs in one shot; its artifact still
-        // lands on disk at the end.
-        let run = run_campaign_serial_primed(spec, prior.as_ref())?;
-        if let Some(path) = out {
-            write_artifact(path, &run.result)?;
-            write_metadata(path, spec)?;
-        }
-        run
-    } else {
-        match out {
-            // Without an output file there is nothing to checkpoint into,
-            // but a cache-synthesized prior still short-circuits its hits.
-            None => match prior.as_ref() {
-                None => run_campaign_at(spec, endpoint)?,
-                Some(p) => run_campaign_checkpointed(
-                    spec,
-                    Some(p),
-                    CHECKPOINT_TRIALS,
-                    &mut |_| Ok(()),
-                    endpoint,
-                )?,
-            },
-            Some(path) => {
-                let run = run_campaign_checkpointed(
-                    spec,
-                    prior.as_ref(),
-                    CHECKPOINT_TRIALS,
-                    &mut |partial| {
-                        write_artifact(path, partial).map_err(|e| HarnessError::Io(e.to_string()))
-                    },
-                    endpoint,
-                )?;
-                write_metadata(path, spec)?;
-                run
-            }
-        }
-    };
-
-    if let (Some(path), Some(store)) = (cache, store.as_mut()) {
-        let before = store.to_json();
-        fold_run_into_cache(store, &run.result);
-        // Skip the write when nothing changed (fully-warm runs) so a
-        // shipped cache can sit on read-only media.
-        if store.to_json() != before {
-            store.save_atomic(path).map_err(cache_error)?;
-        }
-    }
-    Ok(run)
+fn parse_result(path: &str, text: &str) -> Result<CampaignResult, Error> {
+    CampaignResult::from_json(text).map_err(|e| Error::spec(format!("parsing {path}: {e}")))
 }
 
-fn cache_error(e: CacheError) -> Error {
+/// Map a `bat/cache/v1` load or save failure onto the unified error
+/// hierarchy.
+pub fn cache_error(e: CacheError) -> Error {
     match e {
         CacheError::Io(m) => Error::io(m),
         CacheError::Parse(m) => Error::spec(m),
     }
-}
-
-/// Combine the disk resume prior and the cache-synthesized prior into the
-/// single prior the campaign engine accepts (disk trials first — they win
-/// key collisions, matching plain resume). The disk prior is validated
-/// against the spec *here*, exactly as the engine would, because wrapping
-/// its trials in a fresh result replaces the embedded spec and would
-/// otherwise bypass the mismatch check.
-fn combined_prior(
-    spec: &ExperimentSpec,
-    disk: Option<CampaignResult>,
-    store: Option<&CacheStore>,
-) -> Result<Option<CampaignResult>, Error> {
-    if let Some(d) = &disk {
-        if d.schema != RESULT_SCHEMA {
-            return Err(Error::session(format!(
-                "cannot resume: prior result schema {:?} is not {RESULT_SCHEMA:?}",
-                d.schema
-            )));
-        }
-        if d.spec != *spec {
-            return Err(Error::session(
-                "cannot resume: prior result was produced by a different spec",
-            ));
-        }
-    }
-    let cached = store.and_then(|s| cache_prior(s, spec));
-    Ok(match (disk, cached) {
-        (None, None) => None,
-        (Some(d), None) => Some(d),
-        (None, Some(c)) => Some(c),
-        (Some(mut d), Some(c)) => {
-            d.trials.extend(c.trials);
-            Some(d)
-        }
-    })
 }
 
 /// Write a document atomically (temp file + rename) so a crash mid-write
@@ -209,7 +58,7 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), Error> {
     std::fs::rename(&tmp, path).map_err(|e| Error::io(format!("renaming {tmp} to {path}: {e}")))
 }
 
-fn write_artifact(path: &str, result: &CampaignResult) -> Result<(), Error> {
+pub(crate) fn write_artifact(path: &str, result: &CampaignResult) -> Result<(), Error> {
     write_atomic(path, &result.to_json())
 }
 
@@ -242,26 +91,8 @@ pub fn metadata_path(out: &str) -> String {
     format!("{out}.meta.json")
 }
 
-fn write_metadata(out: &str, spec: &ExperimentSpec) -> Result<(), Error> {
+pub(crate) fn write_metadata(out: &str, spec: &ExperimentSpec) -> Result<(), Error> {
     write_atomic(&metadata_path(out), &campaign_metadata(spec).to_json())
-}
-
-/// Merge shard artifacts into `spec`'s campaign and write the result (plus
-/// its metadata document) to `out`. Missing trials execute, so merging an
-/// incomplete shard set still produces the complete artifact.
-pub fn merge_files(
-    spec: &ExperimentSpec,
-    inputs: &[String],
-    out: &str,
-) -> Result<CampaignRun, Error> {
-    let priors: Vec<CampaignResult> = inputs
-        .iter()
-        .map(|p| load_result_file(p))
-        .collect::<Result<_, Error>>()?;
-    let run = merge_campaigns(spec, &priors)?;
-    write_artifact(out, &run.result)?;
-    write_metadata(out, spec)?;
-    Ok(run)
 }
 
 /// Print the shared post-run report to stderr: summary tables and the
@@ -290,7 +121,7 @@ pub fn report_run(run: &CampaignRun, quiet: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{advance_campaign, run_campaign};
+    use crate::campaign::{run_campaign, CampaignOptions, Endpoint, CHECKPOINT_TRIALS};
     use crate::spec::Selector;
 
     fn spec() -> ExperimentSpec {
@@ -312,25 +143,32 @@ mod tests {
         path.to_str().unwrap().to_string()
     }
 
+    fn to_file(out: &str, resume: bool) -> CampaignOptions {
+        CampaignOptions {
+            out: Some(out.to_string()),
+            resume,
+            ..CampaignOptions::default()
+        }
+    }
+
     #[test]
     fn run_write_resume_round_trip() {
         let out = temp_out("artifact.json");
 
         // Missing artifact + resume degenerates to a full run.
-        let first =
-            run_spec_to_file(&spec(), Some(&out), true, false, &Endpoint::InProcess).unwrap();
-        assert!(first.complete);
+        let first = run_campaign(&spec(), &to_file(&out, true)).unwrap();
         assert_eq!(first.executed, 1);
         // Resuming from the written artifact reuses everything.
-        let second =
-            run_spec_to_file(&spec(), Some(&out), true, false, &Endpoint::InProcess).unwrap();
+        let second = run_campaign(&spec(), &to_file(&out, true)).unwrap();
         assert_eq!(second.reused, 1);
         assert_eq!(second.result, first.result);
         assert_eq!(load_result_file(&out).unwrap(), first.result);
 
-        // A corrupt artifact is an error, not a silent re-run.
+        // A corrupt artifact is an error naming the file, not a silent
+        // re-run.
         std::fs::write(&out, "{ not json").unwrap();
-        assert!(run_spec_to_file(&spec(), Some(&out), true, false, &Endpoint::InProcess).is_err());
+        let err = run_campaign(&spec(), &to_file(&out, true)).unwrap_err();
+        assert!(err.to_string().contains(&out), "{err}");
         std::fs::remove_file(&out).unwrap();
     }
 
@@ -349,12 +187,14 @@ mod tests {
         };
         assert!(spec.compile().unwrap().len() > CHECKPOINT_TRIALS);
         let out = temp_out("checkpointed.json");
-        let batched =
-            run_spec_to_file(&spec, Some(&out), false, false, &Endpoint::InProcess).unwrap();
-        let single = run_campaign(&spec).unwrap();
-        assert!(batched.complete);
+        let batched = run_campaign(&spec, &to_file(&out, false)).unwrap();
+        let single = run_campaign(&spec, &CampaignOptions::default()).unwrap();
         assert_eq!(batched.executed, single.result.trials.len());
         assert_eq!(batched.result.to_json(), single.result.to_json());
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            single.result.to_json()
+        );
         std::fs::remove_file(&out).unwrap();
     }
 
@@ -364,36 +204,45 @@ mod tests {
             repetitions: 6,
             ..spec()
         };
+        let full = run_campaign(&spec, &CampaignOptions::default()).unwrap();
         // Simulate an interrupted checkpoint: only 2 of 6 trials done.
-        let partial = advance_campaign(&spec, None, 2).unwrap();
-        assert!(!partial.complete);
-        assert_eq!(partial.result.trials.len(), 2);
+        let mut partial = full.result.clone();
+        partial.trials.truncate(2);
         let out = temp_out("partial.json");
-        std::fs::write(&out, partial.result.to_json()).unwrap();
-        let resumed =
-            run_spec_to_file(&spec, Some(&out), true, false, &Endpoint::InProcess).unwrap();
-        assert!(resumed.complete);
+        std::fs::write(&out, partial.to_json()).unwrap();
+        let resumed = run_campaign(&spec, &to_file(&out, true)).unwrap();
         assert_eq!(resumed.reused, 2);
         assert_eq!(resumed.executed, 4);
-        assert_eq!(
-            resumed.result.to_json(),
-            run_campaign(&spec).unwrap().result.to_json()
-        );
+        assert_eq!(resumed.result.to_json(), full.result.to_json());
         std::fs::remove_file(&out).unwrap();
     }
 
     #[test]
     fn flag_combinations_are_validated() {
-        assert!(run_spec_to_file(&spec(), Some("x"), true, true, &Endpoint::InProcess).is_err());
-        assert!(run_spec_to_file(&spec(), None, true, false, &Endpoint::InProcess).is_err());
+        let serial_resume = CampaignOptions {
+            serial: true,
+            ..to_file("x", true)
+        };
+        assert!(run_campaign(&spec(), &serial_resume).is_err());
+        let resume_nowhere = CampaignOptions {
+            resume: true,
+            ..CampaignOptions::default()
+        };
+        assert!(run_campaign(&spec(), &resume_nowhere).is_err());
+        let serial_remote = CampaignOptions {
+            serial: true,
+            endpoint: Endpoint::Loopback,
+            ..CampaignOptions::default()
+        };
+        assert!(run_campaign(&spec(), &serial_remote).is_err());
     }
 
     #[test]
     fn metadata_document_is_emitted_and_deterministic() {
         let out = temp_out("with-meta.json");
-        run_spec_to_file(&spec(), Some(&out), false, false, &Endpoint::InProcess).unwrap();
+        run_campaign(&spec(), &to_file(&out, false)).unwrap();
         let meta1 = std::fs::read_to_string(metadata_path(&out)).unwrap();
-        run_spec_to_file(&spec(), Some(&out), false, false, &Endpoint::InProcess).unwrap();
+        run_campaign(&spec(), &to_file(&out, false)).unwrap();
         let meta2 = std::fs::read_to_string(metadata_path(&out)).unwrap();
         assert_eq!(meta1, meta2, "metadata must be byte-deterministic");
         let md = bat_core::t4::T4Metadata::from_json(&meta1).unwrap();
@@ -406,13 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_files_round_trips_shard_artifacts() {
+    fn merged_shard_files_reproduce_the_unsharded_artifact() {
         use crate::spec::ShardSpec;
         let base = ExperimentSpec {
             repetitions: 4,
             ..spec()
         };
-        let full = run_campaign(&base).unwrap();
+        let full = run_campaign(&base, &CampaignOptions::default()).unwrap();
         let mut inputs = Vec::new();
         for index in 0..2 {
             let shard_spec = ExperimentSpec {
@@ -420,11 +269,22 @@ mod tests {
                 ..base.clone()
             };
             let out = temp_out(&format!("shard-{index}.json"));
-            run_spec_to_file(&shard_spec, Some(&out), false, false, &Endpoint::InProcess).unwrap();
+            run_campaign(&shard_spec, &to_file(&out, false)).unwrap();
             inputs.push(out);
         }
         let merged_out = temp_out("merged.json");
-        let run = merge_files(&base, &inputs, &merged_out).unwrap();
+        let merge = inputs
+            .iter()
+            .map(|p| load_result_file(p).unwrap())
+            .collect();
+        let run = run_campaign(
+            &base,
+            &CampaignOptions {
+                merge,
+                ..to_file(&merged_out, false)
+            },
+        )
+        .unwrap();
         assert_eq!(run.executed, 0);
         assert_eq!(run.reused, 4);
         assert_eq!(

@@ -16,7 +16,7 @@
 //! re-execution.
 //!
 //! ```
-//! use bat_harness::{run_campaign, ExperimentSpec, Selector};
+//! use bat_harness::{run_campaign, CampaignOptions, ExperimentSpec, Selector};
 //!
 //! let spec = ExperimentSpec {
 //!     tuners: Selector::Subset(vec!["random-search".into()]),
@@ -26,9 +26,13 @@
 //!     repetitions: 2,
 //!     ..ExperimentSpec::new("doc")
 //! };
-//! let run = run_campaign(&spec).unwrap();
+//! let run = run_campaign(&spec, &CampaignOptions::default()).unwrap();
 //! assert_eq!(run.result.trials.len(), 2);
-//! let replay = run_campaign(&spec).unwrap();
+//! let serial = CampaignOptions {
+//!     serial: true,
+//!     ..CampaignOptions::default()
+//! };
+//! let replay = run_campaign(&spec, &serial).unwrap();
 //! assert_eq!(run.result.to_json(), replay.result.to_json());
 //! ```
 
@@ -42,15 +46,9 @@ mod spec;
 pub mod summary;
 
 pub use cache_integration::{cache_prior, fold_run_into_cache, scenario_of, trial_fingerprint};
-pub use campaign::{
-    advance_campaign, merge_campaigns, resume_campaign, run_campaign, run_campaign_at,
-    run_campaign_checkpointed, run_campaign_serial, run_campaign_serial_primed, run_tuning,
-    run_tuning_with_energy, run_tuning_with_faults, tuner_by_name, CampaignRun, Endpoint,
-    EvalStats, HarnessError,
-};
+pub use campaign::{run_campaign, tuner_by_name, CampaignOptions, CampaignRun, Endpoint};
 pub use files::{
-    campaign_metadata, load_result_file, load_spec_file, merge_files, metadata_path, report_run,
-    run_spec_to_file, run_spec_to_file_cached,
+    cache_error, campaign_metadata, load_result_file, load_spec_file, metadata_path, report_run,
 };
 pub use result::{CampaignResult, CurvePoint, TrialRecord, RESULT_SCHEMA};
 pub use spec::{

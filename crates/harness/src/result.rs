@@ -12,10 +12,9 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use bat_core::t4::T4Results;
-use bat_core::TuningRun;
+use bat_core::{EvalStats, TuningRun};
 use bat_moo::ParetoPoint;
 
-use crate::campaign::EvalStats;
 use crate::spec::{ExperimentSpec, TrialKey};
 
 /// Schema identifier every result document carries.

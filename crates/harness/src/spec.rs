@@ -504,6 +504,12 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+impl From<SpecError> for bat_core::Error {
+    fn from(e: SpecError) -> Self {
+        bat_core::Error::spec(e)
+    }
+}
+
 /// Identity of one trial within a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialKey {

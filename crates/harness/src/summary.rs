@@ -490,7 +490,7 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{run_campaign, CampaignOptions};
     use crate::spec::{ExperimentSpec, Selector};
 
     fn result() -> CampaignResult {
@@ -502,7 +502,9 @@ mod tests {
             repetitions: 3,
             ..ExperimentSpec::new("summary-unit")
         };
-        run_campaign(&spec).unwrap().result
+        run_campaign(&spec, &CampaignOptions::default())
+            .unwrap()
+            .result
     }
 
     #[test]
@@ -556,7 +558,9 @@ mod tests {
             record: crate::spec::RecordLevel::Curve,
             ..ExperimentSpec::new("pareto-summary-unit")
         };
-        let result = run_campaign(&spec).unwrap().result;
+        let result = run_campaign(&spec, &CampaignOptions::default())
+            .unwrap()
+            .result;
         let s = CampaignSummary::from_result(&result);
         let c = &s.cells[0];
         for i in 0..c.tuners.len() {
@@ -596,7 +600,9 @@ mod tests {
             crash_rate: 0.05,
             ..Default::default()
         });
-        let faulted = run_campaign(&spec).unwrap().result;
+        let faulted = run_campaign(&spec, &CampaignOptions::default())
+            .unwrap()
+            .result;
         let s = CampaignSummary::from_result(&faulted);
         assert!(s.faulted);
         let rendered = s.render();

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use bat_cache::{CacheStore, CachedTrial};
-use bat_harness::{run_spec_to_file_cached, Endpoint, ExperimentSpec, RecordLevel, Selector};
+use bat_harness::{run_campaign, CampaignOptions, ExperimentSpec, RecordLevel, Selector};
 use proptest::prelude::*;
 
 /// One synthetic cache observation: small index spaces so entries collide
@@ -114,6 +114,24 @@ fn scratch(tag: &str, case: &str) -> String {
     path.to_str().unwrap().to_string()
 }
 
+/// A file-writing `--cache` run of `spec`.
+fn cached_run(
+    spec: &ExperimentSpec,
+    out: &str,
+    cache: Option<&str>,
+    resume: bool,
+    serial: bool,
+) -> bat_harness::CampaignRun {
+    let opts = CampaignOptions {
+        out: Some(out.to_string()),
+        cache: cache.map(str::to_string),
+        resume,
+        serial,
+        ..CampaignOptions::default()
+    };
+    run_campaign(spec, &opts).unwrap()
+}
+
 proptest! {
     #[test]
     fn cached_campaigns_are_byte_deterministic(
@@ -128,16 +146,12 @@ proptest! {
         let warm_out = scratch("warm", &case);
 
         // Cold parallel run populates the cache.
-        let cold = run_spec_to_file_cached(
-            &spec, Some(&cold_out), false, false, &Endpoint::InProcess, Some(&cache),
-        ).unwrap();
+        let cold = cached_run(&spec, &cold_out, Some(&cache), false, false);
         prop_assert_eq!(cold.executed, cold.result.trials.len());
 
         // Warm serial run: everything replays from the cache, and the
         // artifact does not move by a byte.
-        let warm = run_spec_to_file_cached(
-            &spec, Some(&warm_out), false, true, &Endpoint::InProcess, Some(&cache),
-        ).unwrap();
+        let warm = cached_run(&spec, &warm_out, Some(&cache), false, true);
         prop_assert_eq!(warm.executed, 0, "a fully warm run executes nothing");
         prop_assert_eq!(warm.reused, cold.result.trials.len());
         prop_assert_eq!(warm.result.to_json(), cold.result.to_json());
@@ -150,9 +164,7 @@ proptest! {
         // Resuming the cold artifact with the cache still loaded changes
         // nothing — and neither does the combination rewrite the cache.
         let cache_bytes = std::fs::read_to_string(&cache).unwrap();
-        let resumed = run_spec_to_file_cached(
-            &spec, Some(&cold_out), true, false, &Endpoint::InProcess, Some(&cache),
-        ).unwrap();
+        let resumed = cached_run(&spec, &cold_out, Some(&cache), true, false);
         prop_assert_eq!(resumed.executed, 0);
         prop_assert_eq!(resumed.result.to_json(), cold.result.to_json());
         prop_assert_eq!(
@@ -179,12 +191,8 @@ proptest! {
         let cached_out = scratch("cached", &case);
         let plain_out = scratch("plain", &case);
 
-        let cached = run_spec_to_file_cached(
-            &spec, Some(&cached_out), false, false, &Endpoint::InProcess, Some(&cache),
-        ).unwrap();
-        let plain = run_spec_to_file_cached(
-            &spec, Some(&plain_out), false, false, &Endpoint::InProcess, None,
-        ).unwrap();
+        let cached = cached_run(&spec, &cached_out, Some(&cache), false, false);
+        let plain = cached_run(&spec, &plain_out, None, false, false);
         prop_assert_eq!(cached.result.to_json(), plain.result.to_json());
         prop_assert_eq!(
             std::fs::read_to_string(&cached_out).unwrap(),

@@ -11,7 +11,7 @@
 use bat_cache::{transfer::transfer_database, CacheStore};
 use bat_core::{Evaluator, Protocol, TuningProblem, TuningRun};
 use bat_gpusim::GpuArch;
-use bat_harness::{fold_run_into_cache, load_spec_file, run_campaign};
+use bat_harness::{fold_run_into_cache, load_spec_file, run_campaign, CampaignOptions};
 use bat_tuners::{RandomSearch, Tuner, WarmStartTuner};
 
 const SPEC: &str = concat!(
@@ -37,7 +37,7 @@ fn evals_to_reach(run: &TuningRun, target_ms: f64) -> u64 {
 
 fn donor_cache() -> CacheStore {
     let spec = load_spec_file(SPEC).expect("cache-transfer spec loads");
-    let run = run_campaign(&spec).expect("donor campaign runs");
+    let run = run_campaign(&spec, &CampaignOptions::default()).expect("donor campaign runs");
     let mut store = CacheStore::new();
     fold_run_into_cache(&mut store, &run.result);
     store

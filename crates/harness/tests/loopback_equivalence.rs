@@ -9,7 +9,7 @@
 //! tuner, benchmark, objective, batch size or fault block the spec drew.
 
 use bat_harness::{
-    run_campaign, run_campaign_at, Endpoint, ExperimentSpec, ObjectiveMode, ObjectiveSpec,
+    run_campaign, CampaignOptions, Endpoint, ExperimentSpec, ObjectiveMode, ObjectiveSpec,
     RecordLevel, Selector,
 };
 use proptest::prelude::*;
@@ -64,8 +64,12 @@ proptest! {
     ) {
         let (budget, batch, fault_pct) = extras;
         let spec = random_spec(tuner, benchmark, mode, budget, batch, fault_pct);
-        let local = run_campaign(&spec).unwrap();
-        let loopback = run_campaign_at(&spec, &Endpoint::Loopback).unwrap();
+        let local = run_campaign(&spec, &CampaignOptions::default()).unwrap();
+        let loopback = CampaignOptions {
+            endpoint: Endpoint::Loopback,
+            ..CampaignOptions::default()
+        };
+        let loopback = run_campaign(&spec, &loopback).unwrap();
         prop_assert_eq!(
             loopback.result.to_json(),
             local.result.to_json(),

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
-use bat_cache::CacheIndex;
+use bat_cache::CacheStore;
 use bat_core::{Error, EvalBackend, Evaluator, TuningProblem};
 use bat_gpusim::GpuArch;
 
@@ -109,10 +109,10 @@ struct Shared {
     scheduler: FairScheduler,
     next_session: AtomicU64,
     shutdown: AtomicBool,
-    /// Loaded `bat/cache/v1` index answering `cache_lookup` requests.
-    /// Lock-free reads: every connection thread shares one immutable
-    /// snapshot, so lookups never contend with evaluation.
-    cache: Option<Arc<CacheIndex>>,
+    /// Loaded `bat/cache/v1` store answering `cache_lookup` requests.
+    /// Every connection thread shares one immutable store, so lookups
+    /// never contend with evaluation.
+    cache: Option<Arc<CacheStore>>,
 }
 
 /// A tuning daemon hosting concurrent evaluation sessions.
@@ -130,13 +130,13 @@ impl Daemon {
     }
 
     /// A daemon that additionally serves `cache_lookup` requests from the
-    /// given pre-built lock-free index (a cache loaded at startup by
-    /// `bat serve --cache`). Without one, lookups answer a miss.
-    pub fn with_cache(config: ServerConfig, cache: Arc<CacheIndex>) -> Daemon {
+    /// given store (a cache loaded at startup by `bat serve --cache`).
+    /// Without one, lookups answer a miss.
+    pub fn with_cache(config: ServerConfig, cache: Arc<CacheStore>) -> Daemon {
         Daemon::build(config, Some(cache))
     }
 
-    fn build(config: ServerConfig, cache: Option<Arc<CacheIndex>>) -> Daemon {
+    fn build(config: ServerConfig, cache: Option<Arc<CacheStore>>) -> Daemon {
         let daemon = Daemon {
             config,
             shared: Arc::new(Shared {
@@ -297,18 +297,14 @@ fn handle_connection<R: Read, W: Write + Send + 'static>(
                 }),
             ),
             Request::CacheLookup(q) => {
-                // The index records its own lookup counters; a daemon
-                // without a cache still records the (necessarily missed)
-                // lookup so hit rates stay honest.
-                let cell = match shared.cache.as_ref() {
-                    Some(ix) => ix
-                        .lookup(&q.benchmark, &q.architecture, &q.scenario)
-                        .cloned(),
-                    None => {
-                        bat_cache::record_lookup(false);
-                        None
-                    }
-                };
+                // A daemon without a cache still records the (necessarily
+                // missed) lookup so hit rates stay honest.
+                let cell = shared
+                    .cache
+                    .as_ref()
+                    .and_then(|store| store.cell(&q.benchmark, &q.architecture, &q.scenario))
+                    .cloned();
+                bat_cache::record_lookup(cell.is_some());
                 respond(&writer, Response::CacheResult(CacheResult { cell }));
             }
             Request::Shutdown => {

@@ -228,8 +228,7 @@ mod tests {
             0.75,
             None,
         );
-        let index = std::sync::Arc::new(bat_cache::CacheIndex::build(&store));
-        let daemon = Daemon::with_cache(ServerConfig::default(), index);
+        let daemon = Daemon::with_cache(ServerConfig::default(), std::sync::Arc::new(store));
         let mut conn = daemon.connect_loopback();
 
         let lookup = |conn: &mut DuplexStream, benchmark: &str| {

@@ -62,8 +62,8 @@ pub mod prelude {
     };
     pub use bat_gpusim::{FaultModel, GpuArch, KernelModel, LaunchError};
     pub use bat_harness::{
-        resume_campaign, run_campaign, run_campaign_serial, CampaignResult, CampaignSummary,
-        ExperimentSpec, SeedPolicy, Selector, TrialRecord,
+        run_campaign, CampaignOptions, CampaignResult, CampaignSummary, ExperimentSpec, SeedPolicy,
+        Selector, TrialRecord,
     };
     pub use bat_kernels::{GpuBenchmark, KernelSpec};
     pub use bat_moo::{Nsga2, ParetoArchive, ParetoPoint, Scalarization, Scalarized};

@@ -19,7 +19,7 @@ use std::path::Path;
 
 use bat::core::{EvalBackend, Evaluator, Protocol, RetryPolicy};
 use bat::gpusim::{FaultModel, GpuArch};
-use bat::harness::{load_spec_file, metadata_path, run_spec_to_file, Endpoint};
+use bat::harness::{load_spec_file, metadata_path, run_campaign, CampaignOptions, Endpoint};
 use bat::tuners::{default_tuners, Tuner};
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
@@ -64,7 +64,12 @@ fn artifact_digests(
     let parsed = load_spec_file(&spec_path).expect("committed spec parses");
     let path = dir.join(format!("{spec}-{variant}.json"));
     let path_str = path.to_str().expect("utf-8 temp path");
-    run_spec_to_file(&parsed, Some(path_str), false, false, endpoint).expect("campaign runs");
+    let opts = CampaignOptions {
+        endpoint: endpoint.clone(),
+        out: Some(path_str.to_string()),
+        ..CampaignOptions::default()
+    };
+    run_campaign(&parsed, &opts).expect("campaign runs");
     out.insert(format!("artifact/{spec}/{variant}"), digest_file(&path));
     out.insert(
         format!("meta/{spec}/{variant}"),

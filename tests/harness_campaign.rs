@@ -6,6 +6,20 @@ use bat::harness::{FaultSpec, RecordLevel, SPEC_SCHEMA};
 use bat::prelude::*;
 use proptest::prelude::*;
 
+fn serial() -> CampaignOptions {
+    CampaignOptions {
+        serial: true,
+        ..CampaignOptions::default()
+    }
+}
+
+fn resume_from(prior: CampaignResult) -> CampaignOptions {
+    CampaignOptions {
+        prior: Some(prior),
+        ..CampaignOptions::default()
+    }
+}
+
 fn tiny_spec() -> ExperimentSpec {
     ExperimentSpec {
         tuners: Selector::Subset(vec!["random-search".into(), "greedy-ils".into()]),
@@ -60,7 +74,7 @@ fn spec_rejects_unknown_fields_and_wrong_schema() {
 
 #[test]
 fn result_json_round_trip_is_lossless_and_versioned() {
-    let run = run_campaign(&tiny_spec()).unwrap();
+    let run = run_campaign(&tiny_spec(), &CampaignOptions::default()).unwrap();
     let json = run.result.to_json();
     assert!(json.contains("bat/campaign-result/v1"));
     let back = CampaignResult::from_json(&json).unwrap();
@@ -78,7 +92,10 @@ fn result_json_round_trip_is_lossless_and_versioned() {
 fn artifacts_contain_no_volatile_data() {
     // Wall time, throughput and host facts live on CampaignRun only; the
     // serialized artifact must stay a pure function of the spec.
-    let json = run_campaign(&tiny_spec()).unwrap().result.to_json();
+    let json = run_campaign(&tiny_spec(), &CampaignOptions::default())
+        .unwrap()
+        .result
+        .to_json();
     for forbidden in ["wall", "time_stamp", "timestamp", "duration", "host"] {
         assert!(
             !json.contains(&format!("\"{forbidden}")),
@@ -116,8 +133,8 @@ proptest! {
             record: RecordLevel::Curve,
             ..ExperimentSpec::new("prop")
         };
-        let parallel = run_campaign(&spec).unwrap();
-        let serial = run_campaign_serial(&spec).unwrap();
+        let parallel = run_campaign(&spec, &CampaignOptions::default()).unwrap();
+        let serial = run_campaign(&spec, &serial()).unwrap();
         let json = parallel.result.to_json();
         prop_assert_eq!(&json, &serial.result.to_json());
 
@@ -125,7 +142,7 @@ proptest! {
         let mut partial = parallel.result.clone();
         let keep = cut.min(partial.trials.len());
         partial.trials.truncate(keep);
-        let resumed = resume_campaign(&spec, &partial).unwrap();
+        let resumed = run_campaign(&spec, &resume_from(partial)).unwrap();
         prop_assert_eq!(resumed.reused, keep);
         prop_assert_eq!(&resumed.result.to_json(), &json);
     }
@@ -165,15 +182,15 @@ proptest! {
             }),
             ..ExperimentSpec::new("chaos-prop")
         };
-        let parallel = run_campaign(&spec).unwrap();
-        let serial = run_campaign_serial(&spec).unwrap();
+        let parallel = run_campaign(&spec, &CampaignOptions::default()).unwrap();
+        let serial = run_campaign(&spec, &serial()).unwrap();
         let json = parallel.result.to_json();
         prop_assert_eq!(&json, &serial.result.to_json());
 
         let mut partial = parallel.result.clone();
         let keep = cut.min(partial.trials.len());
         partial.trials.truncate(keep);
-        let resumed = resume_campaign(&spec, &partial).unwrap();
+        let resumed = run_campaign(&spec, &resume_from(partial)).unwrap();
         prop_assert_eq!(resumed.reused, keep);
         prop_assert_eq!(&resumed.result.to_json(), &json);
     }
@@ -193,8 +210,14 @@ fn zero_fault_rate_artifact_matches_the_fault_free_one() {
         "zero-rate fault block must canonicalize away"
     );
     assert_eq!(
-        run_campaign(&zeroed).unwrap().result.to_json(),
-        run_campaign(&baseline).unwrap().result.to_json()
+        run_campaign(&zeroed, &CampaignOptions::default())
+            .unwrap()
+            .result
+            .to_json(),
+        run_campaign(&baseline, &CampaignOptions::default())
+            .unwrap()
+            .result
+            .to_json()
     );
 
     // An explicitly present all-zero block must also change nothing but
@@ -204,7 +227,7 @@ fn zero_fault_rate_artifact_matches_the_fault_free_one() {
         quarantine_after: Some(3),
         ..Default::default()
     });
-    let with_block = run_campaign(&explicit).unwrap();
-    let without = run_campaign(&baseline).unwrap();
+    let with_block = run_campaign(&explicit, &CampaignOptions::default()).unwrap();
+    let without = run_campaign(&baseline, &CampaignOptions::default()).unwrap();
     assert_eq!(with_block.result.trials, without.result.trials);
 }

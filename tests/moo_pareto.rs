@@ -4,7 +4,7 @@
 //! run → resume → summary round trip.
 
 use bat::core::TuningProblem;
-use bat::harness::{run_campaign, run_campaign_serial, ObjectiveMode, ObjectiveSpec};
+use bat::harness::{ObjectiveMode, ObjectiveSpec};
 use bat::moo::{ParetoArchive, ParetoPoint};
 use bat::prelude::*;
 use proptest::prelude::*;
@@ -142,8 +142,12 @@ proptest! {
             record: bat::harness::RecordLevel::Curve,
             ..ExperimentSpec::new("moo-prop")
         };
-        let parallel = run_campaign(&spec).unwrap();
-        let serial = run_campaign_serial(&spec).unwrap();
+        let parallel = run_campaign(&spec, &CampaignOptions::default()).unwrap();
+        let serial = CampaignOptions {
+            serial: true,
+            ..CampaignOptions::default()
+        };
+        let serial = run_campaign(&spec, &serial).unwrap();
         prop_assert_eq!(parallel.result.to_json(), serial.result.to_json());
     }
 }
@@ -160,12 +164,19 @@ fn pareto_smoke_spec_round_trips_with_hypervolume() {
     .unwrap();
     assert_eq!(spec.objective.mode, ObjectiveMode::Pareto);
 
-    let run = run_campaign(&spec).unwrap();
-    assert!(run.complete);
+    let run = run_campaign(&spec, &CampaignOptions::default()).unwrap();
+    assert_eq!(run.executed, run.result.trials.len());
 
     // Resume from the artifact's JSON: everything is reused, bytes match.
     let parsed = CampaignResult::from_json(&run.result.to_json()).unwrap();
-    let resumed = resume_campaign(&spec, &parsed).unwrap();
+    let resumed = run_campaign(
+        &spec,
+        &CampaignOptions {
+            prior: Some(parsed.clone()),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
     assert_eq!(resumed.executed, 0);
     assert_eq!(resumed.reused, run.result.trials.len());
     assert_eq!(resumed.result.to_json(), run.result.to_json());
@@ -196,13 +207,12 @@ fn nsga2_front_on_gemm_is_deterministic() {
     let problem = bat::kernels::benchmark("gemm", GpuArch::rtx_3090()).unwrap();
     let fronts: Vec<Vec<bat::moo::ParetoPoint>> = (0..2)
         .map(|_| {
-            let (run, _) = bat::harness::run_tuning_with_energy(
-                &problem,
-                tuner.as_ref(),
-                Protocol::default(),
-                150,
-                7,
-            );
+            let eval = Evaluator::builder(&problem)
+                .budget(150)
+                .energy(true)
+                .build()
+                .unwrap();
+            let run = tuner.tune(&eval, 7);
             bat::moo::front_of_run(&run, 16).front().to_vec()
         })
         .collect();

@@ -51,7 +51,10 @@ fn tiny_spec(seed: u64, budget: u64) -> ExperimentSpec {
 }
 
 fn artifact_json(spec: &ExperimentSpec) -> String {
-    run_campaign(spec).expect("campaign").result.to_json()
+    run_campaign(spec, &CampaignOptions::default())
+        .expect("campaign")
+        .result
+        .to_json()
 }
 
 #[test]
@@ -144,7 +147,7 @@ fn eval_and_resilience_counters_match_the_artifact_exactly() {
         before("bat_eval_retries_transient_total") + before("bat_eval_retries_timeout_total");
     let quarantined0 = before("bat_eval_quarantined_total");
 
-    let run = run_campaign(&spec).expect("campaign");
+    let run = run_campaign(&spec, &CampaignOptions::default()).expect("campaign");
 
     let evals: u64 = run.result.trials.iter().map(|t| t.evals).sum();
     let retries: u64 = run.result.trials.iter().map(|t| t.retries).sum();

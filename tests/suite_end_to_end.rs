@@ -20,7 +20,7 @@ fn every_benchmark_tunes_on_every_gpu() {
         repetitions: 1,
         ..ExperimentSpec::new("suite-e2e")
     };
-    let run = run_campaign(&spec).expect("campaign runs");
+    let run = run_campaign(&spec, &CampaignOptions::default()).expect("campaign runs");
     assert_eq!(run.result.trials.len(), 7 * 4);
     for t in &run.result.trials {
         assert_eq!(t.evals, 60, "{}/{}", t.benchmark, t.architecture);
@@ -74,8 +74,15 @@ fn campaigns_are_deterministic_and_resumable() {
         record: RecordLevel::Curve,
         ..ExperimentSpec::new("suite-determinism")
     };
-    let a = run_campaign(&spec).expect("first run");
-    let b = run_campaign_serial(&spec).expect("second run");
+    let a = run_campaign(&spec, &CampaignOptions::default()).expect("first run");
+    let b = run_campaign(
+        &spec,
+        &CampaignOptions {
+            serial: true,
+            ..CampaignOptions::default()
+        },
+    )
+    .expect("second run");
     assert_eq!(
         a.result.to_json(),
         b.result.to_json(),
@@ -83,7 +90,14 @@ fn campaigns_are_deterministic_and_resumable() {
     );
     let mut partial = a.result.clone();
     partial.trials.truncate(1);
-    let resumed = resume_campaign(&spec, &partial).expect("resume");
+    let resumed = run_campaign(
+        &spec,
+        &CampaignOptions {
+            prior: Some(partial),
+            ..CampaignOptions::default()
+        },
+    )
+    .expect("resume");
     assert_eq!(resumed.reused, 1);
     assert_eq!(resumed.result.to_json(), a.result.to_json());
 }
@@ -122,7 +136,7 @@ fn all_tuners_find_something_decent_on_nbody() {
         record: RecordLevel::Curve,
         ..ExperimentSpec::new("suite-nbody")
     };
-    let run = run_campaign(&spec).expect("campaign runs");
+    let run = run_campaign(&spec, &CampaignOptions::default()).expect("campaign runs");
     assert_eq!(run.result.trials.len(), default_tuners().len());
     for t in &run.result.trials {
         let best = t
