@@ -1,6 +1,7 @@
 //! ML-substrate throughput: histogram-binned GBDT training against the
-//! sort-based exact baseline, batch prediction, and end-to-end landscape
-//! evaluation (the two halves of the suite's analysis hot path).
+//! sort-based exact baseline, batch prediction, tree-ensemble pool scoring
+//! as the surrogate tuners use it, and end-to-end landscape evaluation
+//! (the two halves of the suite's analysis hot path).
 //!
 //! The exact-splitter baselines re-sort every feature at every node, so
 //! they dominate this target's wall time; filter with `hist`/`exact` to
@@ -13,7 +14,7 @@ use bat_analysis::{sampled_valid, Landscape};
 use bat_core::TuningProblem;
 use bat_gpusim::GpuArch;
 use bat_kernels::benchmark;
-use bat_ml::{Dataset, Gbdt, GbdtParams, RegressionTree, TreeParams};
+use bat_ml::{Dataset, ForestParams, Gbdt, GbdtParams, RandomForest, RegressionTree, TreeParams};
 
 /// A landscape-shaped regression set: `n` rows over six discrete tuning
 /// parameters (≤ 37 distinct values each) with interacting effects.
@@ -94,6 +95,74 @@ fn predict_batch(c: &mut Criterion) {
     g.finish();
 }
 
+/// The surrogate tuners' pool step on gemm: `gbdt-surrogate`'s 60-tree GBDT
+/// and `smac-forest`'s 30-tree forest, fitted on 120 valid configurations
+/// (log runtime), each scoring 300 other valid configurations by walking
+/// every tree and by the compiled pool scorer. The fit cases include the
+/// scorer's build.
+fn tree_pool(c: &mut Criterion) {
+    let gemm = benchmark("gemm", GpuArch::rtx_3090()).unwrap();
+    let space = gemm.space();
+    let d = space.num_params();
+    let mut cfg = vec![0i64; d];
+    let (mut train, mut train_y, mut pool) = (Vec::new(), Vec::new(), Vec::new());
+    let samples = sampled_valid(&gemm, 420, 5, 40_000_000).expect("gemm sampling succeeds");
+    for (i, s) in samples.samples.iter().enumerate() {
+        space.decode_into(s.index, &mut cfg);
+        let row = cfg.iter().map(|&v| v as f64);
+        // Two of every seven samples train: 120 of 420.
+        if i % 7 < 2 {
+            train.push(row.collect::<Vec<f64>>());
+            train_y.push(s.time_ms.expect("valid configurations run").ln());
+        } else {
+            pool.extend(row);
+        }
+    }
+    let data = Dataset::new(&train, train_y, space.names().to_vec());
+    let gbdt_params = GbdtParams {
+        n_trees: 60,
+        learning_rate: 0.15,
+        tree: TreeParams {
+            max_depth: 5,
+            min_samples_leaf: 2,
+            ..TreeParams::default()
+        },
+        subsample: 0.9,
+        seed: 11,
+    };
+    let forest_params = ForestParams {
+        n_trees: 30,
+        seed: 11,
+        ..ForestParams::default()
+    };
+    let gbdt = Gbdt::fit(&data, &gbdt_params);
+    let forest = RandomForest::fit(&data, &forest_params);
+    let walk = |trees: &[RegressionTree]| -> f64 {
+        pool.chunks_exact(d)
+            .map(|row| trees.iter().map(|t| t.predict(row)).sum::<f64>())
+            .sum()
+    };
+    let mut g = c.benchmark_group("tree_pool");
+    g.throughput(Throughput::Elements((pool.len() / d) as u64));
+    g.bench_function("gbdt/walk", |b| b.iter(|| black_box(walk(gbdt.trees()))));
+    g.bench_function("gbdt/pool", |b| {
+        b.iter(|| black_box(gbdt.predict_pool(black_box(&pool)).len()))
+    });
+    g.bench_function("gbdt/fit", |b| {
+        b.iter(|| Gbdt::fit(black_box(&data), &gbdt_params))
+    });
+    g.bench_function("forest/walk", |b| {
+        b.iter(|| black_box(walk(forest.trees())))
+    });
+    g.bench_function("forest/pool", |b| {
+        b.iter(|| black_box(forest.predict_pool(black_box(&pool)).len()))
+    });
+    g.bench_function("forest/fit", |b| {
+        b.iter(|| RandomForest::fit(black_box(&data), &forest_params))
+    });
+    g.finish();
+}
+
 /// Landscape evaluation throughput: the chunked streaming evaluator over
 /// real kernel models (exhaustive on the small spaces, the 10 000-sample
 /// valid protocol on Hotspot).
@@ -123,5 +192,12 @@ fn landscape_eval(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, gbdt_fit, tree_fit, predict_batch, landscape_eval);
+criterion_group!(
+    benches,
+    gbdt_fit,
+    tree_fit,
+    predict_batch,
+    tree_pool,
+    landscape_eval
+);
 criterion_main!(benches);

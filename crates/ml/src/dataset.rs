@@ -182,6 +182,11 @@ impl Dataset {
         &self.x[i * self.n_features..(i + 1) * self.n_features]
     }
 
+    /// The feature matrix, row-major.
+    pub(crate) fn row_major(&self) -> &[f64] {
+        &self.x
+    }
+
     /// Feature value (row, feature).
     #[inline]
     pub fn value(&self, row: usize, feature: usize) -> f64 {

@@ -3,13 +3,14 @@
 //! SMAC3 — one of the tuners the paper's shared interface targets — models
 //! the objective with a random forest and uses the spread between trees as
 //! a predictive variance for Expected Improvement. This module reproduces
-//! that model: bootstrap-bagged [`RegressionTree`]s, mean/variance
-//! prediction across trees, and an out-of-bag R² estimate for free model
-//! validation.
+//! that model: bootstrap-bagged [`RegressionTree`]s and mean/variance
+//! prediction across trees.
 //!
 //! The dataset is binned once (shared immutably by every bagged tree), so
 //! the rayon-parallel tree fits all train from per-bin histograms; each
-//! worker owns its per-tree scratch.
+//! worker owns its per-tree scratch. The fitted trees are compiled for
+//! scoring (the `scorer` module), so predictions score whole pools of rows
+//! at a time, bit for bit equal to the trees' walks.
 
 use std::cell::RefCell;
 
@@ -18,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use crate::dataset::Dataset;
-use crate::metrics::r2_score;
+use crate::scorer::TreeScorer;
 use crate::tree::{RegressionTree, TreeParams, TreeScratch};
 
 thread_local! {
@@ -81,7 +82,7 @@ impl ForestPrediction {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
-    oob_r2: Option<f64>,
+    scorer: TreeScorer,
 }
 
 impl RandomForest {
@@ -123,66 +124,54 @@ impl RandomForest {
             })
             .collect();
 
-        // Out-of-bag estimate: predict each row only with trees whose
-        // bootstrap missed it.
-        let mut in_bag = vec![vec![false; n]; params.n_trees];
-        for (t, rows) in samples.iter().enumerate() {
-            for &r in rows {
-                in_bag[t][r] = true;
-            }
+        RandomForest {
+            scorer: TreeScorer::compile(&trees, data.n_features()),
+            trees,
         }
-        let mut oob_pred = Vec::with_capacity(n);
-        let mut oob_true = Vec::with_capacity(n);
-        for i in 0..n {
-            let (mut s, mut c) = (0.0, 0usize);
-            for (t, tree) in trees.iter().enumerate() {
-                if !in_bag[t][i] {
-                    s += tree.predict(data.row(i));
-                    c += 1;
-                }
-            }
-            if c > 0 {
-                oob_pred.push(s / c as f64);
-                oob_true.push(y[i]);
-            }
-        }
-        let oob_r2 = if oob_true.len() >= 2 {
-            Some(r2_score(&oob_true, &oob_pred))
-        } else {
-            None
-        };
-
-        RandomForest { trees, oob_r2 }
     }
 
-    /// Mean/variance prediction for one row.
+    /// Mean/variance prediction for one row: a pool of one.
     pub fn predict(&self, row: &[f64]) -> ForestPrediction {
+        self.predict_pool(row)[0]
+    }
+
+    /// Mean/variance prediction for every row of `rows`, a row-major
+    /// `m × d` block, in row order.
+    ///
+    /// Each row sums its trees' leaf values and their squares in tree
+    /// order, from `0.0`, so a prediction equals the one from the trees'
+    /// walks bit for bit.
+    pub fn predict_pool(&self, rows: &[f64]) -> Vec<ForestPrediction> {
+        let mut sums = vec![(0.0, 0.0); self.scorer.n_rows(rows)];
+        self.scorer.for_each_leaf(rows, |c0, values| {
+            for ((sum, sum_sq), &p) in sums[c0..].iter_mut().zip(values) {
+                *sum += p;
+                *sum_sq += p * p;
+            }
+        });
         let m = self.trees.len() as f64;
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        for t in &self.trees {
-            let p = t.predict(row);
-            sum += p;
-            sum_sq += p * p;
-        }
-        let mean = sum / m;
-        ForestPrediction {
-            mean,
-            variance: (sum_sq / m - mean * mean).max(0.0),
-        }
+        sums.into_iter()
+            .map(|(sum, sum_sq)| {
+                let mean = sum / m;
+                ForestPrediction {
+                    mean,
+                    variance: (sum_sq / m - mean * mean).max(0.0),
+                }
+            })
+            .collect()
     }
 
     /// Mean prediction for every row of a dataset.
     pub fn predict_dataset(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_rows())
-            .map(|i| self.predict(data.row(i)).mean)
+        self.predict_pool(data.row_major())
+            .into_iter()
+            .map(|p| p.mean)
             .collect()
     }
 
-    /// Out-of-bag R² (None when every row was in every bag, e.g. a
-    /// one-row dataset).
-    pub fn oob_r2(&self) -> Option<f64> {
-        self.oob_r2
+    /// The bagged trees, in fit order.
+    pub fn trees(&self) -> &[RegressionTree] {
+        &self.trees
     }
 
     /// Number of trees.
@@ -194,6 +183,7 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::r2_score;
 
     fn grid_data() -> Dataset {
         // Smooth 2-D bowl on a 15×15 grid.
@@ -214,17 +204,6 @@ mod tests {
         let forest = RandomForest::fit(&data, &ForestParams::default());
         let r2 = r2_score(data.targets(), &forest.predict_dataset(&data));
         assert!(r2 > 0.95, "R² = {r2}");
-    }
-
-    #[test]
-    fn oob_r2_is_reported_and_reasonable() {
-        let data = grid_data();
-        let forest = RandomForest::fit(&data, &ForestParams::default());
-        let oob = forest.oob_r2().expect("bootstrap leaves OOB rows");
-        assert!(oob > 0.7, "OOB R² = {oob}");
-        // OOB is an honest estimate: it must not exceed the in-bag fit.
-        let in_bag = r2_score(data.targets(), &forest.predict_dataset(&data));
-        assert!(oob <= in_bag + 1e-9);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::dataset::Dataset;
+use crate::scorer::TreeScorer;
 use crate::tree::{RegressionTree, TreeParams, TreeScratch};
 
 /// Hyperparameters for [`Gbdt`].
@@ -53,6 +54,7 @@ pub struct Gbdt {
     base: f64,
     learning_rate: f64,
     trees: Vec<RegressionTree>,
+    scorer: TreeScorer,
 }
 
 impl Gbdt {
@@ -133,25 +135,47 @@ impl Gbdt {
         Gbdt {
             base,
             learning_rate: params.learning_rate,
+            scorer: TreeScorer::compile(&trees, data.n_features()),
             trees,
         }
     }
 
-    /// Predict one row.
+    /// Predict one row: a pool of one.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        self.base + self.learning_rate * self.trees.iter().map(|t| t.predict(row)).sum::<f64>()
+        self.predict_pool(row)[0]
+    }
+
+    /// Predict every row of `rows`, a row-major `m × d` block, in row
+    /// order.
+    ///
+    /// Each row sums its stages' leaf values in stage order, from `-0.0`
+    /// as `f64`'s `Iterator::sum` does, so a prediction equals
+    /// `base + learning_rate × Σ tree.predict(row)` bit for bit.
+    pub fn predict_pool(&self, rows: &[f64]) -> Vec<f64> {
+        let mut sums = vec![-0.0; self.scorer.n_rows(rows)];
+        self.scorer.for_each_leaf(rows, |c0, values| {
+            for (s, v) in sums[c0..].iter_mut().zip(values) {
+                *s += v;
+            }
+        });
+        sums.into_iter()
+            .map(|s| self.base + self.learning_rate * s)
+            .collect()
     }
 
     /// Predict every row of a dataset.
     pub fn predict_dataset(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_rows())
-            .map(|i| self.predict(data.row(i)))
-            .collect()
+        self.predict_pool(data.row_major())
     }
 
     /// Number of stages.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
+    }
+
+    /// The stages, in boosting order.
+    pub fn trees(&self) -> &[RegressionTree] {
+        &self.trees
     }
 }
 

@@ -20,6 +20,22 @@
 //! — the equivalence oracle (property-tested to produce the same trees)
 //! and the benchmark baseline it beats by well over an order of magnitude.
 //!
+//! ## Pool scoring
+//!
+//! Model-based tuners score a few hundred candidates per step, so each
+//! model predicts a row-major `m × d` block in one call (`predict_pool`;
+//! `predict` is a pool of one). [`Gbdt`] and [`RandomForest`] compile
+//! their trees at the end of `fit`, after QuickScorer (Lucchese et al.,
+//! SIGIR 2015): each tree numbers its leaves left to right and keeps, per
+//! tested feature and rank among the ensemble's thresholds on it, a `u64`
+//! bitmask of the leaves a value of that rank can still reach. A row's
+//! exit leaf is then the lowest set bit of one AND per tested feature,
+//! instead of one dependent branch per level of a walk. Candidates go
+//! through in tiles of 8 and sum the trees in ensemble order, so pool
+//! predictions equal the summed [`RegressionTree::predict`] walks bit for
+//! bit. [`GaussianProcess::predict_pool`] tiles its candidates the same
+//! way, and keeps each candidate's one-at-a-time summation order.
+//!
 //! ```
 //! use bat_ml::{Dataset, Gbdt, GbdtParams, permutation_importance, r2_score};
 //!
@@ -42,6 +58,7 @@ mod gp;
 pub mod linalg;
 mod metrics;
 mod pfi;
+mod scorer;
 pub mod stats;
 mod tree;
 

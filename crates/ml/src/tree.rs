@@ -484,7 +484,8 @@ impl RegressionTree {
         }
     }
 
-    /// Predict one row.
+    /// Predict one row by walking from the root. Ensembles score through
+    /// their compiled form instead; the walk is its reference.
     pub fn predict(&self, row: &[f64]) -> f64 {
         let mut i = 0;
         loop {
@@ -502,6 +503,55 @@ impl RegressionTree {
                         *right
                     };
                 }
+            }
+        }
+    }
+
+    /// Every split's `(feature, threshold)`, in node order.
+    pub(crate) fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.nodes.iter().filter_map(|node| match node {
+            Node::Split {
+                feature, threshold, ..
+            } => Some((*feature, *threshold)),
+            Node::Leaf { .. } => None,
+        })
+    }
+
+    /// Walk the tree depth first, left subtree first, numbering the leaves
+    /// left to right from 0: `leaf(value)` sees the leaves in that order,
+    /// and `split(feature, threshold, lo, mid)` sees each split once its
+    /// left subtree, leaves `lo..mid`, is numbered. Returns the leaf count.
+    pub(crate) fn number_leaves(
+        &self,
+        leaf: &mut impl FnMut(f64),
+        split: &mut impl FnMut(usize, f64, usize, usize),
+    ) -> usize {
+        self.number_from(0, 0, leaf, split)
+    }
+
+    /// [`number_leaves`](Self::number_leaves) below `node`, whose first
+    /// leaf is number `first`; returns the number after its last leaf.
+    fn number_from(
+        &self,
+        node: usize,
+        first: usize,
+        leaf: &mut impl FnMut(f64),
+        split: &mut impl FnMut(usize, f64, usize, usize),
+    ) -> usize {
+        match &self.nodes[node] {
+            Node::Leaf { value } => {
+                leaf(*value);
+                first + 1
+            }
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                let mid = self.number_from(*left, first, leaf, split);
+                split(*feature, *threshold, first, mid);
+                self.number_from(*right, mid, leaf, split)
             }
         }
     }
@@ -793,6 +843,65 @@ mod tests {
         );
         for (i, &f) in folded.iter().enumerate() {
             assert_eq!(f, lr * tree.predict(data.row(i)));
+        }
+    }
+
+    #[test]
+    fn leaves_are_numbered_left_to_right() {
+        // Root splits on feature 0; its left child, stored last, splits on
+        // feature 1. Left to right the leaves are 10, 20, 30.
+        let split = |feature, threshold, left, right| Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        let leaf = |value| Node::Leaf { value };
+        let tree = RegressionTree {
+            nodes: vec![
+                split(0, 1.5, 2, 1),
+                leaf(30.0),
+                split(1, -0.5, 3, 4),
+                leaf(10.0),
+                leaf(20.0),
+            ],
+        };
+        let mut leaves = Vec::new();
+        let mut splits = Vec::new();
+        let n = tree.number_leaves(&mut |v| leaves.push(v), &mut |f, t, lo, mid| {
+            splits.push((f, t, lo, mid))
+        });
+        assert_eq!(n, 3);
+        assert_eq!(leaves, [10.0, 20.0, 30.0]);
+        assert_eq!(splits, [(1, -0.5, 0, 1), (0, 1.5, 0, 2)]);
+        // Compiled, it routes rows as the walk does, also past an infinite
+        // threshold and NaN ones (a feature holding only -inf and +inf
+        // splits at NaN), which sort nowhere among the finite thresholds.
+        let odd = RegressionTree {
+            nodes: vec![
+                split(1, f64::INFINITY, 1, 4),
+                split(0, f64::NAN, 2, 3),
+                leaf(40.0),
+                leaf(45.0),
+                split(0, f64::NAN, 5, 6),
+                leaf(50.0),
+                leaf(60.0),
+            ],
+        };
+        let scorer = crate::scorer::TreeScorer::compile(&[tree.clone(), odd.clone()], 2);
+        let inf = f64::INFINITY;
+        for row in [
+            [1.0, -1.0],
+            [1.0, 0.0],
+            [1.5, -0.5],
+            [2.0, -9.0],
+            [f64::NAN, 0.0],
+            [-inf, inf],
+            [inf, f64::NAN],
+        ] {
+            let mut got = Vec::new();
+            scorer.for_each_leaf(&row, |_, values| got.push(values[0]));
+            assert_eq!(got, [tree.predict(&row), odd.predict(&row)], "row {row:?}");
         }
     }
 

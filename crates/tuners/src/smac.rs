@@ -136,22 +136,25 @@ impl StepTuner for SmacStep<'_> {
             }
         }
 
-        // Score unseen candidates by Expected Improvement; ask the top
-        // `batch` distinct (stable order: `batch = 1` is the classic
-        // first-strict-maximum pick).
+        // Score the unseen candidates by Expected Improvement in one pool
+        // pass; ask the top `batch` distinct (stable order: `batch = 1` is
+        // the classic first-strict-maximum pick).
+        candidates.retain(|idx| !self.seen.contains(idx));
         let acq = Acquisition::ExpectedImprovement;
         let d = self.space.num_params();
         let mut cfg = vec![0i64; d];
         let mut features = vec![0.0f64; d];
-        let mut scored: Vec<(f64, u64)> = Vec::new();
+        let mut rows = Vec::with_capacity(candidates.len() * d);
         for &idx in &candidates {
-            if self.seen.contains(&idx) {
-                continue;
-            }
             decode_features(self.space, idx, &mut cfg, &mut features);
-            let p = model.predict(&features);
-            scored.push((acq.score(p.mean, p.std_dev(), best_log), idx));
+            rows.extend_from_slice(&features);
         }
+        let scored = model
+            .predict_pool(&rows)
+            .iter()
+            .zip(candidates)
+            .map(|(p, idx)| (acq.score(p.mean, p.std_dev(), best_log), idx))
+            .collect();
         let mut out = crate::step::take_top_distinct(scored, ctx.batch, false);
         if out.is_empty() {
             out.push(self.rng.random_range(0..self.card));

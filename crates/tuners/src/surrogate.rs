@@ -96,19 +96,22 @@ impl StepTuner for SurrogateStep<'_> {
         }
         self.refit_if_due();
         let model = self.model.as_ref().expect("fitted above");
-        // Score the random pool once; ask the top `batch` distinct
+        // Score the random pool in one pass; ask the top `batch` distinct
         // predictions (stable order, so `batch = 1` is the classic
         // first-strict-minimum argmin).
         let d = self.space.num_params();
         let mut cfg = vec![0i64; d];
         let mut features = vec![0.0f64; d];
-        let mut scored: Vec<(f64, u64)> = Vec::with_capacity(self.cfg.pool);
+        let mut pool = Vec::with_capacity(self.cfg.pool);
+        let mut rows = Vec::with_capacity(self.cfg.pool * d);
         for _ in 0..self.cfg.pool {
             let pos = ordinal::random_positions(self.space, &mut self.rng);
             let idx = ordinal::index_of(self.space, &pos);
             decode_features(self.space, idx, &mut cfg, &mut features);
-            scored.push((model.predict(&features), idx));
+            rows.extend_from_slice(&features);
+            pool.push(idx);
         }
+        let scored = model.predict_pool(&rows).into_iter().zip(pool).collect();
         crate::step::take_top_distinct(scored, ctx.batch, true)
     }
 

@@ -1,10 +1,13 @@
 //! Property-based tests for the ML substrate behind the model-based
-//! tuners: dense Cholesky, Gaussian-process posteriors, random forests and
-//! acquisition functions.
+//! tuners: dense Cholesky, Gaussian-process posteriors, random forests,
+//! compiled tree-ensemble scoring and acquisition functions.
 
 use bat::ml::linalg::{dot, sq_dist, Cholesky, SymMatrix};
 use bat::ml::stats::{norm_cdf, norm_pdf};
-use bat::ml::{Dataset, ForestParams, GaussianProcess, GpParams, KernelKind, RandomForest};
+use bat::ml::{
+    Dataset, ForestParams, GaussianProcess, Gbdt, GbdtParams, GpParams, KernelKind, RandomForest,
+    RegressionTree, TreeParams,
+};
 use bat::tuners::Acquisition;
 use proptest::prelude::*;
 
@@ -46,6 +49,61 @@ fn gp_row(state: &mut u64, d: usize, spread: f64) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// `n` training rows of `d` small-integer features for the tree
+/// ensembles. Even features skip 0, so -1 and 1 put a threshold at 0.0;
+/// thresholds are midpoints, so all of them are multiples of 0.5.
+fn tree_data(state: &mut u64, n: usize, d: usize) -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..d)
+                .map(|j| {
+                    let k = (unit(state) * 8.0).floor();
+                    match (j % 2, k < 4.0) {
+                        (0, true) => k - 4.0,
+                        (0, false) => k - 3.0,
+                        _ => k,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = rows
+        .iter()
+        .map(|r| {
+            let s: f64 = r.iter().zip(1..).map(|(v, j)| v * f64::from(j)).sum();
+            s.sin() * 3.0 + unit(state)
+        })
+        .collect();
+    let names = (0..d).map(|j| format!("x{j}")).collect();
+    Dataset::new(&rows, y, names)
+}
+
+/// A query row for the tree ensembles: multiples of 0.5 (training values
+/// and thresholds), off-grid values, and now and then ±0.0, ±inf or NaN.
+fn tree_query(state: &mut u64, d: usize) -> Vec<f64> {
+    const ODD: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    (0..d)
+        .map(|_| match (unit(state) * 10.0) as u32 {
+            0 => ODD[(unit(state) * 5.0) as usize],
+            1..=4 => (unit(state) * 26.0).floor() * 0.5 - 5.0,
+            _ => unit(state) * 12.0 - 6.0,
+        })
+        .collect()
+}
+
+/// Pools of 0, 1, 7, 8, 9, 17 and `extra` query rows, flattened.
+fn tree_pools(state: &mut u64, d: usize, extra: usize) -> Vec<Vec<f64>> {
+    [0, 1, 7, 8, 9, 17, extra]
+        .into_iter()
+        .map(|m| (0..m).flat_map(|_| tree_query(state, d)).collect())
+        .collect()
+}
+
+/// True when some tree has more than 64 leaves (a multi-word mask).
+fn has_wide_tree(trees: &[RegressionTree]) -> bool {
+    trees.iter().any(|t| t.len().div_ceil(2) > 64)
 }
 
 proptest! {
@@ -207,6 +265,81 @@ proptest! {
         let again = RandomForest::fit(&data, &params);
         for r in &rows {
             prop_assert_eq!(forest.predict(r), again.predict(r));
+        }
+    }
+
+    /// A boosted pool prediction is `base + learning_rate × Σ walk` with
+    /// the walks summed in stage order, bit for bit: depths 1–8, with and
+    /// without row subsampling, on every kind of query value.
+    #[test]
+    fn gbdt_pool_predictions_match_summed_walks_bit_for_bit(
+        depth in 1usize..=8,
+        subsampled in 0u8..2,
+        n in 200usize..=320,
+        d in 1usize..=5,
+        seed in 1u64..1_000_000,
+    ) {
+        let mut state = seed;
+        let data = tree_data(&mut state, n, d);
+        let params = GbdtParams {
+            n_trees: 12,
+            learning_rate: 0.3,
+            tree: TreeParams { max_depth: depth, min_samples_leaf: 1, ..TreeParams::default() },
+            subsample: if subsampled == 1 { 0.9 } else { 1.0 },
+            seed,
+        };
+        let model = Gbdt::fit(&data, &params);
+        let base = data.targets().iter().sum::<f64>() / n as f64;
+        for pool in tree_pools(&mut state, d, (seed % 40) as usize) {
+            let preds = model.predict_pool(&pool);
+            prop_assert_eq!(preds.len(), pool.len() / d);
+            for (row, p) in pool.chunks_exact(d).zip(&preds) {
+                let walk = model.trees().iter().map(|t| t.predict(row)).sum::<f64>();
+                let want = base + params.learning_rate * walk;
+                prop_assert_eq!(p.to_bits(), want.to_bits(), "depth={} row={:?}", depth, row);
+            }
+        }
+        if depth == 8 && d >= 3 {
+            prop_assert!(has_wide_tree(model.trees()));
+        }
+    }
+
+    /// A forest pool prediction equals the mean and variance of its trees'
+    /// walks, summed in tree order from 0.0, bit for bit. Depth-10 trees
+    /// with one-row leaves on ≥ 200 rows pass 64 leaves, so multi-word
+    /// masks are covered.
+    #[test]
+    fn forest_pool_predictions_match_tree_walks_bit_for_bit(
+        n in 200usize..=320,
+        d in 3usize..=5,
+        seed in 1u64..1_000_000,
+    ) {
+        let mut state = seed;
+        let data = tree_data(&mut state, n, d);
+        let params = ForestParams {
+            n_trees: 10,
+            tree: TreeParams { max_depth: 10, min_samples_leaf: 1, ..TreeParams::default() },
+            seed,
+            ..ForestParams::default()
+        };
+        let forest = RandomForest::fit(&data, &params);
+        prop_assert!(has_wide_tree(forest.trees()));
+        let m = forest.n_trees() as f64;
+        for pool in tree_pools(&mut state, d, (seed % 40) as usize) {
+            let preds = forest.predict_pool(&pool);
+            prop_assert_eq!(preds.len(), pool.len() / d);
+            for (row, p) in pool.chunks_exact(d).zip(&preds) {
+                let (mut sum, mut sum_sq) = (0.0, 0.0);
+                for t in forest.trees() {
+                    let v = t.predict(row);
+                    sum += v;
+                    sum_sq += v * v;
+                }
+                let mean = sum / m;
+                let variance = (sum_sq / m - mean * mean).max(0.0);
+                prop_assert_eq!(p.mean.to_bits(), mean.to_bits(), "row={:?}", row);
+                prop_assert_eq!(p.variance.to_bits(), variance.to_bits(), "row={:?}", row);
+            }
         }
     }
 
