@@ -1,7 +1,8 @@
 //! ML-substrate throughput: histogram-binned GBDT training against the
 //! sort-based exact baseline, batch prediction, tree-ensemble pool scoring
-//! as the surrogate tuners use it, and end-to-end landscape evaluation
-//! (the two halves of the suite's analysis hot path).
+//! as the surrogate tuners use it, the GP's refit and Cholesky factor, and
+//! end-to-end landscape evaluation (the two halves of the suite's analysis
+//! hot path).
 //!
 //! The exact-splitter baselines re-sort every feature at every node, so
 //! they dominate this target's wall time; filter with `hist`/`exact` to
@@ -14,7 +15,11 @@ use bat_analysis::{sampled_valid, Landscape};
 use bat_core::TuningProblem;
 use bat_gpusim::GpuArch;
 use bat_kernels::benchmark;
-use bat_ml::{Dataset, ForestParams, Gbdt, GbdtParams, RandomForest, RegressionTree, TreeParams};
+use bat_ml::linalg::{dot, Cholesky, SymMatrix};
+use bat_ml::{
+    Dataset, ForestParams, GaussianProcess, Gbdt, GbdtParams, GpParams, KernelKind, RandomForest,
+    RegressionTree, TreeParams,
+};
 
 /// A landscape-shaped regression set: `n` rows over six discrete tuning
 /// parameters (≤ 37 distinct values each) with interacting effects.
@@ -163,6 +168,79 @@ fn tree_pool(c: &mut Criterion) {
     g.finish();
 }
 
+/// `n` GP training rows shaped like gp-bo-ei's: six ordinal positions.
+/// From 37 rows on, every position of every parameter occurs.
+fn gp_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            [13, 7, 4, 32, 37, 6]
+                .iter()
+                .zip([7, 5, 3, 11, 17, 23])
+                .map(|(&m, k)| f64::from((i * k % m) as u32))
+                .collect()
+        })
+        .collect();
+    let y = rows
+        .iter()
+        .map(|r| (1.0 + r[0] * r[1] + r[3] / (1.0 + r[4])).ln())
+        .collect();
+    (rows, y)
+}
+
+/// The row-oriented Cholesky–Banachiewicz loop that the blocked factor
+/// replaced: one serially dependent `dot` per entry.
+fn row_oriented_factor(a: &SymMatrix) -> Vec<f64> {
+    let n = a.n();
+    let mut l = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            let s = dot(&l[i * n..i * n + j], &l[j * n..j * n + j]);
+            l[i * n + j] = if i == j {
+                (a.get(i, i) - s).sqrt()
+            } else {
+                (a.get(i, j) - s) / l[j * n + j]
+            };
+        }
+    }
+    l
+}
+
+/// gp-bo-ei's model step between grid fits: the fixed-hyperparameter
+/// `fit` of `n + 1` observations against `refit`, which grows the factor
+/// of the first `n` by the appended row; and the Cholesky factor of a
+/// GP kernel matrix, row-oriented against blocked.
+fn gp_refit(c: &mut Criterion) {
+    let mut g = c.benchmark_group("gp_refit");
+    let params = GpParams::fixed(KernelKind::Matern52, 0.35, 1e-3);
+    for n in [60, 120] {
+        let (rows, y) = gp_rows(n + 1);
+        let gp = GaussianProcess::fit(&rows[..n], &y[..n], &params);
+        g.bench_function(format!("fit/{n}+1"), |b| {
+            b.iter(|| GaussianProcess::fit(black_box(&rows), &y, &params))
+        });
+        g.bench_function(format!("refit/{n}+1"), |b| {
+            b.iter(|| gp.refit(black_box(&rows), &y))
+        });
+    }
+    for n in [70, 150] {
+        let (rows, _) = gp_rows(n);
+        let mut a = SymMatrix::zeros(n);
+        for i in 0..n {
+            for j in 0..=i {
+                a.set(i, j, KernelKind::Matern52.eval(&rows[i], &rows[j], 8.0));
+            }
+        }
+        a.add_diagonal(1e-3);
+        g.bench_function(format!("factor_rows/{n}"), |b| {
+            b.iter(|| black_box(row_oriented_factor(black_box(&a))))
+        });
+        g.bench_function(format!("factor_blocked/{n}"), |b| {
+            b.iter(|| black_box(Cholesky::factor(black_box(&a)).is_ok()))
+        });
+    }
+    g.finish();
+}
+
 /// Landscape evaluation throughput: the chunked streaming evaluator over
 /// real kernel models (exhaustive on the small spaces, the 10 000-sample
 /// valid protocol on Hotspot).
@@ -198,6 +276,7 @@ criterion_group!(
     tree_fit,
     predict_batch,
     tree_pool,
+    gp_refit,
     landscape_eval
 );
 criterion_main!(benches);

@@ -128,44 +128,23 @@ impl GaussianProcess {
         assert!(d > 0, "GP needs at least one feature");
 
         // Input normalization to the unit cube.
-        let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); d];
-        for r in rows {
-            assert_eq!(r.len(), d, "ragged rows");
-            for (j, &v) in r.iter().enumerate() {
-                ranges[j].0 = ranges[j].0.min(v);
-                ranges[j].1 = ranges[j].1.max(v);
-            }
-        }
-        let mut x = Vec::with_capacity(n * d);
-        for r in rows {
-            for (j, &v) in r.iter().enumerate() {
-                x.push(normalize(v, ranges[j]));
-            }
-        }
-
-        // Target standardization.
-        let y_mean = y.iter().sum::<f64>() / n as f64;
-        let var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / n as f64;
-        let y_std = if var > 1e-24 { var.sqrt() } else { 1.0 };
-        let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
+        let ranges = input_ranges(rows, d);
+        let x = normalized(rows, &ranges);
 
         // Grid search over (lengthscale, noise) maximizing the LML; the
         // pairwise distances serve every lengthscale.
+        let (y_mean, y_std, ys) = standardize(y);
         let d2 = sq_dist_matrix(&x, n, d);
         let mut best: Option<(f64, f64, f64, Cholesky, Vec<f64>)> = None;
         for &ell in &params.lengthscales {
             let k = kernel_matrix(params.kernel, &d2, ell);
             for &noise in &params.noises {
                 let mut kn = k.clone();
-                kn.add_diagonal(noise + 1e-10);
+                kn.add_diagonal(noise + JITTER);
                 let Ok(chol) = Cholesky::factor(&kn) else {
                     continue;
                 };
-                let alpha = chol.solve(&ys);
-                let fit: f64 = ys.iter().zip(&alpha).map(|(a, b)| a * b).sum();
-                let lml = -0.5 * fit
-                    - 0.5 * chol.log_det()
-                    - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+                let (alpha, lml) = posterior(&chol, &ys);
                 if best.as_ref().is_none_or(|b| lml > b.0) {
                     best = Some((lml, ell, noise, chol, alpha));
                 }
@@ -186,6 +165,72 @@ impl GaussianProcess {
             alpha,
             chol,
             lml,
+        }
+    }
+
+    /// This GP's hyperparameters fitted to `(rows, y)`: bit for bit
+    /// `fit(rows, y, &GpParams::fixed(kernel, lengthscale, noise))`.
+    ///
+    /// When the first rows are this GP's training inputs, bit for bit after
+    /// normalization, and no per-dimension minimum or maximum moves, the
+    /// kernel matrix only gains rows: the stored factor grows by them, in
+    /// O(n²) per new row rather than O(n³). Otherwise this is that fixed
+    /// fit.
+    pub fn refit(&self, rows: &[Vec<f64>], y: &[f64]) -> Self {
+        let (p, d) = (self.n_observations(), self.d);
+        let fixed = || {
+            Self::fit(
+                rows,
+                y,
+                &GpParams::fixed(self.kernel, self.lengthscale, self.noise),
+            )
+        };
+        if rows.len() < p || rows[0].len() != d || rows.len() != y.len() {
+            return fixed();
+        }
+        let same_ranges = input_ranges(rows, d)
+            .iter()
+            .zip(&self.ranges)
+            .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits());
+        if !same_ranges {
+            return fixed();
+        }
+        let x = normalized(rows, &self.ranges);
+        if x[..p * d]
+            .iter()
+            .zip(&self.x)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            return fixed();
+        }
+        // The new rows of K + (noise + jitter) I, entry by entry as `fit`
+        // builds them.
+        let n = rows.len();
+        let mut kn = SymMatrix::zeros(n);
+        for i in p..n {
+            let xi = &x[i * d..(i + 1) * d];
+            for j in 0..=i {
+                let k = self
+                    .kernel
+                    .of_sq_dist(sq_dist(xi, &x[j * d..(j + 1) * d]), self.lengthscale);
+                kn.set(i, j, k);
+            }
+            kn.set(i, i, kn.get(i, i) + (self.noise + JITTER));
+        }
+        let Ok(chol) = Cholesky::factor_from(&self.chol, &kn) else {
+            return fixed();
+        };
+        let (y_mean, y_std, ys) = standardize(y);
+        let (alpha, lml) = posterior(&chol, &ys);
+        GaussianProcess {
+            x,
+            ranges: self.ranges.clone(),
+            y_mean,
+            y_std,
+            alpha,
+            chol,
+            lml,
+            ..*self
         }
     }
 
@@ -283,6 +328,49 @@ impl GaussianProcess {
 /// Candidates per forward-substitution tile in
 /// [`GaussianProcess::predict_pool`].
 const TILE: usize = 8;
+
+/// Added to every noise variance so that the kernel matrix factors.
+const JITTER: f64 = 1e-10;
+
+/// Per-dimension (min, max) of `rows`, each `d` wide.
+fn input_ranges(rows: &[Vec<f64>], d: usize) -> Vec<(f64, f64)> {
+    let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); d];
+    for r in rows {
+        assert_eq!(r.len(), d, "ragged rows");
+        for (range, &v) in ranges.iter_mut().zip(r) {
+            range.0 = range.0.min(v);
+            range.1 = range.1.max(v);
+        }
+    }
+    ranges
+}
+
+/// `rows` normalized to `ranges`, row-major.
+fn normalized(rows: &[Vec<f64>], ranges: &[(f64, f64)]) -> Vec<f64> {
+    rows.iter()
+        .flat_map(|r| r.iter().zip(ranges).map(|(&v, &range)| normalize(v, range)))
+        .collect()
+}
+
+/// Target mean and standard deviation, and the standardized targets.
+fn standardize(y: &[f64]) -> (f64, f64, Vec<f64>) {
+    let n = y.len() as f64;
+    let y_mean = y.iter().sum::<f64>() / n;
+    let var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / n;
+    let y_std = if var > 1e-24 { var.sqrt() } else { 1.0 };
+    let ys = y.iter().map(|v| (v - y_mean) / y_std).collect();
+    (y_mean, y_std, ys)
+}
+
+/// `α = K⁻¹ ys` and the log-marginal likelihood, from the factor of `K`.
+fn posterior(chol: &Cholesky, ys: &[f64]) -> (Vec<f64>, f64) {
+    let alpha = chol.solve(ys);
+    let fit: f64 = ys.iter().zip(&alpha).map(|(a, b)| a * b).sum();
+    let lml = -0.5 * fit
+        - 0.5 * chol.log_det()
+        - 0.5 * ys.len() as f64 * (2.0 * std::f64::consts::PI).ln();
+    (alpha, lml)
+}
 
 fn normalize(v: f64, (lo, hi): (f64, f64)) -> f64 {
     if hi > lo {

@@ -36,6 +36,18 @@
 //! bit. [`GaussianProcess::predict_pool`] tiles its candidates the same
 //! way, and keeps each candidate's one-at-a-time summation order.
 //!
+//! ## Refits
+//!
+//! A tuner that refits its model every step mostly refits on the data it
+//! had, or on that data plus a row or two. [`GaussianProcess::refit`]
+//! keeps a fitted GP's hyperparameters and equals the fixed-hyperparameter
+//! [`GaussianProcess::fit`] bit for bit. When the new rows extend the old
+//! ones and no input range moves, the kernel matrix only gains rows, so
+//! [`linalg::Cholesky::factor_from`] grows the stored factor by them:
+//! O(n²) per appended row instead of O(n³). Factors go four rows at a
+//! time, with every entry's sum in the row-oriented loop's order, so a
+//! grown factor is the from-scratch one, bit for bit.
+//!
 //! ```
 //! use bat_ml::{Dataset, Gbdt, GbdtParams, permutation_importance, r2_score};
 //!

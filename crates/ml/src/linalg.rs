@@ -3,9 +3,13 @@
 //! Gaussian-process regression needs exactly one factorization — the
 //! Cholesky decomposition of a symmetric positive-definite kernel matrix —
 //! plus triangular solves against it. Kernel matrices in the tuning setting
-//! are small (hundreds of observations), so a cache-friendly dense
-//! implementation is the right tool; no sparse or blocked machinery is
-//! warranted.
+//! are small (hundreds of observations), so the factor is dense, stored as
+//! a packed lower triangle. Two things make it fast without changing a bit
+//! of it: [`Cholesky::factor_from`] continues from a known leading factor,
+//! so a model that gains observations factors only its new rows, and it
+//! computes four rows at once, so independent dot products share each
+//! load of a finished row. Every entry's dot product still runs in
+//! column order, as in the row-oriented Cholesky–Banachiewicz loop.
 
 /// A dense symmetric matrix stored row-major in full (not packed) form.
 ///
@@ -81,7 +85,8 @@ impl SymMatrix {
 #[derive(Debug, Clone)]
 pub struct Cholesky {
     n: usize,
-    /// Row-major lower triangle; entries above the diagonal are zero.
+    /// The lower triangle packed row by row: row `i` holds `L[i][0..=i]`
+    /// from [`row_start`]`(i)` on, so a larger factor extends a smaller one.
     l: Vec<f64>,
 }
 
@@ -107,27 +112,41 @@ impl std::fmt::Display for NotPositiveDefinite {
 impl std::error::Error for NotPositiveDefinite {}
 
 impl Cholesky {
-    /// Factor a symmetric positive-definite matrix.
+    /// Factor a symmetric positive-definite matrix: [`factor_from`] an
+    /// empty prefix.
     ///
-    /// Uses the (row-oriented) Cholesky–Banachiewicz scheme: each row of
-    /// `L` is computed from previously finished rows with contiguous dot
-    /// products.
+    /// [`factor_from`]: Self::factor_from
     pub fn factor(a: &SymMatrix) -> Result<Self, NotPositiveDefinite> {
-        let n = a.n();
-        let mut l = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let s = dot(&l[i * n..i * n + j], &l[j * n..j * n + j]);
-                if i == j {
-                    let d = a.get(i, i) - s;
-                    if d <= 0.0 || !d.is_finite() {
-                        return Err(NotPositiveDefinite { pivot: i, value: d });
-                    }
-                    l[i * n + i] = d.sqrt();
-                } else {
-                    l[i * n + j] = (a.get(i, j) - s) / l[j * n + j];
-                }
-            }
+        let empty = Cholesky {
+            n: 0,
+            l: Vec::new(),
+        };
+        Self::factor_from(&empty, a)
+    }
+
+    /// Factor `a` continuing from `prefix`, the factor of `a`'s leading
+    /// `p × p` block; only rows `p..` of `a`'s lower triangle are read.
+    ///
+    /// Each entry is the Cholesky–Banachiewicz one, `(a[i][j] − Σₖ L[i][k]
+    /// L[j][k]) / L[j][j]` or the root of the diagonal's, with its sum in
+    /// `k` order. So the factor is bit-identical to the row-oriented loop
+    /// for any `p`, and so is the error: the first pivot in row order that
+    /// is not positive and finite, with its value. Rows go four at a time,
+    /// the last few one by one.
+    pub fn factor_from(prefix: &Cholesky, a: &SymMatrix) -> Result<Self, NotPositiveDefinite> {
+        let (p, n) = (prefix.n, a.n());
+        assert!(p <= n, "a {p}-row prefix for a {n}-row matrix");
+        let mut l = Vec::with_capacity(row_start(n));
+        l.extend_from_slice(&prefix.l);
+        l.resize(row_start(n), 0.0);
+        let mut scratch = Vec::with_capacity(n * LOCKSTEP);
+        let mut i = p;
+        while i + LOCKSTEP <= n {
+            factor_rows::<LOCKSTEP>(&mut l, &mut scratch, a, i)?;
+            i += LOCKSTEP;
+        }
+        for i in i..n {
+            factor_rows::<1>(&mut l, &mut scratch, a, i)?;
         }
         Ok(Cholesky { n, l })
     }
@@ -140,7 +159,8 @@ impl Cholesky {
     /// `L[i][j]` for `j <= i`.
     #[inline]
     pub fn l(&self, i: usize, j: usize) -> f64 {
-        self.l[i * self.n + j]
+        debug_assert!(j <= i && i < self.n);
+        self.l[row_start(i) + j]
     }
 
     /// Solve `L y = b` (forward substitution): a tile of one column.
@@ -158,17 +178,16 @@ impl Cholesky {
     /// independent accumulators are what make the tile faster than `W`
     /// serially dependent solves.
     pub(crate) fn solve_lower_tile<const W: usize>(&self, b: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(b.len(), n * W);
-        for i in 0..n {
+        assert_eq!(b.len(), self.n * W);
+        for i in 0..self.n {
             let (done, rest) = b.split_at_mut(i * W);
+            let (li, lii) = self.row(i);
             let mut s = [0.0; W];
-            for (&lik, yk) in self.l[i * n..i * n + i].iter().zip(done.chunks_exact(W)) {
+            for (&lik, yk) in li.iter().zip(done.chunks_exact(W)) {
                 for (sc, &y) in s.iter_mut().zip(yk) {
                     *sc += lik * y;
                 }
             }
-            let lii = self.l[i * n + i];
             for (bc, sc) in rest[..W].iter_mut().zip(s) {
                 *bc = (*bc - sc) / lii;
             }
@@ -178,14 +197,13 @@ impl Cholesky {
     /// Solve `Lᵀ x = y` (backward substitution).
     pub fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.n);
-        let n = self.n;
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
+        let mut x = vec![0.0; self.n];
+        for i in (0..self.n).rev() {
             let mut s = 0.0;
             for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                s += self.l[k * n + i] * xk;
+                s += self.l(k, i) * xk;
             }
-            x[i] = (y[i] - s) / self.l[i * n + i];
+            x[i] = (y[i] - s) / self.l(i, i);
         }
         x
     }
@@ -198,11 +216,71 @@ impl Cholesky {
     /// `log det A = 2 Σ log L[i][i]` — the determinant term of the
     /// Gaussian log-marginal likelihood.
     pub fn log_det(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
+        (0..self.n).map(|i| self.l(i, i).ln()).sum::<f64>() * 2.0
     }
+
+    /// Row `i` of `L` left of the diagonal, and the diagonal entry.
+    #[inline]
+    fn row(&self, i: usize) -> (&[f64], f64) {
+        let start = row_start(i);
+        (&self.l[start..start + i], self.l[start + i])
+    }
+}
+
+/// Rows of the factor that [`Cholesky::factor_from`] computes at once.
+const LOCKSTEP: usize = 4;
+
+/// Offset of row `i` in a packed lower triangle.
+#[inline]
+fn row_start(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// Rows `i..i + R` of the packed factor `l`, whose rows `..i` are done.
+///
+/// Left of the block, each finished row `j` meets the `R` rows at once:
+/// `R` independent sums in `k` order, over `t`, the block's finished
+/// columns interleaved as `t[k * R + r]`. Inside the block, entries go in
+/// row order with one [`dot`] each.
+fn factor_rows<const R: usize>(
+    l: &mut [f64],
+    t: &mut Vec<f64>,
+    a: &SymMatrix,
+    i: usize,
+) -> Result<(), NotPositiveDefinite> {
+    let (done, block) = l[..row_start(i + R)].split_at_mut(row_start(i));
+    let start: [usize; R] = std::array::from_fn(|r| row_start(i + r) - row_start(i));
+    t.clear();
+    for j in 0..i {
+        let lj = &done[row_start(j)..row_start(j + 1)];
+        let mut s = [0.0; R];
+        for (&ljk, tk) in lj[..j].iter().zip(t.chunks_exact(R)) {
+            for (sr, &lrk) in s.iter_mut().zip(tk) {
+                *sr += lrk * ljk;
+            }
+        }
+        for (r, sr) in s.into_iter().enumerate() {
+            let v = (a.get(i + r, j) - sr) / lj[j];
+            block[start[r] + j] = v;
+            t.push(v);
+        }
+    }
+    for r in 0..R {
+        for j in i..=i + r {
+            let partner = start[j - i];
+            let s = dot(&block[start[r]..start[r] + j], &block[partner..partner + j]);
+            block[start[r] + j] = if j == i + r {
+                let d = a.get(j, j) - s;
+                if d <= 0.0 || !d.is_finite() {
+                    return Err(NotPositiveDefinite { pivot: j, value: d });
+                }
+                d.sqrt()
+            } else {
+                (a.get(i + r, j) - s) / block[partner + j]
+            };
+        }
+    }
+    Ok(())
 }
 
 /// Dense dot product. The explicit loop vectorizes well; slices keep the
@@ -348,7 +426,7 @@ mod tests {
             // Forward substitution with one `dot` per row.
             let mut y = vec![0.0; n];
             for i in 0..n {
-                let s = dot(&ch.l[i * n..i * n + i], &y[..i]);
+                let s = dot(ch.row(i).0, &y[..i]);
                 y[i] = (b[i] - s) / ch.l(i, i);
             }
             for i in 0..n {

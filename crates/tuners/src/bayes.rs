@@ -6,12 +6,15 @@
 //! exploiting the predicted-fast region against exploring where the model is
 //! uncertain.
 //!
-//! The GP is exact, so each posterior update is O(n³) in the number of
-//! observations; hyperparameters are re-selected from a grid every
-//! [`BayesianOptimization::hyper_refit_every`] observations, and the
-//! training set is capped at [`BayesianOptimization::max_observations`]
-//! (keeping the best observations plus a random subsample, so the incumbent
-//! region stays well modelled).
+//! The GP is exact. Hyperparameters are re-selected from a grid every
+//! [`BayesianOptimization::hyper_refit_every`] observations, at O(n³) per
+//! grid point. In between, a step whose observations were only appended
+//! grows the previous GP's Cholesky factor ([`GaussianProcess::refit`]), at
+//! O(n²) per new row while no input's range moves, and a step with no new
+//! observation reuses the previous GP. The training set is capped at
+//! [`BayesianOptimization::max_observations`] (keeping the best
+//! observations plus a random subsample, so the incumbent region stays
+//! well modelled); past the cap, every step fits its subsample afresh.
 
 use std::collections::HashSet;
 
@@ -23,7 +26,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{
+    new_run, ordinal, position_feature, record_eval, CandidatePool, Recorded, Tuner,
+};
 
 /// Acquisition functions for minimization. All scores are
 /// "higher-is-better" so candidate selection is a single `max`.
@@ -84,7 +89,8 @@ pub struct BayesianOptimization {
     /// Kernel family for the GP.
     pub kernel: KernelKind,
     /// Re-select GP hyperparameters from the grid every this many new
-    /// observations (posterior itself is refreshed every iteration).
+    /// observations (the posterior itself is refreshed whenever an
+    /// observation arrives).
     pub hyper_refit_every: usize,
     /// Cap on GP training-set size (exact GP is O(n³)).
     pub max_observations: usize,
@@ -122,17 +128,10 @@ impl Default for BayesianOptimization {
 /// GP-based kernel tuning uses in practice (ref \[22\]) — with raw values a
 /// single lengthscale cannot serve both ends of the sequence.
 fn gp_features(space: &bat_space::ConfigSpace, index: u64) -> Vec<f64> {
-    let mut row = Vec::with_capacity(space.num_params());
-    push_gp_features(space, index, &mut row);
-    row
-}
-
-/// Append the [`gp_features`] of `index` to `out`.
-fn push_gp_features(space: &bat_space::ConfigSpace, mut index: u64, out: &mut Vec<f64>) {
-    for i in 0..space.num_params() {
-        out.push((index / space.stride(i)) as f64);
-        index %= space.stride(i);
-    }
+    ordinal::positions_of(space, index)
+        .into_iter()
+        .map(|pos| pos as f64)
+        .collect()
 }
 
 /// Observation store: feature rows + log-times, with the bookkeeping
@@ -173,7 +172,9 @@ struct BayesStep<'a> {
     best_idx: Option<u64>,
     /// Configurations already spent budget on (candidate dedup).
     seen: HashSet<u64>,
-    hyper: Option<(f64, f64)>, // (lengthscale, noise)
+    /// The last step's GP and the observation count it saw; its
+    /// hyperparameters are those of the last grid fit.
+    gp: Option<(GaussianProcess, usize)>,
     obs_at_last_grid_fit: usize,
     warmup_left: usize,
 }
@@ -198,61 +199,57 @@ impl StepTuner for BayesStep<'_> {
             return vec![idx];
         }
 
-        let (tx, ty) = self
-            .obs
-            .training_set(self.cfg.max_observations, &mut self.rng);
-        let grid_due = self.hyper.is_none()
-            || self.obs.y.len() - self.obs_at_last_grid_fit >= self.cfg.hyper_refit_every;
-        let params = if grid_due {
-            GpParams {
-                kernel: self.cfg.kernel,
-                ..GpParams::default()
+        // Each step's model is the fit of its training set: on the grid
+        // when due, else at the last grid fit's hyperparameters. Below the
+        // cap the training set is every observation, in order, so the last
+        // GP serves again when nothing arrived, and grows by the new rows
+        // when some did. Neither draws from the RNG, and neither does the
+        // training set below the cap.
+        let n = self.obs.y.len();
+        let cap = self.cfg.max_observations;
+        let grid_due =
+            self.gp.is_none() || n - self.obs_at_last_grid_fit >= self.cfg.hyper_refit_every;
+        let gp = match self.gp.take() {
+            Some((gp, fitted)) if !grid_due && n <= cap && fitted == n => gp,
+            Some((gp, _)) if !grid_due && n <= cap => gp.refit(&self.obs.x, &self.obs.y),
+            last => {
+                let (tx, ty) = self.obs.training_set(cap, &mut self.rng);
+                let params = match last {
+                    Some((gp, _)) if !grid_due => {
+                        GpParams::fixed(self.cfg.kernel, gp.lengthscale(), gp.noise())
+                    }
+                    _ => {
+                        self.obs_at_last_grid_fit = n;
+                        GpParams {
+                            kernel: self.cfg.kernel,
+                            ..GpParams::default()
+                        }
+                    }
+                };
+                GaussianProcess::fit(&tx, &ty, &params)
             }
-        } else {
-            let (ell, noise) = self.hyper.expect("set when not due");
-            GpParams::fixed(self.cfg.kernel, ell, noise)
         };
-        let gp = GaussianProcess::fit(&tx, &ty, &params);
-        if grid_due {
-            self.hyper = Some((gp.lengthscale(), gp.noise()));
-            self.obs_at_last_grid_fit = self.obs.y.len();
-        }
 
         // Candidate pool: random configurations plus Hamming-1 neighbours
-        // of the incumbent (local refinement, as in SMAC/ref [22]).
-        let mut candidates: Vec<u64> = (0..self.cfg.pool)
-            .map(|_| {
-                ordinal::index_of(
-                    self.space,
-                    &ordinal::random_positions(self.space, &mut self.rng),
-                )
-            })
-            .collect();
+        // of the incumbent (local refinement, as in SMAC/ref [22]), less
+        // the ones already evaluated.
+        let seen = &self.seen;
+        let keep = |idx| !seen.contains(&idx);
+        let mut pool = CandidatePool::new(self.space, position_feature, self.cfg.pool);
+        for _ in 0..self.cfg.pool {
+            pool.draw(&mut self.rng, keep);
+        }
         if let Some(bi) = self.best_idx {
-            let pos = ordinal::positions_of(self.space, bi);
-            for i in 0..pos.len() {
-                for alt in 0..self.space.params()[i].len() {
-                    if alt != pos[i] {
-                        let mut p = pos.clone();
-                        p[i] = alt;
-                        candidates.push(ordinal::index_of(self.space, &p));
-                    }
-                }
-            }
+            pool.neighbours(&ordinal::positions_of(self.space, bi), keep);
         }
 
-        // Score the unseen candidates in one pool pass, in candidate order;
-        // ask the top `batch` distinct (stable order, so `batch = 1` is the
+        // Score the candidates in one pool pass, in candidate order; ask
+        // the top `batch` distinct (stable order, so `batch = 1` is the
         // classic first-strict-maximum pick).
-        candidates.retain(|idx| !self.seen.contains(idx));
-        let mut rows = Vec::with_capacity(candidates.len() * self.space.num_params());
-        for &idx in &candidates {
-            push_gp_features(self.space, idx, &mut rows);
-        }
         let scored: Vec<(f64, u64)> = gp
-            .predict_pool(&rows)
+            .predict_pool(&pool.rows)
             .iter()
-            .zip(candidates)
+            .zip(pool.indices)
             .map(|(p, idx)| {
                 let s = self
                     .cfg
@@ -270,6 +267,7 @@ impl StepTuner for BayesStep<'_> {
         for &idx in &out {
             self.seen.insert(idx);
         }
+        self.gp = Some((gp, n));
         out
     }
 
@@ -310,7 +308,7 @@ impl Tuner for BayesianOptimization {
             best_log: f64::INFINITY,
             best_idx: None,
             seen: HashSet::new(),
-            hyper: None,
+            gp: None,
             obs_at_last_grid_fit: 0,
             warmup_left: self.warmup,
         })

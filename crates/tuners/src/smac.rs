@@ -18,7 +18,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::bayes::Acquisition;
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{decode_features, new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{
+    decode_features, new_run, ordinal, record_eval, value_feature, CandidatePool, Recorded, Tuner,
+};
 
 /// SMAC-style tuner settings.
 #[derive(Debug, Clone, Copy)]
@@ -108,15 +110,13 @@ impl StepTuner for SmacStep<'_> {
         let best_log = self.obs_y.iter().cloned().fold(f64::INFINITY, f64::min);
 
         // Candidate pool: global random + neighbourhoods of the best
-        // `local_from` incumbents.
-        let mut candidates: Vec<u64> = (0..self.cfg.pool)
-            .map(|_| {
-                ordinal::index_of(
-                    self.space,
-                    &ordinal::random_positions(self.space, &mut self.rng),
-                )
-            })
-            .collect();
+        // `local_from` incumbents, less the ones already evaluated.
+        let seen = &self.seen;
+        let keep = |idx| !seen.contains(&idx);
+        let mut pool = CandidatePool::new(self.space, value_feature, self.cfg.pool);
+        for _ in 0..self.cfg.pool {
+            pool.draw(&mut self.rng, keep);
+        }
         let mut order: Vec<usize> = (0..self.obs_y.len()).collect();
         order.sort_by(|&a, &b| self.obs_y[a].total_cmp(&self.obs_y[b]));
         for &oi in order.iter().take(self.cfg.local_from) {
@@ -125,34 +125,17 @@ impl StepTuner for SmacStep<'_> {
                 .enumerate()
                 .map(|(d, &raw)| self.space.params()[d].position(raw as i64).unwrap_or(0))
                 .collect();
-            for d in 0..pos.len() {
-                for alt in 0..self.space.params()[d].len() {
-                    if alt != pos[d] {
-                        let mut p = pos.clone();
-                        p[d] = alt;
-                        candidates.push(ordinal::index_of(self.space, &p));
-                    }
-                }
-            }
+            pool.neighbours(&pos, keep);
         }
 
-        // Score the unseen candidates by Expected Improvement in one pool
-        // pass; ask the top `batch` distinct (stable order: `batch = 1` is
-        // the classic first-strict-maximum pick).
-        candidates.retain(|idx| !self.seen.contains(idx));
+        // Score the candidates by Expected Improvement in one pool pass;
+        // ask the top `batch` distinct (stable order: `batch = 1` is the
+        // classic first-strict-maximum pick).
         let acq = Acquisition::ExpectedImprovement;
-        let d = self.space.num_params();
-        let mut cfg = vec![0i64; d];
-        let mut features = vec![0.0f64; d];
-        let mut rows = Vec::with_capacity(candidates.len() * d);
-        for &idx in &candidates {
-            decode_features(self.space, idx, &mut cfg, &mut features);
-            rows.extend_from_slice(&features);
-        }
         let scored = model
-            .predict_pool(&rows)
+            .predict_pool(&pool.rows)
             .iter()
-            .zip(candidates)
+            .zip(pool.indices)
             .map(|(p, idx)| (acq.score(p.mean, p.std_dev(), best_log), idx))
             .collect();
         let mut out = crate::step::take_top_distinct(scored, ctx.batch, false);

@@ -14,7 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{decode_features, new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{
+    decode_features, new_run, ordinal, record_eval, value_feature, CandidatePool, Recorded, Tuner,
+};
 
 /// SMBO loop: random warm-up, then repeatedly (1) fit a GBDT surrogate on
 /// all successful observations, (2) score a random candidate pool, (3)
@@ -54,13 +56,23 @@ struct SurrogateStep<'a> {
     obs_x: Vec<Vec<f64>>,
     obs_y: Vec<f64>,
     model: Option<Gbdt>,
+    /// Observations the model was fitted on.
+    fitted_at: usize,
     since_refit: usize,
     warmup_left: usize,
 }
 
 impl SurrogateStep<'_> {
+    /// Refit every `refit_every` steps. A due refit with no observation
+    /// since the last one would see the same data with the same seed, so
+    /// the model stands.
     fn refit_if_due(&mut self) {
-        if self.since_refit >= self.cfg.refit_every {
+        if self.since_refit < self.cfg.refit_every {
+            return;
+        }
+        self.since_refit = 0;
+        if self.model.is_none() || self.obs_y.len() != self.fitted_at {
+            self.fitted_at = self.obs_y.len();
             let data = Dataset::new(&self.obs_x, self.obs_y.clone(), self.feature_names.clone());
             self.model = Some(Gbdt::fit(
                 &data,
@@ -76,7 +88,6 @@ impl SurrogateStep<'_> {
                     seed: self.seed ^ 0x5eed,
                 },
             ));
-            self.since_refit = 0;
         }
     }
 }
@@ -99,19 +110,15 @@ impl StepTuner for SurrogateStep<'_> {
         // Score the random pool in one pass; ask the top `batch` distinct
         // predictions (stable order, so `batch = 1` is the classic
         // first-strict-minimum argmin).
-        let d = self.space.num_params();
-        let mut cfg = vec![0i64; d];
-        let mut features = vec![0.0f64; d];
-        let mut pool = Vec::with_capacity(self.cfg.pool);
-        let mut rows = Vec::with_capacity(self.cfg.pool * d);
+        let mut pool = CandidatePool::new(self.space, value_feature, self.cfg.pool);
         for _ in 0..self.cfg.pool {
-            let pos = ordinal::random_positions(self.space, &mut self.rng);
-            let idx = ordinal::index_of(self.space, &pos);
-            decode_features(self.space, idx, &mut cfg, &mut features);
-            rows.extend_from_slice(&features);
-            pool.push(idx);
+            pool.draw(&mut self.rng, |_| true);
         }
-        let scored = model.predict_pool(&rows).into_iter().zip(pool).collect();
+        let scored = model
+            .predict_pool(&pool.rows)
+            .into_iter()
+            .zip(pool.indices)
+            .collect();
         crate::step::take_top_distinct(scored, ctx.batch, true)
     }
 
@@ -243,6 +250,7 @@ impl Tuner for SurrogateTuner {
             obs_x: Vec::new(),
             obs_y: Vec::new(),
             model: None,
+            fitted_at: 0,
             since_refit: usize::MAX,
             warmup_left: self.warmup,
         })

@@ -1,7 +1,7 @@
 //! The tuner-side of the shared problem interface.
 
 use bat_core::{Error, EvalBackend, EvalFailure, Evaluator, Measurement, Trial, TuningRun};
-use bat_space::ConfigSpace;
+use bat_space::{ConfigSpace, Param};
 use rand::Rng;
 
 /// An optimization algorithm that searches a configuration space through an
@@ -68,8 +68,9 @@ pub enum Recorded {
 }
 
 /// Decode `index` into `cfg` and featurize it as f64s into `features`,
-/// through caller-owned scratch — the surrogate tuners' candidate-scoring
-/// inner loop, shared so the featurization cannot drift between them.
+/// through caller-owned scratch: the tree-surrogate reference loops'
+/// candidate features, which [`CandidatePool`] rows built with
+/// [`value_feature`] equal.
 pub(crate) fn decode_features(
     space: &ConfigSpace,
     index: u64,
@@ -80,6 +81,81 @@ pub(crate) fn decode_features(
     for (f, &v) in features.iter_mut().zip(cfg.iter()) {
         *f = v as f64;
     }
+}
+
+/// A model-based tuner's candidate pool: dense indices and their feature
+/// rows, built straight from the positions drawn, with no index decode and
+/// no per-candidate allocation.
+pub(crate) struct CandidatePool<'a> {
+    space: &'a ConfigSpace,
+    feature: fn(&Param, usize) -> f64,
+    /// Dense index of each kept candidate, in the order offered.
+    pub indices: Vec<u64>,
+    /// Their feature rows, row-major, one feature per parameter.
+    pub rows: Vec<f64>,
+}
+
+impl<'a> CandidatePool<'a> {
+    /// An empty pool whose rows hold `feature(param, position)`.
+    pub fn new(space: &'a ConfigSpace, feature: fn(&Param, usize) -> f64, capacity: usize) -> Self {
+        CandidatePool {
+            space,
+            feature,
+            indices: Vec::with_capacity(capacity),
+            rows: Vec::with_capacity(capacity * space.num_params()),
+        }
+    }
+
+    /// Draw a configuration with the RNG calls of
+    /// [`ordinal::random_positions`]; keep it if `keep` accepts its index.
+    pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, keep: impl Fn(u64) -> bool) {
+        let start = self.rows.len();
+        let mut idx = 0u64;
+        for (i, p) in self.space.params().iter().enumerate() {
+            let pos = rng.random_range(0..p.len());
+            idx += pos as u64 * self.space.stride(i);
+            self.rows.push((self.feature)(p, pos));
+        }
+        if keep(idx) {
+            self.indices.push(idx);
+        } else {
+            self.rows.truncate(start);
+        }
+    }
+
+    /// Offer every Hamming-1 neighbour of `pos`, parameter by parameter and
+    /// position by position; keep those `keep` accepts.
+    pub fn neighbours(&mut self, pos: &[usize], keep: impl Fn(u64) -> bool) {
+        let params = self.space.params();
+        let base = ordinal::index_of(self.space, pos);
+        let row: Vec<f64> = params
+            .iter()
+            .zip(pos)
+            .map(|(p, &q)| (self.feature)(p, q))
+            .collect();
+        for (i, p) in params.iter().enumerate() {
+            let stride = self.space.stride(i);
+            for alt in (0..p.len()).filter(|&alt| alt != pos[i]) {
+                let idx = base - pos[i] as u64 * stride + alt as u64 * stride;
+                if keep(idx) {
+                    self.indices.push(idx);
+                    let start = self.rows.len();
+                    self.rows.extend_from_slice(&row);
+                    self.rows[start + i] = (self.feature)(p, alt);
+                }
+            }
+        }
+    }
+}
+
+/// A candidate's ordinal position as its feature (the GP's encoding).
+pub(crate) fn position_feature(_: &Param, pos: usize) -> f64 {
+    pos as f64
+}
+
+/// A candidate's parameter value as its feature (the tree ensembles').
+pub(crate) fn value_feature(p: &Param, pos: usize) -> f64 {
+    p.value(pos) as f64
 }
 
 /// Evaluate `index`, append a [`Trial`] to `run`, and return the full

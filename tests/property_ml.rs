@@ -1,8 +1,8 @@
 //! Property-based tests for the ML substrate behind the model-based
-//! tuners: dense Cholesky, Gaussian-process posteriors, random forests,
-//! compiled tree-ensemble scoring and acquisition functions.
+//! tuners: dense Cholesky, Gaussian-process posteriors and refits, random
+//! forests, compiled tree-ensemble scoring and acquisition functions.
 
-use bat::ml::linalg::{dot, sq_dist, Cholesky, SymMatrix};
+use bat::ml::linalg::{dot, sq_dist, Cholesky, NotPositiveDefinite, SymMatrix};
 use bat::ml::stats::{norm_cdf, norm_pdf};
 use bat::ml::{
     Dataset, ForestParams, GaussianProcess, Gbdt, GbdtParams, GpParams, KernelKind, RandomForest,
@@ -104,6 +104,135 @@ fn tree_pools(state: &mut u64, d: usize, extra: usize) -> Vec<Vec<f64>> {
 /// True when some tree has more than 64 leaves (a multi-word mask).
 fn has_wide_tree(trees: &[RegressionTree]) -> bool {
     trees.iter().any(|t| t.len().div_ceil(2) > 64)
+}
+
+/// The row-oriented Cholesky–Banachiewicz loop, one [`dot`] per entry:
+/// the reference that `Cholesky::factor` and `factor_from` match bit for
+/// bit. Row `i` of the result holds `L[i][0..=i]`.
+fn reference_factor(a: &SymMatrix) -> Result<Vec<Vec<f64>>, NotPositiveDefinite> {
+    let n = a.n();
+    let mut l: Vec<Vec<f64>> = (0..n).map(|i| vec![0.0; i + 1]).collect();
+    for i in 0..n {
+        for j in 0..=i {
+            let s = dot(&l[i][..j], &l[j][..j]);
+            if i == j {
+                let d = a.get(i, i) - s;
+                if d <= 0.0 || !d.is_finite() {
+                    return Err(NotPositiveDefinite { pivot: i, value: d });
+                }
+                l[i][i] = d.sqrt();
+            } else {
+                l[i][j] = (a.get(i, j) - s) / l[j][j];
+            }
+        }
+    }
+    Ok(l)
+}
+
+/// Assert that `got` is `want` bit for bit: every entry of the factor, or
+/// the failing pivot and its value.
+fn assert_factor_bits(
+    got: &Result<Cholesky, NotPositiveDefinite>,
+    want: &Result<Vec<Vec<f64>>, NotPositiveDefinite>,
+    what: &str,
+) {
+    match (got, want) {
+        (Ok(ch), Ok(l)) => {
+            assert_eq!(ch.n(), l.len(), "{what}");
+            for (i, row) in l.iter().enumerate() {
+                for (j, v) in row.iter().enumerate() {
+                    assert_eq!(ch.l(i, j).to_bits(), v.to_bits(), "{what} L[{i}][{j}]");
+                }
+            }
+        }
+        (Err(e), Err(w)) => {
+            assert_eq!(e.pivot, w.pivot, "{what}");
+            assert_eq!(e.value.to_bits(), w.value.to_bits(), "{what}");
+        }
+        _ => panic!("{what}: got {got:?}, want {want:?}"),
+    }
+}
+
+/// A GP-like kernel matrix of order `n`: Matérn-5/2 over random points
+/// (duplicates included) plus a small noise variance on the diagonal.
+fn kernel_spd(n: usize, state: &mut u64) -> SymMatrix {
+    let points: Vec<Vec<f64>> = (0..n).map(|_| gp_row(state, 3, 0.0)).collect();
+    let mut a = SymMatrix::zeros(n);
+    for i in 0..n {
+        for j in 0..=i {
+            a.set(i, j, KernelKind::Matern52.eval(&points[i], &points[j], 2.0));
+        }
+    }
+    a.add_diagonal(1e-3);
+    a
+}
+
+/// `factor` and `factor_from` equal the row-oriented loop bit for bit at
+/// orders 1…160 (every order up to 48, then every residue mod the lockstep
+/// width near 64, 100 and 160) and prefix sizes 0, 1, n/2, n−1 and n, on
+/// positive-definite matrices and on ones that break down at a negative
+/// pivot or on a NaN entry.
+#[test]
+fn cholesky_factor_from_matches_row_oriented_reference() {
+    let mut state = 0x5eed_c401;
+    let orders = (1..=48usize).chain([61, 62, 63, 64, 97, 98, 99, 100, 157, 158, 159, 160]);
+    for n in orders {
+        for kind in ["spd", "negative pivot", "nan entry"] {
+            let mut a = kernel_spd(n, &mut state);
+            let q = (unit(&mut state) * n as f64) as usize;
+            match kind {
+                "negative pivot" => a.set(q, q, -1.0),
+                "nan entry" => a.set(q, (unit(&mut state) * (q + 1) as f64) as usize, f64::NAN),
+                _ => {}
+            }
+            let want = reference_factor(&a);
+            assert_factor_bits(&Cholesky::factor(&a), &want, &format!("n={n} {kind}"));
+            for p in [0, 1.min(n), n / 2, n - 1, n] {
+                let what = format!("n={n} {kind} prefix={p}");
+                let mut lead = SymMatrix::zeros(p);
+                for i in 0..p {
+                    for j in 0..=i {
+                        lead.set(i, j, a.get(i, j));
+                    }
+                }
+                match Cholesky::factor(&lead) {
+                    Ok(prefix) => {
+                        // The leading block is the prefix's: never read.
+                        let mut rest = a.clone();
+                        for i in 0..p {
+                            for j in 0..=i {
+                                rest.set(i, j, f64::NAN);
+                            }
+                        }
+                        assert_factor_bits(&Cholesky::factor_from(&prefix, &rest), &want, &what);
+                    }
+                    // Breaking down inside the prefix is the same error.
+                    failed => {
+                        let Err(w) = &want else {
+                            panic!("{what}: the leading block failed alone")
+                        };
+                        assert!(w.pivot < p, "{what}");
+                        assert_factor_bits(&failed, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every bit a fitted GP shows: hyperparameters, log-marginal
+/// likelihood, size, and each prediction over `pool`.
+fn gp_bits(gp: &GaussianProcess, pool: &[f64]) -> Vec<u64> {
+    let mut bits = vec![
+        gp.lengthscale().to_bits(),
+        gp.noise().to_bits(),
+        gp.log_marginal_likelihood().to_bits(),
+        gp.n_observations() as u64,
+    ];
+    for p in gp.predict_pool(pool) {
+        bits.extend([p.mean.to_bits(), p.variance.to_bits()]);
+    }
+    bits
 }
 
 proptest! {
@@ -240,6 +369,83 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// `refit` is the fixed-hyperparameter `fit` of the same rows bit for
+    /// bit: rows unchanged (old and new targets), appended inside every
+    /// range (the factor grows) once or twice, appended past a range, or
+    /// not a prefix of the fitted rows.
+    #[test]
+    fn gp_refit_matches_fixed_fit_bit_for_bit(
+        n in 1usize..=60,
+        d in 1usize..=6,
+        k in 1usize..=9,
+        seed in 1u64..1_000_000,
+        matern in 0u8..2,
+        grid in 0u8..2,
+    ) {
+        let kernel = if matern == 1 { KernelKind::Matern52 } else { KernelKind::Rbf };
+        let params = if grid == 1 {
+            GpParams { kernel, ..GpParams::default() }
+        } else {
+            GpParams::fixed(kernel, 0.35, 1e-3)
+        };
+        let mut state = seed;
+        let rows: Vec<Vec<f64>> = (0..n).map(|_| gp_row(&mut state, d, 0.0)).collect();
+        let mut targets = |rows: &[Vec<f64>]| -> Vec<f64> {
+            rows.iter()
+                .map(|r| r.iter().sum::<f64>().sin() + 0.1 * unit(&mut state))
+                .collect()
+        };
+        let ys = targets(&rows);
+        let gp = GaussianProcess::fit(&rows, &ys, &params);
+        let fixed = GpParams::fixed(kernel, gp.lengthscale(), gp.noise());
+
+        // `k` rows inside every range: each coordinate from some row.
+        let mut state = seed ^ 0x9e37_79b9;
+        let mut grown = rows.clone();
+        for _ in 0..k {
+            let row = (0..d)
+                .map(|j| rows[(unit(&mut state) * n as f64) as usize][j])
+                .collect();
+            grown.push(row);
+        }
+        let j = (seed % d as u64) as usize;
+        let hi = grown.iter().map(|r| r[j]).fold(f64::NEG_INFINITY, f64::max);
+        let mut moved = grown.clone();
+        moved[n + k - 1][j] = hi + 1.0;
+        let mut shuffled = grown.clone();
+        shuffled.swap((seed % n as u64) as usize, n + k - 1);
+        let pool: Vec<f64> = grown
+            .iter()
+            .cloned()
+            .chain(std::iter::repeat_with(|| gp_row(&mut state, d, 1.0)))
+            .take(n + k + 9)
+            .flatten()
+            .collect();
+
+        let mut state = seed ^ 0x7f4a_7c15;
+        let mut targets = |rows: &[Vec<f64>]| -> Vec<f64> {
+            rows.iter()
+                .map(|r| r.iter().sum::<f64>().cos() + 0.1 * unit(&mut state))
+                .collect()
+        };
+        let cases = [
+            ("unchanged", rows.clone(), ys.clone()),
+            ("unchanged rows, new targets", rows.clone(), targets(&rows)),
+            ("appended in range", grown.clone(), targets(&grown)),
+            ("appended past a range", moved.clone(), targets(&moved)),
+            ("not a prefix", shuffled.clone(), targets(&shuffled)),
+        ];
+        for (case, rows, ys) in &cases {
+            let want = GaussianProcess::fit(rows, ys, &fixed);
+            prop_assert_eq!(gp_bits(&gp.refit(rows, ys), &pool), gp_bits(&want, &pool), "{}", case);
+        }
+        // Two appends in a row, as a tuner's steps make them.
+        let (rows, ys) = (&cases[2].1, &cases[2].2);
+        let half = n + k / 2;
+        let twice = gp.refit(&rows[..half], &ys[..half]).refit(rows, ys);
+        prop_assert_eq!(gp_bits(&twice, &pool), gp_bits(&GaussianProcess::fit(rows, ys, &fixed), &pool));
     }
 
     /// Forest predictions are convex combinations of tree predictions:

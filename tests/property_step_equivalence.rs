@@ -85,6 +85,65 @@ fn assert_driver_matches<T, F>(
     );
 }
 
+/// A `paper-ranking`-sized space: six parameters, with a restriction that
+/// rejects 40 % of it, the optimum of [`problem`] included, so tuners
+/// keep proposing configurations that fail, as they do near a kernel's
+/// resource limits.
+fn paper_scale_space() -> ConfigSpace {
+    let mut b = ConfigSpace::builder();
+    for (i, radix) in [4i64, 4, 3, 5, 3, 4].into_iter().enumerate() {
+        b = b.param(Param::new(format!("p{i}"), (1..=radix).collect::<Vec<_>>()));
+    }
+    b.restrict("p0 + p1 + p2 >= 7").build().unwrap()
+}
+
+/// Driver ≡ reference for gp-bo-ei at `paper-ranking` scale (budget 150).
+/// Invalid configurations add no observation, so along the run the step
+/// session reuses its last GP, grows its factor by appended rows, and
+/// refits when an input range moves. A cap below the budget makes it fit
+/// subsamples.
+#[test]
+fn driver_matches_reference_for_gp_bo_at_paper_scale() {
+    let space = paper_scale_space();
+    let bo = BayesianOptimization::default();
+    assert_driver_matches(
+        &bo,
+        BayesianOptimization::reference_tune,
+        &space,
+        3,
+        150,
+        false,
+    );
+    let mut capped = BayesianOptimization::default();
+    capped.max_observations = 10;
+    assert_driver_matches(
+        &capped,
+        BayesianOptimization::reference_tune,
+        &space,
+        5,
+        80,
+        false,
+    );
+}
+
+/// Driver ≡ reference for gbdt-surrogate and smac-forest at
+/// `paper-ranking` scale (budget 150); gbdt-surrogate skips the refits
+/// that would see no new observation.
+#[test]
+fn driver_matches_reference_for_tree_tuners_at_paper_scale() {
+    let space = paper_scale_space();
+    let gbdt = SurrogateTuner::default();
+    assert_driver_matches(&gbdt, SurrogateTuner::reference_tune, &space, 3, 150, false);
+    assert_driver_matches(
+        &SmacTuner::default(),
+        SmacTuner::reference_tune,
+        &space,
+        3,
+        150,
+        false,
+    );
+}
+
 proptest! {
     /// Driver ≡ reference for the non-model tuners (cheap enough to sweep
     /// every one per case).
