@@ -153,6 +153,12 @@ impl TunerComparison {
 /// `optimum_ms` is the reference optimum for relative-performance numbers;
 /// pass `None` when no ground truth is available (relative columns are then
 /// omitted).
+///
+/// # Panics
+///
+/// Panics if `settings` asks for no repetitions or a zero budget, or if
+/// [`EvaluatorBuilder::build`](bat_core::EvaluatorBuilder::build) rejects
+/// `settings.protocol`.
 pub fn compare_tuners(
     problem: &dyn TuningProblem,
     tuners: &[Box<dyn Tuner>],
@@ -170,8 +176,11 @@ pub fn compare_tuners(
         .collect::<Vec<_>>()
         .into_par_iter()
         .map(|(t, seed)| {
-            let eval =
-                Evaluator::with_protocol(problem, settings.protocol).with_budget(settings.budget);
+            let eval = Evaluator::builder(problem)
+                .protocol(settings.protocol)
+                .budget(settings.budget)
+                .build()
+                .expect("a valid measurement protocol");
             let run = tuners[t].tune(&eval, seed);
             let bsf = run.best_so_far();
             let snap: Vec<Option<f64>> = checkpoints

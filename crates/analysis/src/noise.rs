@@ -32,6 +32,12 @@ pub struct NoisePoint {
 ///
 /// `runs_per_config` is the protocol's repetition count (the paper-style
 /// defence against noise); budget counts evaluations, not individual runs.
+///
+/// # Panics
+///
+/// Panics if `repeats` is zero, or if
+/// [`EvaluatorBuilder::build`](bat_core::EvaluatorBuilder::build) rejects a
+/// protocol: `runs_per_config` is zero or a sigma is negative or not finite.
 pub fn noise_sensitivity(
     problem: &dyn TuningProblem,
     tuner: &dyn Tuner,
@@ -54,7 +60,11 @@ pub fn noise_sensitivity(
                         seed: base_seed ^ (rep << 17),
                         ..Protocol::default()
                     };
-                    let eval = Evaluator::with_protocol(problem, protocol).with_budget(budget);
+                    let eval = Evaluator::builder(problem)
+                        .protocol(protocol)
+                        .budget(budget)
+                        .build()
+                        .expect("a valid measurement protocol");
                     let run = tuner.tune(&eval, base_seed.wrapping_add(rep));
                     run.best().map(|b| {
                         problem

@@ -46,6 +46,13 @@ impl OnlineSimulation {
     /// configuration that runs successfully, scanning from 0 — the
     /// "first thing that worked" default). `oracle_ms` is the per-invocation
     /// optimum, when ground truth is known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `invocations` is zero, if
+    /// [`EvaluatorBuilder::build`](bat_core::EvaluatorBuilder::build) rejects
+    /// `protocol`, or if the default configuration (or, with none given,
+    /// every configuration) fails.
     pub fn run(
         &self,
         problem: &dyn TuningProblem,
@@ -57,7 +64,10 @@ impl OnlineSimulation {
         assert!(self.invocations > 0, "application must run at least once");
 
         // Resolve the untuned default and its cost (unbudgeted probe).
-        let probe = Evaluator::with_protocol(problem, self.protocol);
+        let probe = Evaluator::builder(problem)
+            .protocol(self.protocol)
+            .build()
+            .expect("a valid measurement protocol");
         let (default_index, default_ms) = match default_index {
             Some(idx) => {
                 let m = probe
@@ -90,8 +100,11 @@ impl OnlineSimulation {
             }
             OnlinePolicy::TuneThenExploit { tuning_budget } => {
                 let explore = (tuning_budget as usize).min(self.invocations);
-                let eval =
-                    Evaluator::with_protocol(problem, self.protocol).with_budget(explore as u64);
+                let eval = Evaluator::builder(problem)
+                    .protocol(self.protocol)
+                    .budget(explore as u64)
+                    .build()
+                    .expect("the probe built with this protocol");
                 let run = tuner.tune(&eval, seed);
                 for trial in run.trials.iter().take(explore) {
                     match &trial.outcome {
@@ -296,6 +309,20 @@ mod tests {
         let b = sim(300, 60).run(&p, &RandomSearch, None, None, 9);
         assert_eq!(a.costs, b.costs);
         assert_eq!(a.tuned_index, b.tuned_index);
+    }
+
+    #[test]
+    #[should_panic(expected = "protocol sigma must be finite")]
+    fn non_finite_sigma_is_rejected_before_measuring() {
+        let p = problem();
+        let s = OnlineSimulation {
+            protocol: Protocol {
+                sigma: f64::NAN,
+                ..Protocol::default()
+            },
+            ..sim(100, 20)
+        };
+        s.run(&p, &RandomSearch, None, None, 0);
     }
 
     #[test]

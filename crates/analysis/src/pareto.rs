@@ -30,7 +30,7 @@ pub struct FrontSummary {
 }
 
 /// The shared hypervolume reference of a set of fronts: the componentwise
-/// worst objective over every point, pushed out by [`REFERENCE_MARGIN`].
+/// worst objective over every point, pushed out by 1 % (`REFERENCE_MARGIN`).
 /// Deterministic given the fronts, `None` when no front has any point.
 ///
 /// All fronts of one benchmark × architecture cell must be summarized

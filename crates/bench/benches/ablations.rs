@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use bat_analysis::{pagerank, FitnessFlowGraph, Landscape, PageRankParams};
 use bat_bench::problem;
-use bat_core::{Evaluator, Protocol};
+use bat_core::Evaluator;
 use bat_gpusim::GpuArch;
 use bat_kernels::KernelSpec;
 use bat_ml::{Gbdt, GbdtParams, TreeParams};
@@ -19,15 +19,17 @@ fn ablation_eval_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_eval_cache");
     g.bench_function("cache_on", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&p, Protocol::default()).with_budget(400);
+            let eval = Evaluator::builder(&p).budget(400).build().unwrap();
             black_box(RandomSearch.tune(&eval, 1))
         })
     });
     g.bench_function("cache_off", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&p, Protocol::default())
-                .with_budget(400)
-                .without_cache();
+            let eval = Evaluator::builder(&p)
+                .budget(400)
+                .cache(false)
+                .build()
+                .unwrap();
             black_box(RandomSearch.tune(&eval, 1))
         })
     });

@@ -25,7 +25,7 @@ fn evaluator_batch_vs_serial(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n));
     g.bench_function("serial_4096", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+            let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
             for &i in &indices {
                 black_box(eval.evaluate_index(i));
             }
@@ -34,7 +34,7 @@ fn evaluator_batch_vs_serial(c: &mut Criterion) {
     for batch in [8usize, 64, 512, 1024] {
         g.bench_function(format!("batched_4096_chunk{batch}"), |b| {
             b.iter(|| {
-                let eval = Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+                let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
                 for chunk in indices.chunks(batch) {
                     black_box(eval.evaluate_batch(chunk).len());
                 }
@@ -53,9 +53,11 @@ fn population_tuners_batched_vs_serial(c: &mut Criterion) {
     for (label, batch) in [("batch1", 1u32), ("batch20", 20)] {
         g.bench_function(format!("ga_gemm_2000_{label}"), |b| {
             b.iter(|| {
-                let eval =
-                    Evaluator::with_protocol(&problem, Protocol::default().with_batch(batch))
-                        .with_budget(budget);
+                let eval = Evaluator::builder(&problem)
+                    .protocol(Protocol::default().with_batch(batch))
+                    .budget(budget)
+                    .build()
+                    .unwrap();
                 black_box(GeneticAlgorithm::default().tune(&eval, 42).trials.len())
             })
         });
@@ -63,9 +65,11 @@ fn population_tuners_batched_vs_serial(c: &mut Criterion) {
     for (label, batch) in [("batch1", 1u32), ("batch15", 15)] {
         g.bench_function(format!("pso_gemm_2000_{label}"), |b| {
             b.iter(|| {
-                let eval =
-                    Evaluator::with_protocol(&problem, Protocol::default().with_batch(batch))
-                        .with_budget(budget);
+                let eval = Evaluator::builder(&problem)
+                    .protocol(Protocol::default().with_batch(batch))
+                    .budget(budget)
+                    .build()
+                    .unwrap();
                 black_box(ParticleSwarm::default().tune(&eval, 42).trials.len())
             })
         });

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use bat_bench::some_valid_config;
-use bat_core::{Evaluator, Protocol};
+use bat_core::Evaluator;
 use bat_gpusim::{execute, execute_with_energy, GpuArch};
 use bat_kernels::KernelSpec;
 use bat_moo::{front_of_run, Nsga2, ParetoArchive, ParetoPoint};
@@ -64,7 +64,7 @@ fn evaluator_energy_overhead(c: &mut Criterion) {
     g.throughput(Throughput::Elements(256));
     g.bench_function("time_only_256_evals", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+            let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
             for i in 0..256u64 {
                 black_box(eval.evaluate_index(i * 17));
             }
@@ -72,9 +72,11 @@ fn evaluator_energy_overhead(c: &mut Criterion) {
     });
     g.bench_function("with_energy_256_evals", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&problem, Protocol::default())
-                .without_cache()
-                .with_energy();
+            let eval = Evaluator::builder(&problem)
+                .cache(false)
+                .energy(true)
+                .build()
+                .unwrap();
             for i in 0..256u64 {
                 black_box(eval.evaluate_index(i * 17));
             }
@@ -91,9 +93,11 @@ fn nsga2_end_to_end(c: &mut Criterion) {
     g.throughput(Throughput::Elements(budget));
     g.bench_function("gemm_3090_300_evals", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&problem, Protocol::default())
-                .with_energy()
-                .with_budget(budget);
+            let eval = Evaluator::builder(&problem)
+                .energy(true)
+                .budget(budget)
+                .build()
+                .unwrap();
             let run = Nsga2::default().tune(&eval, 42);
             black_box(front_of_run(&run, 16).len())
         })

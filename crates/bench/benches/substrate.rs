@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use bat_bench::{problem, some_valid_config};
-use bat_core::{Evaluator, Protocol, TuningProblem};
+use bat_core::{Evaluator, TuningProblem};
 use bat_gpusim::{execute, occupancy, BlockResources, GpuArch};
 use bat_kernels::KernelSpec;
 use bat_space::Neighborhood;
@@ -100,7 +100,7 @@ fn tuner_throughput(c: &mut Criterion) {
     let p = problem("nbody", GpuArch::rtx_3060());
     c.bench_function("substrate_random_search_200_evals", |b| {
         b.iter(|| {
-            let eval = Evaluator::with_protocol(&p, Protocol::default()).with_budget(200);
+            let eval = Evaluator::builder(&p).budget(200).build().unwrap();
             black_box(RandomSearch.tune(&eval, 3))
         })
     });

@@ -97,7 +97,7 @@ fn ablation_acquisition(c: &mut Criterion) {
         let tuner = BayesianOptimization::with_acquisition(acq);
         g.bench_function(label, |b| {
             b.iter(|| {
-                let eval = Evaluator::with_protocol(&p, Protocol::default()).with_budget(60);
+                let eval = Evaluator::builder(&p).budget(60).build().unwrap();
                 black_box(tuner.tune(&eval, 3))
             })
         });
@@ -119,7 +119,7 @@ fn ablation_tpe_restrictions(c: &mut Criterion) {
         };
         g.bench_function(label, |b| {
             b.iter(|| {
-                let eval = Evaluator::with_protocol(&p, Protocol::default()).with_budget(80);
+                let eval = Evaluator::builder(&p).budget(80).build().unwrap();
                 black_box(tuner.tune(&eval, 5))
             })
         });

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use bat_core::{Evaluator, Protocol, TuningProblem};
+use bat_core::{Evaluator, TuningProblem};
 use bat_gpusim::GpuArch;
 
 /// Batch sizes the gate times (matching the committed baseline).
@@ -36,14 +36,14 @@ fn measure() -> Vec<(usize, f64)> {
         .map(|&batch| {
             // Warm up the pool and the caches of everything but the memo
             // (the gate times the uncached measurement path).
-            let eval = Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+            let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
             for chunk in indices.chunks(batch).take(8) {
                 std::hint::black_box(eval.evaluate_batch(chunk).len());
             }
             // Best of 3 passes: robust against one-off scheduler stalls.
             let mut best = f64::MAX;
             for _ in 0..3 {
-                let eval = Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+                let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
                 let start = Instant::now();
                 for chunk in indices.chunks(batch) {
                     std::hint::black_box(eval.evaluate_batch(chunk).len());
@@ -77,7 +77,7 @@ fn measure_scaling() -> Vec<(usize, f64, f64)> {
         .iter()
         .map(|&threads| {
             rayon::with_thread_limit(threads, || {
-                let eval = Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+                let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
                 for chunk in indices.chunks(SCALING_BATCH).take(8) {
                     std::hint::black_box(eval.evaluate_batch(chunk).len());
                 }
@@ -85,8 +85,7 @@ fn measure_scaling() -> Vec<(usize, f64, f64)> {
                 let busy0 = rayon::pool_busy_us();
                 let mut timed_wall = 0.0f64;
                 for _ in 0..3 {
-                    let eval =
-                        Evaluator::with_protocol(&problem, Protocol::default()).without_cache();
+                    let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
                     let start = Instant::now();
                     for chunk in indices.chunks(SCALING_BATCH) {
                         std::hint::black_box(eval.evaluate_batch(chunk).len());

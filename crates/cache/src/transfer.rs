@@ -4,10 +4,9 @@
 //! *other* GPUs are still worth money: the paper's portability study shows
 //! optimal configurations transfer between architectures at 58.5–99.9% of
 //! optimal — lossy, but a far better opening move than a random sample.
-//! [`transfer_database`] turns a store into a
-//! [`TransferDatabase`](bat_tuners::TransferDatabase) for one benchmark
-//! and target architecture, nearest cached neighbour first, ready to feed
-//! `WarmStartTuner::from_database` or `Nsga2::warm_started`.
+//! [`transfer_database`] turns a store into a [`TransferDatabase`] for one
+//! benchmark and target architecture, nearest cached neighbour first,
+//! ready to feed `WarmStartTuner::from_database` or `Nsga2::warm_started`.
 
 use crate::store::CacheStore;
 use bat_gpusim::GpuArch;

@@ -142,7 +142,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact `usize` or a
+    /// Length specification for [`vec()`]: an exact `usize` or a
     /// `Range<usize>`.
     pub trait SizeRange {
         /// Draw a length.
@@ -172,7 +172,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

@@ -5,7 +5,7 @@
 //! the same call surface (`into_par_iter`, `par_iter`, `par_iter_mut`,
 //! `par_chunks_mut`, plus `map`/`enumerate` adapters and
 //! `sum`/`collect`/`for_each` terminals) backed by a lazily-initialized
-//! **persistent worker pool** ([`mod@pool`]): parked OS threads claim blocks
+//! **persistent worker pool** (`pool`): parked OS threads claim blocks
 //! of work from a shared atomic cursor, so a parallel terminal costs one
 //! queue push + condvar wake instead of per-call thread creation.
 //!

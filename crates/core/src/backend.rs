@@ -158,8 +158,16 @@ mod tests {
     #[test]
     fn evaluator_backend_mirrors_native_calls() {
         let p = problem();
-        let native = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(6);
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(6);
+        let native = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .budget(6)
+            .build()
+            .unwrap();
+        let eval = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .budget(6)
+            .build()
+            .unwrap();
         let backend: &dyn EvalBackend = &eval;
 
         assert_eq!(backend.problem_name(), "lin");
@@ -178,7 +186,11 @@ mod tests {
     #[test]
     fn default_evaluate_index_matches_batch_of_one() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(2);
+        let eval = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .budget(2)
+            .build()
+            .unwrap();
         let backend: &dyn EvalBackend = &eval;
         assert!(backend.evaluate_index(4).unwrap().unwrap().is_ok());
         assert!(backend.evaluate_index(5).unwrap().is_some());

@@ -233,7 +233,8 @@ fn obs() -> &'static EvalMetrics {
     })
 }
 
-/// The evaluation harness: memoization + noise + budget accounting.
+/// The evaluation harness: memoization + noise + budget accounting. Built
+/// through [`Evaluator::builder`].
 pub struct Evaluator<'p> {
     problem: &'p dyn TuningProblem,
     protocol: Protocol,
@@ -252,42 +253,10 @@ pub struct Evaluator<'p> {
 }
 
 impl<'p> Evaluator<'p> {
-    /// Start building an evaluator for `problem` — the one validated
-    /// construction path shared by in-process use and the tuning server.
+    /// Start building an evaluator for `problem` — the only way to
+    /// construct one, shared by in-process use and the tuning server.
     pub fn builder(problem: &'p dyn TuningProblem) -> EvaluatorBuilder<'p> {
         EvaluatorBuilder::new(problem)
-    }
-
-    /// Wrap `problem` with the default protocol and no budget.
-    ///
-    /// Legacy shim: prefer [`Evaluator::builder`], which validates the
-    /// protocol up front. Kept for one release.
-    pub fn new(problem: &'p dyn TuningProblem) -> Self {
-        Self::with_protocol(problem, Protocol::default())
-    }
-
-    /// Wrap `problem` with an explicit protocol.
-    ///
-    /// Legacy shim: prefer [`Evaluator::builder`], which validates the
-    /// protocol up front. Kept for one release.
-    pub fn with_protocol(problem: &'p dyn TuningProblem, protocol: Protocol) -> Self {
-        let noise_salt = bat_gpusim::mix(problem.noise_salt(), protocol.seed);
-        Evaluator {
-            problem,
-            noise_salt,
-            protocol,
-            measure_energy: false,
-            cache_enabled: true,
-            cache: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            faults: FaultInjection::new(FaultModel::disabled(), RetryPolicy::default(), noise_salt),
-            evals: AtomicU64::new(0),
-            distinct: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            budget: None,
-        }
     }
 
     /// The cache shard responsible for `index` (multiplicative hash so
@@ -297,43 +266,6 @@ impl<'p> Evaluator<'p> {
     fn shard(&self, index: u64) -> &Mutex<HashMap<u64, Result<Measurement, EvalFailure>>> {
         let mixed = index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.cache[(mixed >> 58) as usize % CACHE_SHARDS]
-    }
-
-    /// Limit the number of `evaluate*` calls. Calls past the budget return
-    /// `None`.
-    ///
-    /// Legacy shim: prefer [`Evaluator::builder`]. Kept for one release.
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Disable memoization (ablation: every call re-measures).
-    ///
-    /// Legacy shim: prefer [`Evaluator::builder`]. Kept for one release.
-    pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
-        self
-    }
-
-    /// Install a fault model and retry policy (default:
-    /// [`FaultModel::disabled`], which injects nothing). Measurements run
-    /// as bounded retry chains: retryable failures (transient, timeout) are
-    /// re-attempted per `policy`, never memoized, and configurations that
-    /// crash `policy.quarantine_after` times are quarantined.
-    pub fn with_faults(mut self, model: FaultModel, policy: RetryPolicy) -> Self {
-        self.faults = FaultInjection::new(model, policy, self.noise_salt);
-        self
-    }
-
-    /// Also measure the energy objective: measurements carry `energy_mj` /
-    /// `energy_samples` whenever the problem's
-    /// [`TuningProblem::evaluate_pure2`] reports an energy. Off by default,
-    /// so time-only runs (and their serialized records) are bit-identical
-    /// to the pre-energy suite.
-    pub fn with_energy(mut self) -> Self {
-        self.measure_energy = true;
-        self
     }
 
     /// The wrapped problem.
@@ -662,14 +594,10 @@ impl<'p> Evaluator<'p> {
     }
 }
 
-/// The one validated construction path for [`Evaluator`] — shared by
-/// in-process callers and the tuning server's session setup, so both reject
-/// nonsense protocols (`runs == 0`, negative or non-finite `sigma`) with a
-/// typed [`Error::Spec`] before any measurement happens.
-///
-/// The legacy constructor chain ([`Evaluator::with_protocol`] +
-/// [`Evaluator::with_budget`] + …) remains as thin unvalidated shims for
-/// one release.
+/// The only constructor of [`Evaluator`] — shared by in-process callers
+/// and the tuning server's session setup, so both reject nonsense
+/// protocols (`runs == 0`, negative or non-finite `sigma`) with a typed
+/// [`Error::Spec`] before any measurement happens.
 ///
 /// ```
 /// use bat_core::{Evaluator, Protocol, SyntheticProblem};
@@ -716,21 +644,17 @@ impl<'p> EvaluatorBuilder<'p> {
         self
     }
 
-    /// Limit the number of `evaluate*` calls (default: unlimited).
+    /// Limit the number of `evaluate*` calls (default: unlimited). Calls
+    /// past the budget return `None`.
     pub fn budget(mut self, budget: u64) -> Self {
         self.budget = Some(budget);
         self
     }
 
-    /// Limit the number of `evaluate*` calls, or not (`None` keeps the
-    /// evaluator unbudgeted) — the shape session specs carry.
-    pub fn maybe_budget(mut self, budget: Option<u64>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Also measure the energy objective (default: off, keeping time-only
-    /// artifacts bit-identical to the pre-energy suite).
+    /// Also measure the energy objective: measurements carry `energy_mj` /
+    /// `energy_samples` whenever the problem's
+    /// [`TuningProblem::evaluate_pure2`] reports an energy (default: off,
+    /// keeping time-only artifacts bit-identical to the pre-energy suite).
     pub fn energy(mut self, energy: bool) -> Self {
         self.energy = energy;
         self
@@ -744,7 +668,10 @@ impl<'p> EvaluatorBuilder<'p> {
     }
 
     /// Install a fault model and retry policy (default:
-    /// [`FaultModel::disabled`], which injects nothing).
+    /// [`FaultModel::disabled`], which injects nothing). Measurements run
+    /// as bounded retry chains: retryable failures (transient, timeout) are
+    /// re-attempted per `policy`, never memoized, and configurations that
+    /// crash `policy.quarantine_after` times are quarantined.
     pub fn faults(mut self, model: FaultModel, policy: RetryPolicy) -> Self {
         self.faults = (model, policy);
         self
@@ -781,12 +708,23 @@ impl<'p> EvaluatorBuilder<'p> {
             rayon::set_global_threads(threads);
         }
         let (model, policy) = self.faults;
-        let mut eval =
-            Evaluator::with_protocol(self.problem, self.protocol).with_faults(model, policy);
-        eval.budget = self.budget;
-        eval.measure_energy = self.energy;
-        eval.cache_enabled = self.cache;
-        Ok(eval)
+        let noise_salt = bat_gpusim::mix(self.problem.noise_salt(), self.protocol.seed);
+        Ok(Evaluator {
+            problem: self.problem,
+            protocol: self.protocol,
+            noise_salt,
+            measure_energy: self.energy,
+            cache_enabled: self.cache,
+            cache: (0..CACHE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
+            faults: FaultInjection::new(model, policy, noise_salt),
+            evals: AtomicU64::new(0),
+            distinct: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            quarantined: AtomicU64::new(0),
+            budget: self.budget,
+        })
     }
 }
 
@@ -808,8 +746,8 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic() {
         let p = problem();
-        let e1 = Evaluator::new(&p);
-        let e2 = Evaluator::new(&p);
+        let e1 = Evaluator::builder(&p).build().unwrap();
+        let e2 = Evaluator::builder(&p).build().unwrap();
         let a = e1.evaluate_index(3).unwrap().unwrap();
         let b = e2.evaluate_index(3).unwrap().unwrap();
         assert_eq!(a, b);
@@ -818,7 +756,7 @@ mod tests {
     #[test]
     fn cache_returns_identical_measurements() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::builder(&p).build().unwrap();
         let a = e.evaluate_index(2).unwrap().unwrap();
         let b = e.evaluate_index(2).unwrap().unwrap();
         assert_eq!(a, b);
@@ -829,7 +767,7 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         let p = problem();
-        let e = Evaluator::new(&p).with_budget(2);
+        let e = Evaluator::builder(&p).budget(2).build().unwrap();
         assert!(e.evaluate_index(0).is_some());
         assert!(e.evaluate_index(1).is_some());
         assert!(e.evaluate_index(2).is_none());
@@ -839,7 +777,7 @@ mod tests {
     #[test]
     fn restricted_config_reports_failure() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::builder(&p).build().unwrap();
         let r = e.evaluate_config(&[5]).unwrap();
         assert_eq!(r, Err(EvalFailure::Restricted));
     }
@@ -847,7 +785,7 @@ mod tests {
     #[test]
     fn out_of_space_value_is_restricted() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::builder(&p).build().unwrap();
         let r = e.evaluate_config(&[99]).unwrap();
         assert_eq!(r, Err(EvalFailure::Restricted));
         assert_eq!(e.evals_used(), 1);
@@ -856,7 +794,10 @@ mod tests {
     #[test]
     fn noiseless_protocol_returns_pure_times() {
         let p = problem();
-        let e = Evaluator::with_protocol(&p, Protocol::noiseless());
+        let e = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .build()
+            .unwrap();
         let m = e.evaluate_config(&[4]).unwrap().unwrap();
         assert_eq!(m.time_ms, 5.0);
         assert_eq!(m.samples, vec![5.0]);
@@ -865,15 +806,15 @@ mod tests {
     #[test]
     fn noisy_protocol_produces_spread_but_stable_median() {
         let p = problem();
-        let e = Evaluator::with_protocol(
-            &p,
-            Protocol {
+        let e = Evaluator::builder(&p)
+            .protocol(Protocol {
                 runs: 7,
                 sigma: 0.02,
                 seed: 9,
                 ..Protocol::default()
-            },
-        );
+            })
+            .build()
+            .unwrap();
         let m = e.evaluate_config(&[4]).unwrap().unwrap();
         assert_eq!(m.samples.len(), 7);
         assert!((m.time_ms - 5.0).abs() < 0.5);
@@ -890,11 +831,18 @@ mod tests {
             .unwrap();
         // A two-objective problem: energy = 10 × time.
         let p = EnergyProblem { space };
-        let plain = Evaluator::with_protocol(&p, Protocol::noiseless());
+        let plain = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .build()
+            .unwrap();
         let m = plain.evaluate_index(3).unwrap().unwrap();
         assert_eq!(m.energy_mj, None);
 
-        let energetic = Evaluator::with_protocol(&p, Protocol::noiseless()).with_energy();
+        let energetic = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .energy(true)
+            .build()
+            .unwrap();
         let m = energetic.evaluate_index(3).unwrap().unwrap();
         assert_eq!(m.time_ms, 4.0);
         assert_eq!(m.energy_mj, Some(40.0));
@@ -908,16 +856,16 @@ mod tests {
             .build()
             .unwrap();
         let p = EnergyProblem { space };
-        let e = Evaluator::with_protocol(
-            &p,
-            Protocol {
+        let e = Evaluator::builder(&p)
+            .protocol(Protocol {
                 runs: 5,
                 sigma: 0.05,
                 seed: 1,
                 ..Protocol::default()
-            },
-        )
-        .with_energy();
+            })
+            .energy(true)
+            .build()
+            .unwrap();
         let m = e.evaluate_index(2).unwrap().unwrap();
         // Were the streams shared, every energy sample would be exactly
         // 10 × its time sample (identical multiplicative factors).
@@ -958,7 +906,7 @@ mod tests {
     #[test]
     fn sharded_cache_counts_distinct_once_under_threads() {
         let p = problem();
-        let e = Evaluator::new(&p);
+        let e = Evaluator::builder(&p).build().unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -976,19 +924,10 @@ mod tests {
     }
 
     #[test]
-    fn without_cache_recounts_distinct() {
-        let p = problem();
-        let e = Evaluator::new(&p).without_cache();
-        e.evaluate_index(1).unwrap().unwrap();
-        e.evaluate_index(1).unwrap().unwrap();
-        assert_eq!(e.distinct_evals(), 2);
-    }
-
-    #[test]
     fn batch_matches_serial_results_and_accounting() {
         let p = problem();
-        let serial = Evaluator::new(&p);
-        let batched = Evaluator::new(&p);
+        let serial = Evaluator::builder(&p).build().unwrap();
+        let batched = Evaluator::builder(&p).build().unwrap();
         let indices = [3u64, 5, 3, 8, 8, 1];
         let expect: Vec<_> = indices
             .iter()
@@ -1011,7 +950,7 @@ mod tests {
     #[test]
     fn batch_truncates_at_the_budget_with_one_claim() {
         let p = problem();
-        let e = Evaluator::new(&p).with_budget(4);
+        let e = Evaluator::builder(&p).budget(4).build().unwrap();
         let got = e.evaluate_batch(&[0, 1, 2, 3, 4, 5]);
         assert_eq!(got.len(), 4);
         assert_eq!(e.evals_used(), 4);
@@ -1023,7 +962,7 @@ mod tests {
     #[test]
     fn batch_without_cache_measures_every_occurrence() {
         let p = problem();
-        let e = Evaluator::new(&p).without_cache();
+        let e = Evaluator::builder(&p).cache(false).build().unwrap();
         let got = e.evaluate_batch(&[2, 2, 2]);
         assert_eq!(got.len(), 3);
         assert_eq!(e.distinct_evals(), 3);
@@ -1031,9 +970,18 @@ mod tests {
     }
 
     #[test]
+    fn without_cache_recounts_distinct() {
+        let p = problem();
+        let e = Evaluator::builder(&p).cache(false).build().unwrap();
+        e.evaluate_index(1).unwrap().unwrap();
+        e.evaluate_index(1).unwrap().unwrap();
+        assert_eq!(e.distinct_evals(), 2);
+    }
+
+    #[test]
     fn empty_batch_is_free() {
         let p = problem();
-        let e = Evaluator::new(&p).with_budget(1);
+        let e = Evaluator::builder(&p).budget(1).build().unwrap();
         assert!(e.evaluate_batch(&[]).is_empty());
         assert_eq!(e.evals_used(), 0);
     }
@@ -1046,7 +994,7 @@ mod tests {
     ) {
         let p = problem();
         for _ in 0..2_000 {
-            let e = Evaluator::new(&p).with_budget(20);
+            let e = Evaluator::builder(&p).budget(20).build().unwrap();
             let start = std::sync::Barrier::new(2);
             let got: usize = std::thread::scope(|s| {
                 let workers: Vec<_> = (0..2)
@@ -1076,24 +1024,24 @@ mod tests {
     #[test]
     fn different_seeds_change_samples() {
         let p = problem();
-        let e1 = Evaluator::with_protocol(
-            &p,
-            Protocol {
+        let e1 = Evaluator::builder(&p)
+            .protocol(Protocol {
                 runs: 3,
                 sigma: 0.05,
                 seed: 1,
                 ..Protocol::default()
-            },
-        );
-        let e2 = Evaluator::with_protocol(
-            &p,
-            Protocol {
+            })
+            .build()
+            .unwrap();
+        let e2 = Evaluator::builder(&p)
+            .protocol(Protocol {
                 runs: 3,
                 sigma: 0.05,
                 seed: 2,
                 ..Protocol::default()
-            },
-        );
+            })
+            .build()
+            .unwrap();
         let a = e1.evaluate_index(3).unwrap().unwrap();
         let b = e2.evaluate_index(3).unwrap().unwrap();
         assert_ne!(a.samples, b.samples);
@@ -1120,14 +1068,17 @@ mod tests {
     #[test]
     fn attached_zero_rate_model_changes_nothing() {
         let p = problem();
-        let plain = Evaluator::new(&p);
-        let faulty = Evaluator::new(&p).with_faults(
-            FaultModel {
-                seed: 7,
-                ..FaultModel::disabled()
-            },
-            RetryPolicy::default(),
-        );
+        let plain = Evaluator::builder(&p).build().unwrap();
+        let faulty = Evaluator::builder(&p)
+            .faults(
+                FaultModel {
+                    seed: 7,
+                    ..FaultModel::disabled()
+                },
+                RetryPolicy::default(),
+            )
+            .build()
+            .unwrap();
         for idx in 0..10 {
             assert_eq!(plain.evaluate_index(idx), faulty.evaluate_index(idx));
         }
@@ -1153,20 +1104,29 @@ mod tests {
         let idx = (0..4096u64)
             .find(|&i| model.transient_fires(salt, i, 0) && !model.transient_fires(salt, i, 1))
             .expect("some config flakes on attempt 0 only");
-        let e = Evaluator::with_protocol(&p, protocol).with_faults(
-            model,
-            RetryPolicy {
-                max_retries: 0,
-                ..RetryPolicy::default()
-            },
-        );
+        let e = Evaluator::builder(&p)
+            .protocol(protocol)
+            .faults(
+                model,
+                RetryPolicy {
+                    max_retries: 0,
+                    ..RetryPolicy::default()
+                },
+            )
+            .build()
+            .unwrap();
         let first = e.evaluate_index(idx).unwrap();
         assert!(matches!(first, Err(EvalFailure::Transient(_))), "{first:?}");
         let second = e.evaluate_index(idx).unwrap();
         let m = second.expect("attempt 1 succeeds");
         // The success is what gets memoized — and it matches the fault-free
         // measurement byte for byte (outliers are off).
-        let clean = Evaluator::new(&p).evaluate_index(idx).unwrap().unwrap();
+        let clean = Evaluator::builder(&p)
+            .build()
+            .unwrap()
+            .evaluate_index(idx)
+            .unwrap()
+            .unwrap();
         assert_eq!(m, clean);
         assert_eq!(e.evaluate_index(idx).unwrap().unwrap(), m);
         assert_eq!(e.distinct_evals(), 1);
@@ -1187,9 +1147,18 @@ mod tests {
         let idx = (0..4096u64)
             .find(|&i| model.transient_fires(salt, i, 0) && !model.transient_fires(salt, i, 1))
             .unwrap();
-        let e = Evaluator::with_protocol(&p, protocol).with_faults(model, RetryPolicy::default());
+        let e = Evaluator::builder(&p)
+            .protocol(protocol)
+            .faults(model, RetryPolicy::default())
+            .build()
+            .unwrap();
         let m = e.evaluate_index(idx).unwrap().expect("retry recovers");
-        let clean = Evaluator::new(&p).evaluate_index(idx).unwrap().unwrap();
+        let clean = Evaluator::builder(&p)
+            .build()
+            .unwrap()
+            .evaluate_index(idx)
+            .unwrap()
+            .unwrap();
         assert_eq!(m, clean, "retried success must reproduce clean samples");
         assert_eq!(e.retries_used(), 1);
         // Initial charge + one zero-backoff retry.
@@ -1209,14 +1178,18 @@ mod tests {
         let idx = (0..4096u64)
             .find(|&i| (0..3).all(|a| model.transient_fires(salt, i, a)))
             .expect("some config flakes three times running");
-        let e = Evaluator::with_protocol(&p, protocol).with_faults(
-            model,
-            RetryPolicy {
-                max_retries: 2,
-                backoff_evals: 1,
-                ..RetryPolicy::default()
-            },
-        );
+        let e = Evaluator::builder(&p)
+            .protocol(protocol)
+            .faults(
+                model,
+                RetryPolicy {
+                    max_retries: 2,
+                    backoff_evals: 1,
+                    ..RetryPolicy::default()
+                },
+            )
+            .build()
+            .unwrap();
         let r = e.evaluate_index(idx).unwrap();
         assert!(matches!(r, Err(EvalFailure::Transient(_))));
         assert_eq!(e.retries_used(), 2);
@@ -1234,13 +1207,16 @@ mod tests {
             seed: 1,
             ..FaultModel::disabled()
         };
-        let e = Evaluator::new(&p).with_faults(
-            model,
-            RetryPolicy {
-                quarantine_after: 2,
-                ..RetryPolicy::default()
-            },
-        );
+        let e = Evaluator::builder(&p)
+            .faults(
+                model,
+                RetryPolicy {
+                    quarantine_after: 2,
+                    ..RetryPolicy::default()
+                },
+            )
+            .build()
+            .unwrap();
         for strike in 0..4 {
             let r = e.evaluate_index(0).unwrap();
             match r {
@@ -1275,8 +1251,14 @@ mod tests {
             ..FaultModel::disabled()
         };
         let policy = RetryPolicy::default();
-        let serial = Evaluator::new(&p).with_faults(model, policy);
-        let batched = Evaluator::new(&p).with_faults(model, policy);
+        let serial = Evaluator::builder(&p)
+            .faults(model, policy)
+            .build()
+            .unwrap();
+        let batched = Evaluator::builder(&p)
+            .faults(model, policy)
+            .build()
+            .unwrap();
         let indices: Vec<u64> = (0..40).collect();
         let expect: Vec<_> = indices
             .iter()
@@ -1303,11 +1285,17 @@ mod tests {
             ..FaultModel::disabled()
         };
         let indices: Vec<u64> = (0..64).collect();
-        let wide = Evaluator::new(&p).with_faults(model, RetryPolicy::default());
+        let wide = Evaluator::builder(&p)
+            .faults(model, RetryPolicy::default())
+            .build()
+            .unwrap();
         let wide_out = wide.evaluate_batch(&indices);
         // A single-element outer par_iter marks the thread as already
         // parallel, so the inner batch fan-out degrades to one worker.
-        let narrow = Evaluator::new(&p).with_faults(model, RetryPolicy::default());
+        let narrow = Evaluator::builder(&p)
+            .faults(model, RetryPolicy::default())
+            .build()
+            .unwrap();
         let narrow_out: Vec<Vec<Result<Measurement, EvalFailure>>> = [&narrow]
             .par_iter()
             .map(|e| e.evaluate_batch(&indices))
@@ -1326,9 +1314,17 @@ mod tests {
             seed: 4,
             ..FaultModel::disabled()
         };
-        let e1 = Evaluator::with_protocol(&p, protocol).with_faults(model, RetryPolicy::default());
-        let e2 = Evaluator::with_protocol(&p, protocol).with_faults(model, RetryPolicy::default());
-        let clean = Evaluator::with_protocol(&p, protocol);
+        let e1 = Evaluator::builder(&p)
+            .protocol(protocol)
+            .faults(model, RetryPolicy::default())
+            .build()
+            .unwrap();
+        let e2 = Evaluator::builder(&p)
+            .protocol(protocol)
+            .faults(model, RetryPolicy::default())
+            .build()
+            .unwrap();
+        let clean = Evaluator::builder(&p).protocol(protocol).build().unwrap();
         let mut corrupted = 0usize;
         for idx in 0..30 {
             let a = e1.evaluate_index(idx).unwrap().unwrap();
@@ -1338,47 +1334,6 @@ mod tests {
             corrupted += usize::from(a.samples != c.samples);
         }
         assert!(corrupted > 0, "no outlier fired in 30 × 5 runs");
-    }
-
-    #[test]
-    fn builder_matches_legacy_constructor_chain() {
-        let p = problem();
-        let legacy = Evaluator::with_protocol(&p, Protocol::default())
-            .with_budget(7)
-            .with_energy();
-        let built = Evaluator::builder(&p)
-            .protocol(Protocol::default())
-            .budget(7)
-            .energy(true)
-            .build()
-            .unwrap();
-        for idx in [1, 2, 3, 1] {
-            assert_eq!(legacy.evaluate_index(idx), built.evaluate_index(idx));
-        }
-        assert_eq!(legacy.budget_left(), built.budget_left());
-        assert_eq!(legacy.distinct_evals(), built.distinct_evals());
-    }
-
-    #[test]
-    fn builder_matches_faulty_chain() {
-        let p = wide_problem();
-        let model = FaultModel {
-            transient_rate: 0.3,
-            crash_rate: 0.1,
-            seed: 2,
-            ..FaultModel::disabled()
-        };
-        let legacy = Evaluator::new(&p).with_faults(model, RetryPolicy::default());
-        let built = Evaluator::builder(&p)
-            .faults(model, RetryPolicy::default())
-            .build()
-            .unwrap();
-        let indices: Vec<u64> = (0..32).collect();
-        assert_eq!(
-            legacy.evaluate_batch(&indices),
-            built.evaluate_batch(&indices)
-        );
-        assert_eq!(legacy.retries_used(), built.retries_used());
     }
 
     #[test]
@@ -1405,10 +1360,13 @@ mod tests {
     #[test]
     fn builder_cache_toggle_is_without_cache() {
         let p = problem();
-        let built = Evaluator::builder(&p).cache(false).build().unwrap();
-        built.evaluate_index(1);
-        built.evaluate_index(1);
-        assert_eq!(built.evals_used(), 2);
-        assert_eq!(built.distinct_evals(), 2, "cache off: every call measures");
+        let on = Evaluator::builder(&p).build().unwrap();
+        let off = Evaluator::builder(&p).cache(false).build().unwrap();
+        for _ in 0..2 {
+            assert_eq!(off.evaluate_index(1), on.evaluate_index(1));
+        }
+        assert_eq!(off.evals_used(), on.evals_used());
+        assert_eq!(on.distinct_evals(), 1, "cache on: one measurement");
+        assert_eq!(off.distinct_evals(), 2, "cache off: every call measures");
     }
 }

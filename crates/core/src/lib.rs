@@ -14,7 +14,10 @@
 //!     .build()
 //!     .unwrap();
 //! let problem = SyntheticProblem::new("toy", "sim", space, |c| Ok((c[0] * c[0]) as f64 + 1.0));
-//! let eval = Evaluator::with_protocol(&problem, Protocol::noiseless());
+//! let eval = Evaluator::builder(&problem)
+//!     .protocol(Protocol::noiseless())
+//!     .build()
+//!     .unwrap();
 //! let m = eval.evaluate_config(&[2]).unwrap().unwrap();
 //! assert_eq!(m.time_ms, 5.0);
 //! ```

@@ -54,8 +54,8 @@ impl std::fmt::Display for EvalFailure {
 /// memo, where a fatter struct costs real throughput at large batch sizes.
 const INLINE_SAMPLES: usize = 5;
 
-/// An inline-first sample vector: up to [`INLINE_SAMPLES`] `f64`s live in
-/// the struct itself, longer runs spill to a heap `Vec`.
+/// An inline-first sample vector: up to `INLINE_SAMPLES` (5) `f64`s live
+/// in the struct itself, longer runs spill to a heap `Vec`.
 ///
 /// `Measurement` used to own its samples as a `Vec<f64>`, which put one
 /// heap allocation (plus one per clone — and the memo cache clones every
@@ -219,7 +219,8 @@ impl Deserialize for Samples {
 /// One measured configuration: repeated runs plus the aggregate objective.
 ///
 /// Energy is the suite's optional second objective: it is populated only
-/// when the evaluator measures it (see `Evaluator::with_energy`), so
+/// when the evaluator measures it (see
+/// [`EvaluatorBuilder::energy`](crate::EvaluatorBuilder::energy)), so
 /// time-only runs — and their serialized records — are unchanged by its
 /// existence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

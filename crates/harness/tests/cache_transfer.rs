@@ -9,7 +9,7 @@
 //! than tuning from scratch — the evals-to-target metric of the study.
 
 use bat_cache::{transfer::transfer_database, CacheStore};
-use bat_core::{Evaluator, Protocol, TuningProblem, TuningRun};
+use bat_core::{Evaluator, TuningProblem, TuningRun};
 use bat_gpusim::GpuArch;
 use bat_harness::{fold_run_into_cache, load_spec_file, run_campaign, CampaignOptions};
 use bat_tuners::{RandomSearch, Tuner, WarmStartTuner};
@@ -67,8 +67,10 @@ fn shipped_cache_cuts_evals_to_target_on_an_unseen_architecture() {
             "donor cells must yield warm-start seeds for {benchmark}"
         );
 
-        let cold_eval =
-            Evaluator::with_protocol(&problem, Protocol::default()).with_budget(TARGET_BUDGET);
+        let cold_eval = Evaluator::builder(&problem)
+            .budget(TARGET_BUDGET)
+            .build()
+            .unwrap();
         let cold = RandomSearch.tune(&cold_eval, 0);
         let cold_best = cold
             .trials
@@ -77,8 +79,10 @@ fn shipped_cache_cuts_evals_to_target_on_an_unseen_architecture() {
             .fold(f64::INFINITY, f64::min);
         let target_ms = cold_best * 1.05;
 
-        let warm_eval =
-            Evaluator::with_protocol(&problem, Protocol::default()).with_budget(TARGET_BUDGET);
+        let warm_eval = Evaluator::builder(&problem)
+            .budget(TARGET_BUDGET)
+            .build()
+            .unwrap();
         let warm =
             WarmStartTuner::from_database(&db, target.name, RandomSearch).tune(&warm_eval, 0);
 
@@ -119,9 +123,11 @@ fn nsga2_warm_starts_from_the_shipped_cache() {
         !tuner.seeds.is_empty(),
         "warm-started NSGA-II must inherit the donor seeds"
     );
-    let eval = Evaluator::with_protocol(&problem, Protocol::default())
-        .with_budget(60)
-        .with_energy();
+    let eval = Evaluator::builder(&problem)
+        .budget(60)
+        .energy(true)
+        .build()
+        .unwrap();
     let run = tuner.tune(&eval, 0);
     assert!(!run.trials.is_empty());
     // The donor seeds head the first generation verbatim.

@@ -443,7 +443,7 @@ pub fn front_of_run(run: &TuningRun, capacity: usize) -> ParetoArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{EvalFailure, Protocol, SyntheticProblem};
+    use bat_core::{EvalFailure, Protocol, SyntheticProblem, TuningProblem};
     use bat_space::{ConfigSpace, Param};
 
     struct TwoObjective {
@@ -472,6 +472,17 @@ mod tests {
         }
     }
 
+    /// An energy-measuring evaluator of `p` under `protocol`, limited to
+    /// `budget` evaluations.
+    fn energy_eval(p: &dyn TuningProblem, protocol: Protocol, budget: u64) -> Evaluator<'_> {
+        Evaluator::builder(p)
+            .protocol(protocol)
+            .budget(budget)
+            .energy(true)
+            .build()
+            .unwrap()
+    }
+
     fn problem() -> TwoObjective {
         TwoObjective {
             space: ConfigSpace::builder()
@@ -486,14 +497,10 @@ mod tests {
     fn respects_budget_and_is_deterministic() {
         let p = problem();
         let tuner = Nsga2::default();
-        let eval1 = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(100);
+        let eval1 = energy_eval(&p, Protocol::noiseless(), 100);
         let run1 = tuner.tune(&eval1, 9);
         assert_eq!(run1.trials.len(), 100);
-        let eval2 = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(100);
+        let eval2 = energy_eval(&p, Protocol::noiseless(), 100);
         let run2 = tuner.tune(&eval2, 9);
         assert_eq!(run1, run2);
     }
@@ -501,9 +508,7 @@ mod tests {
     #[test]
     fn discovers_a_spread_front_on_a_trade_off() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(300);
+        let eval = energy_eval(&p, Protocol::noiseless(), 300);
         let run = Nsga2::default().tune(&eval, 3);
         let front = front_of_run(&run, 32);
         front.check_invariants().unwrap();
@@ -524,9 +529,7 @@ mod tests {
         let p = SyntheticProblem::new("doomed", "sim", space, |_| {
             Err(EvalFailure::Launch("nope".into()))
         });
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(40);
+        let eval = energy_eval(&p, Protocol::noiseless(), 40);
         let run = Nsga2::default().tune(&eval, 1);
         assert_eq!(run.trials.len(), 40);
         assert_eq!(run.successes(), 0);
@@ -538,12 +541,8 @@ mod tests {
         let p = problem();
         let tuner = Nsga2::default();
         for seed in 0..4 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless())
-                .with_energy()
-                .with_budget(120);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless())
-                .with_energy()
-                .with_budget(120);
+            let e1 = energy_eval(&p, Protocol::noiseless(), 120);
+            let e2 = energy_eval(&p, Protocol::noiseless(), 120);
             assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
         }
     }
@@ -553,21 +552,15 @@ mod tests {
         let p = problem();
         // batch == population: every generation is asked at once.
         let protocol = Protocol::noiseless().with_batch(24);
-        let e1 = Evaluator::with_protocol(&p, protocol)
-            .with_energy()
-            .with_budget(300);
-        let e2 = Evaluator::with_protocol(&p, protocol)
-            .with_energy()
-            .with_budget(300);
+        let e1 = energy_eval(&p, protocol, 300);
+        let e2 = energy_eval(&p, protocol, 300);
         let a = Nsga2::default().tune(&e1, 3);
         let b = Nsga2::default().tune(&e2, 3);
         assert_eq!(a, b);
         assert_eq!(a.trials.len(), 300);
         // Offspring RNG is independent of in-generation results, so the
         // whole-generation batch replays the serial trial sequence exactly.
-        let e3 = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(300);
+        let e3 = energy_eval(&p, Protocol::noiseless(), 300);
         let serial = Nsga2::default().tune(&e3, 3);
         assert_eq!(a, serial);
         let front = front_of_run(&a, 32);
@@ -586,16 +579,12 @@ mod tests {
         let tuner = Nsga2::warm_started(&db, "sim");
         assert_eq!(tuner.seeds, vec![vec![20, 3], vec![99, 99], vec![5, 1]]);
 
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(60);
+        let eval = energy_eval(&p, Protocol::noiseless(), 60);
         let run = tuner.tune(&eval, 7);
         assert_eq!(run.trials[0].config, vec![20, 3]);
         assert_eq!(run.trials[1].config, vec![5, 1]);
         // Driver and reference agree with seeds present too.
-        let e2 = Evaluator::with_protocol(&p, Protocol::noiseless())
-            .with_energy()
-            .with_budget(60);
+        let e2 = energy_eval(&p, Protocol::noiseless(), 60);
         assert_eq!(run, tuner.reference_tune(&e2, 7));
     }
 
@@ -606,7 +595,11 @@ mod tests {
             .build()
             .unwrap();
         let p = SyntheticProblem::new("mono", "sim", space, |c| Ok(1.0 + c[0] as f64));
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(30);
+        let eval = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .budget(30)
+            .build()
+            .unwrap();
         let run = Nsga2::default().tune(&eval, 2);
         let front = front_of_run(&run, 8);
         // energy := time collapses the front to the single best point.

@@ -422,8 +422,10 @@ fn run_session<W: Write>(
 ) {
     let mut builder = Evaluator::builder(problem)
         .protocol(open.protocol())
-        .maybe_budget(open.budget)
         .energy(open.energy);
+    if let Some(b) = open.budget {
+        builder = builder.budget(b);
+    }
     if let Some(wf) = open.faults {
         let (model, policy) = wf.into();
         builder = builder.faults(model, policy);

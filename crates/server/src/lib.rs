@@ -56,7 +56,7 @@ mod tests {
         let backend = RemoteBackend::open(daemon.connect_loopback(), open_spec(10)).unwrap();
 
         let problem = bat_kernels::benchmark("gemm", GpuArch::rtx_3090()).unwrap();
-        let native = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(10);
+        let native = Evaluator::builder(&problem).budget(10).build().unwrap();
 
         assert_eq!(backend.problem_name(), problem.name());
         assert_eq!(backend.platform(), problem.platform());
@@ -103,8 +103,11 @@ mod tests {
         let remote_run = tuner.try_tune(&backend, 7).unwrap();
 
         let problem = bat_kernels::benchmark("pnpoly", GpuArch::rtx_3090()).unwrap();
-        let eval =
-            Evaluator::with_protocol(&problem, Protocol::default().with_batch(4)).with_budget(24);
+        let eval = Evaluator::builder(&problem)
+            .protocol(Protocol::default().with_batch(4))
+            .budget(24)
+            .build()
+            .unwrap();
         let local_run = tuner.tune(&eval, 7);
 
         assert_eq!(

@@ -462,7 +462,8 @@ fn reference_descend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn multimodal(
@@ -483,7 +484,7 @@ mod tests {
     #[test]
     fn annealing_finds_global_basin() {
         let p = multimodal();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(1_500);
+        let eval = noiseless(&p, 1_500);
         let run = SimulatedAnnealing::default().tune(&eval, 3);
         assert_eq!(run.best().unwrap().time_ms(), Some(1.0));
     }
@@ -491,7 +492,7 @@ mod tests {
     #[test]
     fn basin_hopping_escapes_shallow_basin() {
         let p = multimodal();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(1_500);
+        let eval = noiseless(&p, 1_500);
         let run = BasinHopping::default().tune(&eval, 4);
         assert_eq!(run.best().unwrap().time_ms(), Some(1.0));
     }
@@ -500,10 +501,10 @@ mod tests {
     fn budget_respected() {
         let p = multimodal();
         for budget in [5u64, 40] {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let eval = noiseless(&p, budget);
             let run = SimulatedAnnealing::default().tune(&eval, 1);
             assert_eq!(run.trials.len() as u64, budget);
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let eval = noiseless(&p, budget);
             let run = BasinHopping::default().tune(&eval, 1);
             assert_eq!(run.trials.len() as u64, budget);
         }
@@ -512,8 +513,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = multimodal();
-        let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(200);
-        let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(200);
+        let e1 = noiseless(&p, 200);
+        let e2 = noiseless(&p, 200);
         assert_eq!(
             SimulatedAnnealing::default().tune(&e1, 9),
             SimulatedAnnealing::default().tune(&e2, 9)
@@ -525,13 +526,13 @@ mod tests {
         let p = multimodal();
         for seed in 0..6 {
             let sa = SimulatedAnnealing::default();
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(250);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(250);
+            let e1 = noiseless(&p, 250);
+            let e2 = noiseless(&p, 250);
             assert_eq!(sa.tune(&e1, seed), sa.reference_tune(&e2, seed));
 
             let bh = BasinHopping::default();
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(250);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(250);
+            let e1 = noiseless(&p, 250);
+            let e2 = noiseless(&p, 250);
             assert_eq!(bh.tune(&e1, seed), bh.reference_tune(&e2, seed));
         }
     }
@@ -541,8 +542,8 @@ mod tests {
         let p = multimodal();
         for batch in [4u32, 16] {
             let protocol = Protocol::noiseless().with_batch(batch);
-            let e1 = Evaluator::with_protocol(&p, protocol).with_budget(1_500);
-            let e2 = Evaluator::with_protocol(&p, protocol).with_budget(1_500);
+            let e1 = evaluator(&p, protocol, 1_500);
+            let e2 = evaluator(&p, protocol, 1_500);
             let a = SimulatedAnnealing::default().tune(&e1, 3);
             let b = SimulatedAnnealing::default().tune(&e2, 3);
             assert_eq!(a, b);

@@ -442,7 +442,8 @@ impl BayesianOptimization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn smooth_problem(
@@ -491,7 +492,7 @@ mod tests {
     #[test]
     fn bo_finds_optimum_on_smooth_landscape() {
         let p = smooth_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(120);
+        let eval = noiseless(&p, 120);
         let run = BayesianOptimization::default().tune(&eval, 3);
         let best = run.best().unwrap();
         assert_eq!(best.config, vec![8, 8, 4], "best {:?}", best.config);
@@ -503,8 +504,8 @@ mod tests {
         let budget = 70;
         let mut wins = 0;
         for seed in 0..5 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let e1 = noiseless(&p, budget);
+            let e2 = noiseless(&p, budget);
             let b = BayesianOptimization::default()
                 .tune(&e1, seed)
                 .best()
@@ -528,7 +529,7 @@ mod tests {
     fn budget_is_respected_exactly() {
         let p = smooth_problem();
         for budget in [10, 16, 45] {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let eval = noiseless(&p, budget);
             let run = BayesianOptimization::default().tune(&eval, 0);
             assert_eq!(run.trials.len(), budget as usize);
         }
@@ -543,7 +544,7 @@ mod tests {
             Acquisition::LowerConfidenceBound { beta: 2.0 },
         ] {
             let tuner = BayesianOptimization::with_acquisition(acq);
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(40);
+            let eval = noiseless(&p, 40);
             let run = tuner.tune(&eval, 1);
             assert_eq!(run.trials.len(), 40, "{}", tuner.name());
             assert!(run.best().is_some());
@@ -563,11 +564,11 @@ mod tests {
     fn deterministic_given_seed() {
         let p = smooth_problem();
         let run1 = {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(35);
+            let eval = noiseless(&p, 35);
             BayesianOptimization::default().tune(&eval, 7)
         };
         let run2 = {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(35);
+            let eval = noiseless(&p, 35);
             BayesianOptimization::default().tune(&eval, 7)
         };
         let idx1: Vec<u64> = run1.trials.iter().map(|t| t.index).collect();
@@ -580,8 +581,8 @@ mod tests {
         let p = smooth_problem();
         let bo = BayesianOptimization::default();
         for seed in 0..3 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(45);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(45);
+            let e1 = noiseless(&p, 45);
+            let e2 = noiseless(&p, 45);
             assert_eq!(bo.tune(&e1, seed), bo.reference_tune(&e2, seed));
         }
     }
@@ -590,7 +591,7 @@ mod tests {
     fn batched_bo_converges() {
         let p = smooth_problem();
         let protocol = Protocol::noiseless().with_batch(4);
-        let eval = Evaluator::with_protocol(&p, protocol).with_budget(120);
+        let eval = evaluator(&p, protocol, 120);
         let run = BayesianOptimization::default().tune(&eval, 3);
         assert_eq!(run.trials.len(), 120);
         assert!(run.best().unwrap().time_ms().unwrap() <= 0.6);
@@ -604,7 +605,7 @@ mod tests {
             warmup: 5,
             ..BayesianOptimization::default()
         };
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(60);
+        let eval = noiseless(&p, 60);
         let run = tuner.tune(&eval, 2);
         assert_eq!(run.trials.len(), 60);
         // Still finds a good region despite the cap.

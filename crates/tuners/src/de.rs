@@ -215,7 +215,8 @@ impl Tuner for DifferentialEvolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn problem(
@@ -233,7 +234,7 @@ mod tests {
     #[test]
     fn de_converges() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(800);
+        let eval = noiseless(&p, 800);
         let run = DifferentialEvolution::default().tune(&eval, 3);
         assert_eq!(run.best().unwrap().time_ms(), Some(1.0));
     }
@@ -241,7 +242,7 @@ mod tests {
     #[test]
     fn budget_respected() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(55);
+        let eval = noiseless(&p, 55);
         let run = DifferentialEvolution::default().tune(&eval, 1);
         assert_eq!(run.trials.len(), 55);
     }
@@ -250,7 +251,7 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn tiny_population_rejected() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(10);
+        let eval = noiseless(&p, 10);
         let _ = DifferentialEvolution {
             population: 3,
             ..DifferentialEvolution::default()
@@ -263,8 +264,8 @@ mod tests {
         let p = problem();
         let de = DifferentialEvolution::default();
         for seed in 0..6 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(180);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(180);
+            let e1 = noiseless(&p, 180);
+            let e2 = noiseless(&p, 180);
             assert_eq!(de.tune(&e1, seed), de.reference_tune(&e2, seed));
         }
     }
@@ -273,7 +274,7 @@ mod tests {
     fn synchronous_generations_converge() {
         let p = problem();
         let protocol = Protocol::noiseless().with_batch(20);
-        let eval = Evaluator::with_protocol(&p, protocol).with_budget(800);
+        let eval = evaluator(&p, protocol, 800);
         let run = DifferentialEvolution::default().tune(&eval, 3);
         assert_eq!(run.trials.len(), 800);
         assert!(run.best().unwrap().time_ms().unwrap() <= 2.0);

@@ -228,7 +228,8 @@ impl Tuner for GeneticAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn problem(
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn converges_to_good_region() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(1_200);
+        let eval = noiseless(&p, 1_200);
         let run = GeneticAlgorithm::default().tune(&eval, 2);
         let best = run.best().unwrap().time_ms().unwrap();
         assert!(best <= 3.0, "GA should approach optimum, got {best}");
@@ -259,7 +260,7 @@ mod tests {
     #[test]
     fn handles_restricted_configs_gracefully() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(300);
+        let eval = noiseless(&p, 300);
         let run = GeneticAlgorithm::default().tune(&eval, 7);
         // Some trials fail the a+b+c+d<=30 restriction, but the run proceeds.
         assert!(run.successes() > 0);
@@ -269,8 +270,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = problem();
-        let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(150);
-        let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(150);
+        let e1 = noiseless(&p, 150);
+        let e2 = noiseless(&p, 150);
         assert_eq!(
             GeneticAlgorithm::default().tune(&e1, 4),
             GeneticAlgorithm::default().tune(&e2, 4)
@@ -282,8 +283,8 @@ mod tests {
         let p = problem();
         let ga = GeneticAlgorithm::default();
         for seed in 0..6 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(200);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(200);
+            let e1 = noiseless(&p, 200);
+            let e2 = noiseless(&p, 200);
             assert_eq!(ga.tune(&e1, seed), ga.reference_tune(&e2, seed));
         }
     }
@@ -293,8 +294,8 @@ mod tests {
         let p = problem();
         // batch == population: a fully generational GA.
         let protocol = Protocol::noiseless().with_batch(20);
-        let e1 = Evaluator::with_protocol(&p, protocol).with_budget(1_200);
-        let e2 = Evaluator::with_protocol(&p, protocol).with_budget(1_200);
+        let e1 = evaluator(&p, protocol, 1_200);
+        let e2 = evaluator(&p, protocol, 1_200);
         let a = GeneticAlgorithm::default().tune(&e1, 2);
         let b = GeneticAlgorithm::default().tune(&e2, 2);
         assert_eq!(a, b);

@@ -38,7 +38,7 @@ pub use local::{IteratedLocalSearch, LocalSearch, Strategy};
 pub use pso::ParticleSwarm;
 pub use random::{ExhaustiveSearch, RandomSearch};
 pub use smac::SmacTuner;
-pub use step::{drive, try_drive, StepCtx, StepTuner, Told};
+pub use step::{try_drive, StepCtx, StepTuner, Told};
 pub use surrogate::SurrogateTuner;
 pub use tpe::Tpe;
 pub use tuner::{new_run, ordinal, record_eval, record_eval2, Recorded, Tuner};
@@ -66,10 +66,36 @@ pub fn default_tuners() -> Vec<Box<dyn Tuner>> {
     ]
 }
 
+/// Evaluator fixtures shared by the tuners' unit tests.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use bat_core::{Evaluator, Protocol, TuningProblem};
+
+    /// An evaluator of `problem` under `protocol`, limited to `budget`
+    /// evaluations.
+    pub fn evaluator(
+        problem: &dyn TuningProblem,
+        protocol: Protocol,
+        budget: u64,
+    ) -> Evaluator<'_> {
+        Evaluator::builder(problem)
+            .protocol(protocol)
+            .budget(budget)
+            .build()
+            .unwrap()
+    }
+
+    /// A noiseless evaluator of `problem`, limited to `budget` evaluations.
+    pub fn noiseless(problem: &dyn TuningProblem, budget: u64) -> Evaluator<'_> {
+        evaluator(problem, Protocol::noiseless(), budget)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::noiseless;
+    use bat_core::SyntheticProblem;
     use bat_space::{ConfigSpace, Param};
 
     #[test]
@@ -84,7 +110,7 @@ mod tests {
             Ok(1.0 + ((c[0] - 5) * (c[0] - 5) + (c[1] - 8) * (c[1] - 8)) as f64)
         });
         for tuner in default_tuners() {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(64);
+            let eval = noiseless(&p, 64);
             let run = tuner.tune(&eval, 1);
             assert_eq!(run.trials.len(), 64, "{}", tuner.name());
             assert!(run.successes() > 0, "{}", tuner.name());

@@ -529,7 +529,8 @@ impl Tuner for IteratedLocalSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn convex_problem(
@@ -550,7 +551,7 @@ mod tests {
     #[test]
     fn first_improvement_reaches_optimum_on_convex_landscape() {
         let p = convex_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(2_000);
+        let eval = noiseless(&p, 2_000);
         let run = LocalSearch::default().tune(&eval, 5);
         assert_eq!(run.best().unwrap().config, vec![9, 2, 13]);
     }
@@ -558,7 +559,7 @@ mod tests {
     #[test]
     fn best_improvement_reaches_optimum_too() {
         let p = convex_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(3_000);
+        let eval = noiseless(&p, 3_000);
         let run = LocalSearch {
             strategy: Strategy::BestImprovement,
             neighborhood: Neighborhood::HammingAny,
@@ -571,8 +572,8 @@ mod tests {
     fn local_search_beats_random_on_smooth_landscape_with_small_budget() {
         let p = convex_problem();
         let budget = 150;
-        let e_ls = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
-        let e_rs = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+        let e_ls = noiseless(&p, budget);
+        let e_rs = noiseless(&p, budget);
         let ls_best: f64 = (0..5)
             .map(|s| {
                 LocalSearch::default()
@@ -598,7 +599,7 @@ mod tests {
     #[test]
     fn ils_reaches_optimum() {
         let p = convex_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(2_000);
+        let eval = noiseless(&p, 2_000);
         let run = IteratedLocalSearch::default().tune(&eval, 11);
         assert_eq!(run.best().unwrap().config, vec![9, 2, 13]);
     }
@@ -607,7 +608,7 @@ mod tests {
     fn respects_budget_exactly() {
         let p = convex_problem();
         for budget in [1u64, 7, 33] {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let eval = noiseless(&p, budget);
             let run = LocalSearch::default().tune(&eval, 1);
             assert_eq!(run.trials.len() as u64, budget);
         }
@@ -624,13 +625,13 @@ mod tests {
                     ..LocalSearch::default()
                 },
             ] {
-                let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(300);
-                let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(300);
+                let e1 = noiseless(&p, 300);
+                let e2 = noiseless(&p, 300);
                 assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
             }
             let ils = IteratedLocalSearch::default();
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(300);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(300);
+            let e1 = noiseless(&p, 300);
+            let e2 = noiseless(&p, 300);
             assert_eq!(ils.tune(&e1, seed), ils.reference_tune(&e2, seed));
         }
     }
@@ -639,8 +640,7 @@ mod tests {
     fn batched_local_search_still_descends() {
         let p = convex_problem();
         for batch in [2u32, 8, 32] {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless().with_batch(batch))
-                .with_budget(2_000);
+            let eval = evaluator(&p, Protocol::noiseless().with_batch(batch), 2_000);
             let run = LocalSearch::default().tune(&eval, 5);
             assert_eq!(run.trials.len(), 2_000);
             assert_eq!(run.best().unwrap().config, vec![9, 2, 13]);

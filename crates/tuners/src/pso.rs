@@ -256,7 +256,8 @@ impl Tuner for ParticleSwarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn problem(
@@ -277,7 +278,7 @@ mod tests {
     #[test]
     fn swarm_converges_to_optimum_region() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(1_000);
+        let eval = noiseless(&p, 1_000);
         let run = ParticleSwarm::default().tune(&eval, 5);
         let best = run.best().unwrap().time_ms().unwrap();
         assert!(best <= 3.0, "PSO should approach optimum, got {best}");
@@ -286,7 +287,7 @@ mod tests {
     #[test]
     fn budget_respected() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(77);
+        let eval = noiseless(&p, 77);
         let run = ParticleSwarm::default().tune(&eval, 1);
         assert_eq!(run.trials.len(), 77);
     }
@@ -294,8 +295,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = problem();
-        let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(120);
-        let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(120);
+        let e1 = noiseless(&p, 120);
+        let e2 = noiseless(&p, 120);
         assert_eq!(
             ParticleSwarm::default().tune(&e1, 6),
             ParticleSwarm::default().tune(&e2, 6)
@@ -307,8 +308,8 @@ mod tests {
         let p = problem();
         let pso = ParticleSwarm::default();
         for seed in 0..6 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(160);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(160);
+            let e1 = noiseless(&p, 160);
+            let e2 = noiseless(&p, 160);
             assert_eq!(pso.tune(&e1, seed), pso.reference_tune(&e2, seed));
         }
     }
@@ -317,7 +318,7 @@ mod tests {
     fn synchronous_swarm_converges() {
         let p = problem();
         let protocol = Protocol::noiseless().with_batch(15);
-        let eval = Evaluator::with_protocol(&p, protocol).with_budget(1_000);
+        let eval = evaluator(&p, protocol, 1_000);
         let run = ParticleSwarm::default().tune(&eval, 5);
         assert_eq!(run.trials.len(), 1_000);
         assert!(run.best().unwrap().time_ms().unwrap() <= 4.0);
@@ -332,8 +333,8 @@ mod tests {
         let p = problem();
         for batch in [32u32, 64] {
             let protocol = Protocol::noiseless().with_batch(batch);
-            let e1 = Evaluator::with_protocol(&p, protocol).with_budget(1_000);
-            let e2 = Evaluator::with_protocol(&p, protocol).with_budget(1_000);
+            let e1 = evaluator(&p, protocol, 1_000);
+            let e2 = evaluator(&p, protocol, 1_000);
             let a = ParticleSwarm::default().tune(&e1, 5);
             let b = ParticleSwarm::default().tune(&e2, 5);
             assert_eq!(a, b);

@@ -112,6 +112,7 @@ impl ExhaustiveSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::noiseless;
     use bat_core::{Evaluator, Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn random_search_respects_budget() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(50);
+        let eval = noiseless(&p, 50);
         let run = RandomSearch.tune(&eval, 1);
         assert_eq!(run.trials.len(), 50);
     }
@@ -138,12 +139,12 @@ mod tests {
     #[test]
     fn random_search_is_deterministic_per_seed() {
         let p = problem();
-        let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(30);
-        let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(30);
+        let e1 = noiseless(&p, 30);
+        let e2 = noiseless(&p, 30);
         let a = RandomSearch.tune(&e1, 7);
         let b = RandomSearch.tune(&e2, 7);
         assert_eq!(a, b);
-        let e3 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(30);
+        let e3 = noiseless(&p, 30);
         let c = RandomSearch.tune(&e3, 8);
         assert_ne!(a.trials, c.trials);
     }
@@ -151,7 +152,10 @@ mod tests {
     #[test]
     fn exhaustive_finds_global_optimum() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless());
+        let eval = Evaluator::builder(&p)
+            .protocol(Protocol::noiseless())
+            .build()
+            .unwrap();
         let run = ExhaustiveSearch.tune(&eval, 0);
         assert_eq!(run.trials.len(), 400);
         let best = run.best().unwrap();
@@ -162,7 +166,7 @@ mod tests {
     #[test]
     fn random_search_converges_with_enough_budget() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(2000);
+        let eval = noiseless(&p, 2000);
         let run = RandomSearch.tune(&eval, 3);
         assert_eq!(run.best().unwrap().time_ms(), Some(1.0));
     }

@@ -323,7 +323,8 @@ impl SmacTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn rugged_problem(
@@ -351,7 +352,7 @@ mod tests {
     #[test]
     fn smac_finds_near_optimal_configuration() {
         let p = rugged_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(150);
+        let eval = noiseless(&p, 150);
         let run = SmacTuner::default().tune(&eval, 1);
         let best = run.best().unwrap().time_ms().unwrap();
         assert!(best <= 0.3, "best {best}");
@@ -363,8 +364,8 @@ mod tests {
         let budget = 80;
         let mut wins = 0;
         for seed in 0..5 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let e1 = noiseless(&p, budget);
+            let e2 = noiseless(&p, budget);
             let s = SmacTuner::default()
                 .tune(&e1, seed)
                 .best()
@@ -387,7 +388,7 @@ mod tests {
     #[test]
     fn budget_is_respected_exactly() {
         let p = rugged_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(64);
+        let eval = noiseless(&p, 64);
         let run = SmacTuner::default().tune(&eval, 0);
         assert_eq!(run.trials.len(), 64);
     }
@@ -399,7 +400,7 @@ mod tests {
             interleave_random: 0,
             ..SmacTuner::default()
         };
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(40);
+        let eval = noiseless(&p, 40);
         let run = tuner.tune(&eval, 3);
         assert_eq!(run.trials.len(), 40);
     }
@@ -409,8 +410,8 @@ mod tests {
         let p = rugged_problem();
         let t = SmacTuner::default();
         for seed in 0..3 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(45);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(45);
+            let e1 = noiseless(&p, 45);
+            let e2 = noiseless(&p, 45);
             assert_eq!(t.tune(&e1, seed), t.reference_tune(&e2, seed));
         }
     }
@@ -419,7 +420,7 @@ mod tests {
     fn batched_smac_converges() {
         let p = rugged_problem();
         let protocol = Protocol::noiseless().with_batch(8);
-        let eval = Evaluator::with_protocol(&p, protocol).with_budget(150);
+        let eval = evaluator(&p, protocol, 150);
         let run = SmacTuner::default().tune(&eval, 1);
         assert_eq!(run.trials.len(), 150);
         assert!(run.best().unwrap().time_ms().unwrap() <= 0.4);
@@ -429,7 +430,7 @@ mod tests {
     fn deterministic_given_seed() {
         let p = rugged_problem();
         let idx = |seed| {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(30);
+            let eval = noiseless(&p, 30);
             SmacTuner::default()
                 .tune(&eval, seed)
                 .trials

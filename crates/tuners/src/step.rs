@@ -5,7 +5,7 @@
 //! inverts that control flow, the way CATBench's black-box interface does:
 //! a [`StepTuner`] is a resumable state machine that **asks** for a batch
 //! of candidate configurations and is later **told** their outcomes, while
-//! the evaluation side — the shared [`drive`] loop plus
+//! the evaluation side — the shared [`try_drive`] loop plus
 //! [`Evaluator::evaluate_batch`] — owns batching, measurement and budget
 //! accounting.
 //!
@@ -48,7 +48,7 @@ impl Told {
 /// A search algorithm in ask/tell form: a resumable state machine that
 /// proposes candidate configurations and digests their outcomes.
 ///
-/// Contract (enforced by [`drive`]):
+/// Contract (enforced by [`try_drive`]):
 ///
 /// * `ask` returns the next candidates to measure, at most `ctx.batch` of
 ///   them. An empty vector means the algorithm is finished (e.g.
@@ -128,23 +128,6 @@ pub fn try_drive(
     Ok(run)
 }
 
-/// [`try_drive`] for backends that cannot fail — the in-process
-/// [`Evaluator`](bat_core::Evaluator) (which coerces straight to
-/// `&dyn EvalBackend`).
-///
-/// # Panics
-///
-/// Panics if the backend reports a transport-level error; use
-/// [`try_drive`] with fallible (loopback/remote) backends.
-pub fn drive(
-    name: &str,
-    session: &mut dyn StepTuner,
-    backend: &dyn EvalBackend,
-    seed: u64,
-) -> TuningRun {
-    try_drive(name, session, backend, seed).expect("in-process evaluation cannot fail")
-}
-
 /// Select up to `batch` distinct candidate indices from `(score, index)`
 /// pairs — the shared top-of-pool pick of the model-based tuners
 /// (GBDT/GP/TPE/SMAC). `minimize` orders by ascending score (prediction
@@ -177,7 +160,8 @@ pub(crate) fn take_top_distinct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::evaluator;
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     #[test]
@@ -222,14 +206,13 @@ mod tests {
     #[test]
     fn driver_records_trials_in_ask_order_and_respects_budget() {
         let p = problem();
-        let eval =
-            Evaluator::with_protocol(&p, Protocol::noiseless().with_batch(4)).with_budget(10);
+        let eval = evaluator(&p, Protocol::noiseless().with_batch(4), 10);
         let mut s = Counting {
             next: 0,
             card: 100,
             telled: Vec::new(),
         };
-        let run = drive("counting", &mut s, &eval, 0);
+        let run = try_drive("counting", &mut s, &eval, 0).unwrap();
         assert_eq!(run.trials.len(), 10);
         let idx: Vec<u64> = run.trials.iter().map(|t| t.index).collect();
         assert_eq!(idx, (0..10).collect::<Vec<u64>>());
@@ -243,14 +226,13 @@ mod tests {
     #[test]
     fn driver_stops_when_the_session_is_done() {
         let p = problem();
-        let eval =
-            Evaluator::with_protocol(&p, Protocol::noiseless().with_batch(8)).with_budget(50);
+        let eval = evaluator(&p, Protocol::noiseless().with_batch(8), 50);
         let mut s = Counting {
             next: 0,
             card: 5,
             telled: Vec::new(),
         };
-        let run = drive("counting", &mut s, &eval, 0);
+        let run = try_drive("counting", &mut s, &eval, 0).unwrap();
         assert_eq!(run.trials.len(), 5);
         assert_eq!(eval.evals_used(), 5);
     }

@@ -260,7 +260,8 @@ impl Tuner for SurrogateTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn problem(
@@ -283,7 +284,7 @@ mod tests {
     #[test]
     fn surrogate_finds_optimum() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(150);
+        let eval = noiseless(&p, 150);
         let run = SurrogateTuner::default().tune(&eval, 2);
         let best = run.best().unwrap();
         assert_eq!(best.config, vec![8, 8, 4], "best {:?}", best.config);
@@ -295,8 +296,8 @@ mod tests {
         let budget = 80;
         let mut sur_wins = 0;
         for seed in 0..5 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let e1 = noiseless(&p, budget);
+            let e2 = noiseless(&p, budget);
             let s = SurrogateTuner::default()
                 .tune(&e1, seed)
                 .best()
@@ -319,7 +320,7 @@ mod tests {
     #[test]
     fn budget_respected() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(60);
+        let eval = noiseless(&p, 60);
         let run = SurrogateTuner::default().tune(&eval, 0);
         assert_eq!(run.trials.len(), 60);
     }
@@ -329,8 +330,8 @@ mod tests {
         let p = problem();
         let t = SurrogateTuner::default();
         for seed in 0..3 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(70);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(70);
+            let e1 = noiseless(&p, 70);
+            let e2 = noiseless(&p, 70);
             assert_eq!(t.tune(&e1, seed), t.reference_tune(&e2, seed));
         }
     }
@@ -339,7 +340,7 @@ mod tests {
     fn batched_smbo_proposes_distinct_candidates_and_converges() {
         let p = problem();
         let protocol = Protocol::noiseless().with_batch(8);
-        let eval = Evaluator::with_protocol(&p, protocol).with_budget(150);
+        let eval = evaluator(&p, protocol, 150);
         let run = SurrogateTuner::default().tune(&eval, 2);
         assert_eq!(run.trials.len(), 150);
         assert!(run.best().unwrap().time_ms().unwrap() <= 0.6);

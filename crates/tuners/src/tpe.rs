@@ -381,7 +381,8 @@ impl Tpe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn separable_problem(
@@ -454,7 +455,7 @@ mod tests {
     #[test]
     fn tpe_finds_optimum_on_separable_landscape() {
         let p = separable_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(300);
+        let eval = noiseless(&p, 300);
         let run = Tpe::default().tune(&eval, 5);
         let best = run.best().unwrap();
         assert!(
@@ -471,8 +472,8 @@ mod tests {
         let budget = 120;
         let mut wins = 0;
         for seed in 0..8 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let e1 = noiseless(&p, budget);
+            let e2 = noiseless(&p, budget);
             let t = Tpe::default()
                 .tune(&e1, seed)
                 .best()
@@ -495,7 +496,7 @@ mod tests {
     #[test]
     fn budget_is_respected_exactly() {
         let p = separable_problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(50);
+        let eval = noiseless(&p, 50);
         let run = Tpe::default().tune(&eval, 0);
         assert_eq!(run.trials.len(), 50);
     }
@@ -504,7 +505,7 @@ mod tests {
     fn deterministic_given_seed() {
         let p = separable_problem();
         let idx = |seed| {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(40);
+            let eval = noiseless(&p, 40);
             Tpe::default()
                 .tune(&eval, seed)
                 .trials
@@ -521,8 +522,8 @@ mod tests {
         let p = separable_problem();
         let t = Tpe::default();
         for seed in 0..4 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(80);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(80);
+            let e1 = noiseless(&p, 80);
+            let e2 = noiseless(&p, 80);
             assert_eq!(t.tune(&e1, seed), t.reference_tune(&e2, seed));
         }
     }
@@ -531,7 +532,7 @@ mod tests {
     fn batched_tpe_converges() {
         let p = separable_problem();
         let protocol = Protocol::noiseless().with_batch(8);
-        let eval = Evaluator::with_protocol(&p, protocol).with_budget(300);
+        let eval = evaluator(&p, protocol, 300);
         let run = Tpe::default().tune(&eval, 5);
         assert_eq!(run.trials.len(), 300);
         assert!(run.best().unwrap().time_ms().unwrap() <= 6.0);

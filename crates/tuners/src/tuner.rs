@@ -14,7 +14,7 @@ use rand::Rng;
 /// Since the ask/tell refactor the search core is *push-based*: a tuner's
 /// real implementation is the step session it opens in
 /// [`Tuner::start`], and [`Tuner::tune`] is provided for every implementor
-/// by the shared [`crate::drive`] loop — callers keep the familiar
+/// by the shared [`crate::try_drive`] loop — callers keep the familiar
 /// pull-style entry point, the evaluation side owns batching.
 ///
 /// `Send + Sync` is required so comparison harnesses can fan runs out over

@@ -167,7 +167,8 @@ impl<T: Tuner> Tuner for WarmStartTuner<T> {
 mod tests {
     use super::*;
     use crate::random::RandomSearch;
-    use bat_core::{Evaluator, Protocol, SyntheticProblem};
+    use crate::testkit::{evaluator, noiseless};
+    use bat_core::{Protocol, SyntheticProblem};
     use bat_space::{ConfigSpace, Param};
 
     fn problem(
@@ -185,7 +186,7 @@ mod tests {
     #[test]
     fn seeds_are_evaluated_first_in_order() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(20);
+        let eval = noiseless(&p, 20);
         let tuner = WarmStartTuner::new(vec![vec![5, 5], vec![20, 13]], RandomSearch);
         let run = tuner.tune(&eval, 0);
         assert_eq!(run.trials.len(), 20);
@@ -199,7 +200,7 @@ mod tests {
     #[test]
     fn unrepresentable_seeds_are_skipped_for_free() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(10);
+        let eval = noiseless(&p, 10);
         // 99 is not a value of either parameter.
         let tuner = WarmStartTuner::new(vec![vec![99, 99], vec![7, 7]], RandomSearch);
         let run = tuner.tune(&eval, 1);
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn budget_shared_between_seeds_and_inner() {
         let p = problem();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(3);
+        let eval = noiseless(&p, 3);
         let seeds: Vec<Vec<i64>> = (0..5).map(|i| vec![i, i]).collect();
         let run = WarmStartTuner::new(seeds, RandomSearch).tune(&eval, 0);
         // Only 3 of the 5 seeds fit the budget; inner never runs.
@@ -223,7 +224,7 @@ mod tests {
         let p = problem();
         let budget = 8;
         let cold = {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let eval = noiseless(&p, budget);
             RandomSearch
                 .tune(&eval, 3)
                 .best()
@@ -232,7 +233,7 @@ mod tests {
                 .unwrap()
         };
         let warm = {
-            let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+            let eval = noiseless(&p, budget);
             // A near-optimal transfer seed (one off the optimum).
             WarmStartTuner::new(vec![vec![19, 13]], RandomSearch)
                 .tune(&eval, 3)
@@ -248,8 +249,8 @@ mod tests {
     #[test]
     fn empty_seed_list_degenerates_to_inner() {
         let p = problem();
-        let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(15);
-        let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(15);
+        let e1 = noiseless(&p, 15);
+        let e2 = noiseless(&p, 15);
         let warm = WarmStartTuner::new(vec![], RandomSearch).tune(&e1, 9);
         let plain = RandomSearch.tune(&e2, 9);
         let wi: Vec<u64> = warm.trials.iter().map(|t| t.index).collect();
@@ -262,8 +263,8 @@ mod tests {
         let p = problem();
         let tuner = WarmStartTuner::new(vec![vec![5, 5], vec![99, 99], vec![20, 13]], RandomSearch);
         for seed in 0..4 {
-            let e1 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(25);
-            let e2 = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(25);
+            let e1 = noiseless(&p, 25);
+            let e2 = noiseless(&p, 25);
             assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
         }
     }
@@ -272,8 +273,7 @@ mod tests {
     fn batched_seed_phase_preserves_order() {
         let p = problem();
         let seeds: Vec<Vec<i64>> = (0..6).map(|i| vec![i, i]).collect();
-        let eval =
-            Evaluator::with_protocol(&p, Protocol::noiseless().with_batch(4)).with_budget(20);
+        let eval = evaluator(&p, Protocol::noiseless().with_batch(4), 20);
         let run = WarmStartTuner::new(seeds, RandomSearch).tune(&eval, 0);
         for (i, t) in run.trials.iter().take(6).enumerate() {
             assert_eq!(t.config, vec![i as i64, i as i64]);

@@ -33,8 +33,10 @@ fn main() {
     for tuner in default_tuners() {
         let mut bests: Vec<f64> = Vec::new();
         for seed in 0..repeats {
-            let evaluator =
-                Evaluator::with_protocol(&problem, Protocol::default()).with_budget(budget);
+            let evaluator = Evaluator::builder(&problem)
+                .budget(budget)
+                .build()
+                .expect("the default protocol is valid");
             if let Some(best) = tuner.tune(&evaluator, seed).best() {
                 bests.push(best.time_ms().unwrap());
             }

@@ -72,7 +72,10 @@ fn main() {
         );
 
         // Stock tuners work unchanged against the new benchmark.
-        let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(120);
+        let evaluator = Evaluator::builder(&problem)
+            .budget(120)
+            .build()
+            .expect("the default protocol is valid");
         let run = SurrogateTuner::default().tune(&evaluator, 3);
         let best = run.best().expect("surrogate finds a valid config");
         println!(

@@ -21,7 +21,11 @@ fn main() {
 
     // 2. Wrap it in the measurement harness: 5 runs per configuration with
     //    1% deterministic noise, budget of 300 evaluations.
-    let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(300);
+    let evaluator = Evaluator::builder(&problem)
+        .protocol(Protocol::default())
+        .budget(300)
+        .build()
+        .expect("the default protocol is valid");
 
     // 3. Run a tuner. Every algorithm implements the same `Tuner` trait.
     let run = IteratedLocalSearch::default().tune(&evaluator, 42);

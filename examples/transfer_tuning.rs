@@ -48,7 +48,10 @@ fn main() {
 
     // The transferred configurations alone — the Fig. 5 row for this GPU.
     println!("\ntransferred as-is (the paper's portability measurement):");
-    let probe = Evaluator::with_protocol(&target, Protocol::noiseless());
+    let probe = Evaluator::builder(&target)
+        .protocol(Protocol::noiseless())
+        .build()
+        .expect("the noiseless protocol is valid");
     for (src, cfg) in sources.iter().zip(&seeds) {
         let rel = probe
             .evaluate_config(cfg)
@@ -65,8 +68,10 @@ fn main() {
         let median = |warm: bool| -> f64 {
             let mut bests: Vec<f64> = (0..9)
                 .map(|seed| {
-                    let eval =
-                        Evaluator::with_protocol(&target, Protocol::default()).with_budget(budget);
+                    let eval = Evaluator::builder(&target)
+                        .budget(budget)
+                        .build()
+                        .expect("the default protocol is valid");
                     let run = if warm {
                         WarmStartTuner::new(seeds.clone(), RandomSearch).tune(&eval, seed)
                     } else {

@@ -32,7 +32,11 @@
 //!
 //! // Bind the GEMM benchmark to a simulated RTX 3090 and tune it.
 //! let problem = bat::kernels::benchmark("gemm", GpuArch::rtx_3090()).unwrap();
-//! let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(200);
+//! let evaluator = Evaluator::builder(&problem)
+//!     .protocol(Protocol::default())
+//!     .budget(200)
+//!     .build()
+//!     .expect("the default protocol is valid");
 //! let run = RandomSearch.tune(&evaluator, 42);
 //! let best = run.best().expect("found a valid configuration");
 //! println!("best GEMM config: {:?} at {:.3} ms", best.config, best.time_ms().unwrap());

@@ -15,7 +15,7 @@ fn model_based_tuners_run_on_real_kernels_within_budget() {
             Box::new(Tpe::default()),
             Box::new(SmacTuner::default()),
         ] {
-            let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(50);
+            let evaluator = Evaluator::builder(&problem).budget(50).build().unwrap();
             let run = tuner.tune(&evaluator, 3);
             assert_eq!(run.trials.len(), 50, "{name}/{}", tuner.name());
             assert!(
@@ -76,7 +76,7 @@ fn tpe_restriction_filtering_pays_off_on_gemm() {
     let median_best = |tuner: &Tpe| -> f64 {
         let mut bests: Vec<f64> = (0..15)
             .map(|seed| {
-                let eval = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(80);
+                let eval = Evaluator::builder(&problem).budget(80).build().unwrap();
                 tuner
                     .tune(&eval, seed)
                     .best()

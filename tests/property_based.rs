@@ -137,7 +137,7 @@ proptest! {
     #[test]
     fn budget_exact(budget in 1u64..120, seed in 0u64..50) {
         let problem = bat::kernels::benchmark("pnpoly", GpuArch::rtx_3060()).unwrap();
-        let evaluator = Evaluator::with_protocol(&problem, Protocol::noiseless()).with_budget(budget);
+        let evaluator = Evaluator::builder(&problem).protocol(Protocol::noiseless()).budget(budget).build().unwrap();
         let run = RandomSearch.tune(&evaluator, seed);
         prop_assert_eq!(run.trials.len() as u64, budget);
     }
@@ -146,7 +146,7 @@ proptest! {
     #[test]
     fn record_round_trip(budget in 1u64..40, seed in 0u64..20) {
         let problem = bat::kernels::benchmark("nbody", GpuArch::rtx_titan()).unwrap();
-        let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(budget);
+        let evaluator = Evaluator::builder(&problem).budget(budget).build().unwrap();
         let run = RandomSearch.tune(&evaluator, seed);
         let back = TuningRun::from_json(&run.to_json()).unwrap();
         prop_assert_eq!(run, back);

@@ -165,7 +165,7 @@ proptest! {
         let seeds: Vec<Vec<i64>> = (0..n_seeds)
             .map(|i| vec![(salt + i as i64) % 13, (salt * 3 + i as i64) % 10])
             .collect();
-        let eval = Evaluator::with_protocol(&p, Protocol::noiseless()).with_budget(budget);
+        let eval = Evaluator::builder(&p).protocol(Protocol::noiseless()).budget(budget).build().unwrap();
         let run = WarmStartTuner::new(seeds, RandomSearch).tune(&eval, 5);
         prop_assert_eq!(run.trials.len() as u64, budget);
         // Evaluation counters are contiguous from 1.

@@ -42,7 +42,7 @@ fn problem(
     })
 }
 
-use bat::core::SyntheticProblem;
+use bat::core::{EvaluatorBuilder, SyntheticProblem};
 
 fn protocol(noisy: bool) -> Protocol {
     if noisy {
@@ -55,6 +55,12 @@ fn protocol(noisy: bool) -> Protocol {
     } else {
         Protocol::noiseless()
     }
+}
+
+/// An evaluator builder for `p` under `proto`, limited to `budget`
+/// evaluations.
+fn budgeted(p: &dyn TuningProblem, proto: Protocol, budget: u64) -> EvaluatorBuilder<'_> {
+    Evaluator::builder(p).protocol(proto).budget(budget)
 }
 
 /// Compare the driver (batch = 1) against a tuner's reference loop on a
@@ -71,8 +77,8 @@ fn assert_driver_matches<T, F>(
     F: Fn(&T, &Evaluator<'_>, u64) -> TuningRun,
 {
     let p = problem(space.clone());
-    let e1 = Evaluator::with_protocol(&p, protocol(noisy)).with_budget(budget);
-    let e2 = Evaluator::with_protocol(&p, protocol(noisy)).with_budget(budget);
+    let e1 = budgeted(&p, protocol(noisy), budget).build().unwrap();
+    let e2 = budgeted(&p, protocol(noisy), budget).build().unwrap();
     let driven = tuner.tune(&e1, seed);
     let referenced = reference(tuner, &e2, seed);
     assert_eq!(driven, referenced, "{} diverged", tuner.name());
@@ -197,8 +203,8 @@ proptest! {
         let noisy = noisy == 1;
         let p = problem(space.clone());
         let tuner = Nsga2::default();
-        let e1 = Evaluator::with_protocol(&p, protocol(noisy)).with_energy().with_budget(budget);
-        let e2 = Evaluator::with_protocol(&p, protocol(noisy)).with_energy().with_budget(budget);
+        let e1 = budgeted(&p, protocol(noisy), budget).energy(true).build().unwrap();
+        let e2 = budgeted(&p, protocol(noisy), budget).energy(true).build().unwrap();
         prop_assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
     }
 
@@ -220,8 +226,9 @@ proptest! {
         let indices: Vec<u64> = picks.iter().map(|i| i % card).collect();
 
         let mk = |_: ()| {
-            let e = Evaluator::with_protocol(&p, protocol(noisy));
-            if unbudgeted { e } else { e.with_budget(budget) }
+            let b = Evaluator::builder(&p).protocol(protocol(noisy));
+            let b = if unbudgeted { b } else { b.budget(budget) };
+            b.build().unwrap()
         };
         let serial = mk(());
         let batched = mk(());
@@ -285,17 +292,17 @@ proptest! {
         // evaluation started before the budget ran out.
         let envelope = budget + policy.max_retries as u64 * (batch as u64).max(1);
         let proto = Protocol::noiseless().with_batch(batch);
+        let mk = |energy: bool| {
+            budgeted(&p, proto, budget).faults(model, policy).energy(energy).build().unwrap()
+        };
         for tuner in bat::tuners::default_tuners() {
-            let e = Evaluator::with_protocol(&p, proto).with_budget(budget).with_faults(model, policy);
+            let e = mk(false);
             let run = tuner.tune(&e, seed);
             prop_assert_eq!(run.successes(), 0, "{} succeeded in a dead space", tuner.name());
             prop_assert!(run.best().is_none(), "{}", tuner.name());
             prop_assert!(e.evals_used() <= envelope, "{} spent {} > {envelope}", tuner.name(), e.evals_used());
         }
-        let e = Evaluator::with_protocol(&p, proto)
-            .with_energy()
-            .with_budget(budget)
-            .with_faults(model, policy);
+        let e = mk(true);
         let run = Nsga2::default().tune(&e, seed);
         prop_assert_eq!(run.successes(), 0);
         prop_assert!(run.best().is_none());
@@ -325,9 +332,11 @@ proptest! {
         let p = problem(space.clone());
         let proto = Protocol::noiseless().with_batch(batch);
         let budget = 20u64;
-        let mk = || Evaluator::with_protocol(&p, proto).with_budget(budget).with_faults(model, policy);
+        let mk = |energy: bool| {
+            budgeted(&p, proto, budget).faults(model, policy).energy(energy).build().unwrap()
+        };
         for tuner in bat::tuners::default_tuners() {
-            let (e1, e2) = (mk(), mk());
+            let (e1, e2) = (mk(false), mk(false));
             let a = tuner.tune(&e1, seed);
             let b = tuner.tune(&e2, seed);
             prop_assert_eq!(&a, &b, "{} diverged under faults", tuner.name());
@@ -335,8 +344,7 @@ proptest! {
             prop_assert_eq!(e1.retries_used(), e2.retries_used());
             prop_assert_eq!(e1.quarantined_configs(), e2.quarantined_configs());
         }
-        let mk_moo = || mk().with_energy();
-        let (e1, e2) = (mk_moo(), mk_moo());
+        let (e1, e2) = (mk(true), mk(true));
         let tuner = Nsga2::default();
         prop_assert_eq!(tuner.tune(&e1, seed), tuner.tune(&e2, seed));
         prop_assert_eq!(e1.retries_used(), e2.retries_used());
@@ -366,12 +374,11 @@ proptest! {
         };
         let run_at = |threads: usize| -> (String, u64, u64) {
             rayon::with_thread_limit(threads, || {
-                let e = Evaluator::with_protocol(&p, proto).with_budget(budget);
-                let e = if faulted == 1 {
-                    e.with_faults(model, RetryPolicy::default())
-                } else {
-                    e
-                };
+                let mut b = budgeted(&p, proto, budget);
+                if faulted == 1 {
+                    b = b.faults(model, RetryPolicy::default());
+                }
+                let e = b.build().unwrap();
                 let run = GeneticAlgorithm::default().tune(&e, seed);
                 (
                     serde_json::to_string(&run).expect("serializable run"),
@@ -404,8 +411,8 @@ proptest! {
             Box::new(LocalSearch::default()),
         ] {
             let proto = Protocol::noiseless().with_batch(batch);
-            let e1 = Evaluator::with_protocol(&p, proto).with_budget(budget);
-            let e2 = Evaluator::with_protocol(&p, proto).with_budget(budget);
+            let e1 = budgeted(&p, proto, budget).build().unwrap();
+            let e2 = budgeted(&p, proto, budget).build().unwrap();
             let a = tuner.tune(&e1, seed);
             let b = tuner.tune(&e2, seed);
             prop_assert_eq!(&a, &b);

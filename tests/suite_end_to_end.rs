@@ -46,7 +46,7 @@ fn every_benchmark_tunes_on_every_gpu() {
     // The campaign path must agree number-for-number with driving the
     // public API directly, which is what the bespoke loop used to do.
     let problem = bat::kernels::benchmark("gemm", GpuArch::rtx_titan()).unwrap();
-    let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(60);
+    let evaluator = Evaluator::builder(&problem).budget(60).build().unwrap();
     let direct = RandomSearch.tune(&evaluator, 7);
     let record = run
         .result
@@ -108,8 +108,8 @@ fn tuning_is_deterministic_across_identical_sessions() {
     for name in ["gemm", "hotspot"] {
         let p1 = bat::kernels::benchmark(name, arch.clone()).unwrap();
         let p2 = bat::kernels::benchmark(name, arch.clone()).unwrap();
-        let e1 = Evaluator::with_protocol(&p1, Protocol::default()).with_budget(80);
-        let e2 = Evaluator::with_protocol(&p2, Protocol::default()).with_budget(80);
+        let e1 = Evaluator::builder(&p1).budget(80).build().unwrap();
+        let e2 = Evaluator::builder(&p2).budget(80).build().unwrap();
         let r1 = SimulatedAnnealing::default().tune(&e1, 11);
         let r2 = SimulatedAnnealing::default().tune(&e2, 11);
         assert_eq!(r1, r2, "{name} must be bit-reproducible");
@@ -154,7 +154,7 @@ fn all_tuners_find_something_decent_on_nbody() {
 #[test]
 fn evaluator_cache_and_budget_interact_correctly() {
     let problem = bat::kernels::benchmark("pnpoly", GpuArch::rtx_3060()).unwrap();
-    let evaluator = Evaluator::with_protocol(&problem, Protocol::default()).with_budget(10);
+    let evaluator = Evaluator::builder(&problem).budget(10).build().unwrap();
     // Evaluate the same config 10 times: budget drains, cache holds one.
     for _ in 0..10 {
         let m = evaluator.evaluate_index(0).unwrap().unwrap();
@@ -171,7 +171,7 @@ fn launch_failures_surface_as_eval_failures_not_panics() {
     // 512 × 128 threads: restriction-valid, launch-invalid everywhere.
     let cfg = [512, 128, 2, 2, 0, 0, 8, 0];
     assert!(problem.space().is_valid(&cfg));
-    let evaluator = Evaluator::with_protocol(&problem, Protocol::default());
+    let evaluator = Evaluator::builder(&problem).build().unwrap();
     match evaluator.evaluate_config(&cfg).unwrap() {
         Err(EvalFailure::Launch(msg)) => assert!(msg.contains("threads")),
         other => panic!("expected launch failure, got {other:?}"),
