@@ -6,7 +6,10 @@
 //! table untouched. Each artifact is digested at 1, 2 and 4 pool threads
 //! and once through the loopback endpoint (the real `bat/wire/v1` codec),
 //! so thread count and endpoint are held to the same bytes; build with
-//! `--features no-obs` to hold compiled-out telemetry to them too.
+//! `--features no-obs` to hold compiled-out telemetry to them too. The
+//! ci-smoke grid also runs at record level `curve` under the energy, EDP
+//! and scalarized objectives, whose records carry `best_energy_mj` without
+//! an evaluation history.
 //!
 //! `BAT_BLESS=1 cargo test --test golden` rewrites the table. Regenerating
 //! it is a deliberate change that the commit must explain. The digests
@@ -19,7 +22,10 @@ use std::path::Path;
 
 use bat::core::{EvalBackend, Evaluator, Protocol, RetryPolicy};
 use bat::gpusim::{FaultModel, GpuArch};
-use bat::harness::{load_spec_file, metadata_path, run_campaign, CampaignOptions, Endpoint};
+use bat::harness::{
+    load_spec_file, metadata_path, run_campaign, CampaignOptions, Endpoint, ExperimentSpec,
+    ObjectiveMode, ObjectiveSpec, RecordLevel,
+};
 use bat::tuners::{default_tuners, Tuner};
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
@@ -29,6 +35,14 @@ const SPECS: [&str; 4] = ["ci-smoke", "pareto-smoke", "chaos-smoke", "cache-tran
 
 /// Pool sizes each spec runs at.
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Objectives the ci-smoke grid also runs under at record level `curve`,
+/// at 1 thread and through loopback: `(label, mode, weight)`.
+const ENERGY_OBJECTIVES: [(&str, ObjectiveMode, Option<f64>); 3] = [
+    ("energy", ObjectiveMode::Energy, None),
+    ("edp", ObjectiveMode::Edp, None),
+    ("scalarized", ObjectiveMode::Scalarized, Some(0.3)),
+];
 
 /// Kernels every tuner's golden run searches (RTX 3090).
 const KERNELS: [&str; 2] = ["gemm", "nbody"];
@@ -51,42 +65,66 @@ fn digest_file(path: &Path) -> u64 {
     fnv1a(&std::fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display())))
 }
 
+fn committed_spec(name: &str) -> ExperimentSpec {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/").to_string() + name + ".json";
+    load_spec_file(&path).expect("committed spec parses")
+}
+
 /// Run `spec` to a file under `dir` and digest the artifact and its
-/// metadata document.
+/// metadata document as `artifact/{key}` and `meta/{key}`.
 fn artifact_digests(
-    spec: &str,
-    variant: &str,
+    spec: &ExperimentSpec,
+    key: &str,
     dir: &Path,
     endpoint: &Endpoint,
     out: &mut BTreeMap<String, u64>,
 ) {
-    let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/").to_string() + spec + ".json";
-    let parsed = load_spec_file(&spec_path).expect("committed spec parses");
-    let path = dir.join(format!("{spec}-{variant}.json"));
+    let path = dir.join(format!("{}.json", key.replace('/', "-")));
     let path_str = path.to_str().expect("utf-8 temp path");
     let opts = CampaignOptions {
         endpoint: endpoint.clone(),
         out: Some(path_str.to_string()),
         ..CampaignOptions::default()
     };
-    run_campaign(&parsed, &opts).expect("campaign runs");
-    out.insert(format!("artifact/{spec}/{variant}"), digest_file(&path));
+    run_campaign(spec, &opts).expect("campaign runs");
+    out.insert(format!("artifact/{key}"), digest_file(&path));
     out.insert(
-        format!("meta/{spec}/{variant}"),
+        format!("meta/{key}"),
         digest_file(Path::new(&metadata_path(path_str))),
     );
 }
 
 fn campaign_digests(dir: &Path) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
-    for spec in SPECS {
+    for name in SPECS {
+        let spec = committed_spec(name);
         for threads in THREADS {
             rayon::with_thread_limit(threads, || {
-                let variant = format!("threads-{threads}");
-                artifact_digests(spec, &variant, dir, &Endpoint::InProcess, &mut out);
+                let key = format!("{name}/threads-{threads}");
+                artifact_digests(&spec, &key, dir, &Endpoint::InProcess, &mut out);
             });
         }
-        artifact_digests(spec, "loopback", dir, &Endpoint::Loopback, &mut out);
+        let key = format!("{name}/loopback");
+        artifact_digests(&spec, &key, dir, &Endpoint::Loopback, &mut out);
+    }
+    let smoke = committed_spec("ci-smoke");
+    for (objective, mode, weight) in ENERGY_OBJECTIVES {
+        let spec = ExperimentSpec {
+            record: RecordLevel::Curve,
+            objective: ObjectiveSpec {
+                mode,
+                weight,
+                ..ObjectiveSpec::default()
+            },
+            ..smoke.clone()
+        };
+        let name = format!("ci-smoke-curve-{objective}");
+        rayon::with_thread_limit(1, || {
+            let key = format!("{name}/threads-1");
+            artifact_digests(&spec, &key, dir, &Endpoint::InProcess, &mut out);
+        });
+        let key = format!("{name}/loopback");
+        artifact_digests(&spec, &key, dir, &Endpoint::Loopback, &mut out);
     }
     out
 }
