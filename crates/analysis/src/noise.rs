@@ -158,6 +158,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "protocol sigma must be finite")]
+    fn non_finite_sigma_keeps_the_builder_message_across_the_pool() {
+        let p = problem();
+        rayon::with_thread_limit(2, || {
+            noise_sensitivity(&p, &RandomSearch, &[f64::NAN], 1, 20, 4, 0);
+        });
+    }
+
+    #[test]
     fn quartiles_bracket_median() {
         let p = problem();
         let pts = noise_sensitivity(&p, &RandomSearch, &[0.1], 1, 40, 11, 5);

@@ -680,6 +680,25 @@ mod tests {
     }
 
     #[test]
+    fn worker_panic_keeps_its_payload() {
+        let result = std::panic::catch_unwind(|| {
+            with_thread_limit(2, || {
+                (0u64..64)
+                    .into_par_iter()
+                    .map(|x| {
+                        if x == 40 {
+                            panic!("item 40");
+                        }
+                        x
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        });
+        let payload = result.expect_err("the panic surfaces");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 40"));
+    }
+
+    #[test]
     fn pool_survives_a_panicked_job() {
         // A panicking job must not wedge or poison the pool for later calls.
         let _ = std::panic::catch_unwind(|| {

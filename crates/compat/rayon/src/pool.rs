@@ -26,10 +26,11 @@
 //! from the current thread, without touching global state (test harnesses
 //! sweep thread counts this way).
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 thread_local! {
@@ -125,20 +126,24 @@ struct Job {
     started: AtomicUsize,
     /// Workers that finished running the closure.
     finished: AtomicUsize,
-    /// Whether any participant panicked.
-    panicked: AtomicBool,
+    /// The payload of the first worker that panicked, re-raised by the
+    /// caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Completion signalling for the submitting thread.
     done_lock: Mutex<()>,
     done_cv: Condvar,
 }
 
 impl Job {
-    /// Run the job closure once, recording completion and panics.
+    /// Run the job closure once, recording completion and the first panic.
     fn participate(&self) {
         let f = self.func;
         let t0 = std::time::Instant::now();
-        if catch_unwind(AssertUnwindSafe(f)).is_err() {
-            self.panicked.store(true, Ordering::Relaxed);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+            let mut first = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+            if first.is_none() {
+                *first = Some(payload);
+            }
         }
         obs().busy_us.add(t0.elapsed().as_micros() as u64);
         let _guard = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
@@ -269,8 +274,8 @@ fn worker_loop() {
 /// Run `f` on up to `participants` threads — the calling thread plus up to
 /// `participants - 1` pool workers — returning when *every* participant has
 /// finished. `f` is called once per participant and is expected to loop
-/// claiming work from shared state it captures. Propagates panics from any
-/// participant.
+/// claiming work from shared state it captures. Re-raises the caller's
+/// panic, else the first worker's, with its original payload.
 pub(crate) fn run_parallel(participants: usize, f: &(dyn Fn() + Sync)) {
     debug_assert!(participants >= 2, "serial calls never reach the pool");
     let pool = pool();
@@ -296,7 +301,7 @@ pub(crate) fn run_parallel(participants: usize, f: &(dyn Fn() + Sync)) {
         tickets: AtomicUsize::new(extra),
         started: AtomicUsize::new(0),
         finished: AtomicUsize::new(0),
-        panicked: AtomicBool::new(false),
+        panic: Mutex::new(None),
         done_lock: Mutex::new(()),
         done_cv: Condvar::new(),
     });
@@ -312,7 +317,7 @@ pub(crate) fn run_parallel(participants: usize, f: &(dyn Fn() + Sync)) {
     // inside the parallel region, so nested calls from it serialize.
     let was = IN_PARALLEL.with(|c| c.replace(true));
     let t0 = std::time::Instant::now();
-    let caller_panicked = catch_unwind(AssertUnwindSafe(f)).is_err();
+    let caller_panic = catch_unwind(AssertUnwindSafe(f)).err();
     obs().busy_us.add(t0.elapsed().as_micros() as u64);
     IN_PARALLEL.with(|c| c.set(was));
 
@@ -336,7 +341,8 @@ pub(crate) fn run_parallel(participants: usize, f: &(dyn Fn() + Sync)) {
     }
     drop(guard);
 
-    if caller_panicked || job.panicked.load(Ordering::Relaxed) {
-        panic!("rayon-compat worker panicked");
+    let worker_panic = || job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+    if let Some(payload) = caller_panic.or_else(worker_panic) {
+        resume_unwind(payload);
     }
 }

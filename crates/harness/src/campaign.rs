@@ -13,14 +13,15 @@ use std::time::{Duration, Instant};
 use rayon::prelude::*;
 
 use bat_cache::CacheStore;
-use bat_core::{Error, EvalBackend, Evaluator, TuningProblem, TuningRun};
+use bat_core::t4::T4Results;
+use bat_core::{Error, EvalBackend, Evaluator, TuningProblem};
 use bat_server::wire::OpenSession;
 use bat_server::{Daemon, RemoteBackend, ServerConfig};
-use bat_tuners::{default_tuners, Tuner};
+use bat_tuners::{default_tuners, try_drive_into, RunSink, Tuner};
 
 use crate::cache_integration::{cache_prior, fold_run_into_cache};
 use crate::files::{cache_error, read_resume_artifact, write_artifact, write_metadata};
-use crate::result::{CampaignResult, TrialRecord, RESULT_SCHEMA};
+use crate::result::{CampaignResult, TrialRecord, TrialRecorder, RESULT_SCHEMA};
 use crate::spec::{CompiledTrial, ExperimentSpec, ObjectiveMode, RecordLevel};
 
 /// Trials executed between checkpoint writes of the output artifact.
@@ -194,35 +195,48 @@ fn open_session(ct: &CompiledTrial) -> OpenSession {
     open
 }
 
-/// The record of one finished trial; Pareto trials also record their
-/// bounded non-dominated front.
-fn trial_record(
-    ct: &CompiledTrial,
-    run: &TuningRun,
-    names: &[String],
-    stats: bat_core::EvalStats,
-) -> TrialRecord {
+/// Drive the trial's tuner session on `backend` into a [`TrialRecorder`],
+/// which reduces the outcomes as they arrive. Every trial is kept only
+/// when the record needs it: the T4 history at record level `full`, the
+/// bounded non-dominated front under the `pareto` objective.
+fn drive_trial(ct: &CompiledTrial, backend: &dyn EvalBackend) -> Result<TrialRecord, Error> {
+    let tuner = trial_tuner(ct)?;
     let keep_history = ct.record == RecordLevel::Full;
-    let mut record = TrialRecord::from_run(&ct.key, ct.seed, run, names, stats, keep_history);
-    if ct.objective.mode == ObjectiveMode::Pareto {
-        let front = bat_moo::front_of_run(run, ct.objective.front_capacity());
-        record.front = Some(front.front().to_vec());
+    let pareto = ct.objective.mode == ObjectiveMode::Pareto;
+    let kept = (keep_history || pareto).then(|| RunSink::new(backend, tuner.name(), ct.seed));
+    let mut recorder = TrialRecorder::new(kept);
+    let space = backend.space();
+    let mut session = tuner.start(space, ct.seed);
+    try_drive_into(session.as_mut(), backend, &mut recorder)?;
+    let best_config = recorder.best_index().map(|i| space.config_at(i));
+    let (mut record, run) = recorder.finish(
+        &ct.key,
+        ct.seed,
+        space.names(),
+        best_config.as_deref().unwrap_or_default(),
+        backend.stats(),
+    );
+    if let Some(run) = run {
+        if keep_history {
+            record.history = Some(T4Results::from_run(&run, space.names()));
+        }
+        if pareto {
+            let front = bat_moo::front_of_run(&run, ct.objective.front_capacity());
+            record.front = Some(front.front().to_vec());
+        }
     }
-    record
+    Ok(record)
 }
 
 /// Execute one trial against an open remote session. The shared ask/tell
 /// driver runs against the [`RemoteBackend`] exactly as it runs against
 /// the in-process evaluator; the Pareto front (like the rest of the
-/// record) is derived client-side from the returned run.
+/// record) is derived client-side from the outcomes.
 fn execute_trial_remote<S: Read + Write>(
     ct: &CompiledTrial,
     backend: RemoteBackend<S>,
 ) -> Result<TrialRecord, Error> {
-    let tuner = trial_tuner(ct)?;
-    let names = backend.space().names().to_vec();
-    let run = tuner.try_tune(&backend, ct.seed)?;
-    let record = trial_record(ct, &run, &names, EvalBackend::stats(&backend));
+    let record = drive_trial(ct, &backend)?;
     backend.close()?;
     Ok(record)
 }
@@ -264,8 +278,6 @@ fn execute_trial_in_process(ct: &CompiledTrial) -> Result<TrialRecord, Error> {
         .ok_or_else(|| Error::spec(format!("unknown GPU {:?}", ct.key.architecture)))?;
     let problem = bat_kernels::benchmark(&ct.key.benchmark, arch)
         .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", ct.key.benchmark)))?;
-    let tuner = trial_tuner(ct)?;
-    let names = problem.space().names().to_vec();
     // Blended modes tune the scalarization through the ordinary evaluator
     // interface: `best_ms` holds the blended objective and
     // `best_energy_mj` the underlying energy. Every mode but `time`
@@ -289,9 +301,7 @@ fn execute_trial_in_process(ct: &CompiledTrial) -> Result<TrialRecord, Error> {
     if let Some(f) = ct.faults {
         builder = builder.faults(f.model(), f.retry_policy());
     }
-    let eval = builder.build()?;
-    let run = tuner.tune(&eval, ct.seed);
-    Ok(trial_record(ct, &run, &names, EvalBackend::stats(&eval)))
+    drive_trial(ct, &builder.build()?)
 }
 
 /// Check that `prior` holds trials of `spec`'s campaign: the result
@@ -710,6 +720,38 @@ mod tests {
         let partial = merge(&s, &shards[..1]).unwrap();
         assert_eq!(partial.reused, shards[0].trials.len());
         assert_eq!(partial.result.to_json(), full.result.to_json());
+    }
+
+    #[test]
+    fn driven_records_equal_the_records_of_whole_runs() {
+        // A campaign trial reduces outcomes as the driver produces them;
+        // `TrialRecord::from_run` reduces a finished run. Both sources
+        // give the same record, history included.
+        for record in [RecordLevel::Curve, RecordLevel::Full] {
+            let s = ExperimentSpec {
+                benchmarks: Selector::Subset(vec!["gemm".into(), "nbody".into()]),
+                record,
+                ..spec()
+            };
+            for ct in s.compile().unwrap() {
+                let arch = bat_gpusim::GpuArch::by_name(&ct.key.architecture).unwrap();
+                let problem = bat_kernels::benchmark(&ct.key.benchmark, arch).unwrap();
+                let eval = Evaluator::builder(&problem)
+                    .protocol(ct.protocol)
+                    .budget(ct.budget)
+                    .build()
+                    .unwrap();
+                let run = trial_tuner(&ct).unwrap().tune(&eval, ct.seed);
+                let names = problem.space().names();
+                let keep_history = record == RecordLevel::Full;
+                let stats = EvalBackend::stats(&eval);
+                let want =
+                    TrialRecord::from_run(&ct.key, ct.seed, &run, names, stats, keep_history);
+                let got = execute_trial_in_process(&ct).unwrap();
+                assert_eq!(got, want, "{:?}", ct.key);
+                assert!(!got.best_config.is_empty(), "{:?}", ct.key);
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use bat_core::t4::T4Results;
-use bat_core::{EvalStats, TuningRun};
+use bat_core::{EvalFailure, EvalStats, Measurement, TuningRun};
 use bat_moo::ParetoPoint;
+use bat_tuners::{RunSink, TrialSink};
 
 use crate::spec::{ExperimentSpec, TrialKey};
 
@@ -91,6 +92,98 @@ pub struct TrialRecord {
     pub history: Option<T4Results>,
 }
 
+/// Builds a [`TrialRecord`] as a trial's outcomes arrive, in evaluation
+/// order: the one reduction behind every record, fed either by the driver
+/// (a campaign trial) or by a finished [`TuningRun`]
+/// ([`TrialRecord::from_run`]).
+///
+/// It folds the trial count, failures, curve, best and best energy, and
+/// remembers the best configuration's index; every trial is kept only when
+/// the caller hands it a [`RunSink`].
+pub(crate) struct TrialRecorder<'a> {
+    trials: u64,
+    failures: u64,
+    /// The best outcome so far: its time, energy and configuration index.
+    best: Option<(f64, Option<f64>, u64)>,
+    curve: Vec<CurvePoint>,
+    run: Option<RunSink<'a>>,
+}
+
+impl<'a> TrialRecorder<'a> {
+    /// An empty recorder that also keeps every trial in `run`, if given.
+    pub(crate) fn new(run: Option<RunSink<'a>>) -> Self {
+        TrialRecorder {
+            trials: 0,
+            failures: 0,
+            best: None,
+            curve: Vec::new(),
+            run,
+        }
+    }
+
+    /// Dense index of the best configuration so far (`None` before the
+    /// first success).
+    pub(crate) fn best_index(&self) -> Option<u64> {
+        self.best.map(|(.., index)| index)
+    }
+
+    /// The record of `key`, with `best_config` naming the best
+    /// configuration's values (empty when none succeeded), and the kept
+    /// run, if any. The record has no history and no front.
+    pub(crate) fn finish(
+        self,
+        key: &TrialKey,
+        seed: u64,
+        param_names: &[String],
+        best_config: &[i64],
+        stats: EvalStats,
+    ) -> (TrialRecord, Option<TuningRun>) {
+        let record = TrialRecord {
+            tuner: key.tuner.clone(),
+            benchmark: key.benchmark.clone(),
+            architecture: key.architecture.clone(),
+            rep: key.rep,
+            seed,
+            evals: stats.evals,
+            distinct_evals: stats.distinct,
+            failures: self.failures,
+            retries: stats.retries,
+            quarantined: stats.quarantined,
+            best_ms: self.best.map(|(ms, ..)| ms),
+            best_config: param_names
+                .iter()
+                .cloned()
+                .zip(best_config.iter().copied())
+                .collect(),
+            best_energy_mj: self.best.and_then(|(_, energy_mj, _)| energy_mj),
+            curve: self.curve,
+            front: None,
+            history: None,
+        };
+        (record, self.run.map(|sink| sink.run))
+    }
+}
+
+impl TrialSink for TrialRecorder<'_> {
+    fn record(&mut self, index: u64, outcome: &Result<Measurement, EvalFailure>) {
+        self.trials += 1;
+        match outcome {
+            Ok(m) if self.best.is_none_or(|(b, ..)| m.time_ms < b) => {
+                self.best = Some((m.time_ms, m.energy_mj, index));
+                self.curve.push(CurvePoint {
+                    eval: self.trials,
+                    best_ms: m.time_ms,
+                });
+            }
+            Ok(_) => {}
+            Err(_) => self.failures += 1,
+        }
+        if let Some(run) = &mut self.run {
+            run.record(index, outcome);
+        }
+    }
+}
+
 impl TrialRecord {
     /// Build a record from a finished [`TuningRun`].
     ///
@@ -104,45 +197,18 @@ impl TrialRecord {
         stats: EvalStats,
         keep_history: bool,
     ) -> TrialRecord {
-        let mut curve = Vec::new();
-        let mut best: Option<f64> = None;
-        let mut best_energy_mj = None;
-        let mut best_config = BTreeMap::new();
-        for (i, t) in run.trials.iter().enumerate() {
-            if let Some(ms) = t.time_ms() {
-                if best.is_none_or(|b| ms < b) {
-                    best = Some(ms);
-                    best_energy_mj = t.outcome.as_ref().ok().and_then(|m| m.energy_mj);
-                    curve.push(CurvePoint {
-                        eval: i as u64 + 1,
-                        best_ms: ms,
-                    });
-                    best_config = param_names
-                        .iter()
-                        .cloned()
-                        .zip(t.config.iter().copied())
-                        .collect();
-                }
-            }
+        let mut recorder = TrialRecorder::new(None);
+        for t in &run.trials {
+            recorder.record(t.index, &t.outcome);
         }
-        TrialRecord {
-            tuner: key.tuner.clone(),
-            benchmark: key.benchmark.clone(),
-            architecture: key.architecture.clone(),
-            rep: key.rep,
-            seed,
-            evals: stats.evals,
-            distinct_evals: stats.distinct,
-            failures: (run.trials.len() - run.successes()) as u64,
-            retries: stats.retries,
-            quarantined: stats.quarantined,
-            best_ms: best,
-            best_config,
-            best_energy_mj,
-            curve,
-            front: None,
-            history: keep_history.then(|| T4Results::from_run(run, param_names)),
-        }
+        // The last curve point is the best trial.
+        let best_config = recorder
+            .curve
+            .last()
+            .map_or(&[][..], |p| &run.trials[p.eval as usize - 1].config);
+        let (mut record, _) = recorder.finish(key, seed, param_names, best_config, stats);
+        record.history = keep_history.then(|| T4Results::from_run(run, param_names));
+        record
     }
 
     /// The trial's front as plain `(time_ms, energy_mj)` pairs, for the

@@ -255,10 +255,10 @@ impl GaussianProcess {
     }
 
     /// Posterior mean and latent variance at `row` (raw input units): a
-    /// pool of one.
+    /// pool of one, in a tile of one.
     pub fn predict(&self, row: &[f64]) -> GpPrediction {
         assert_eq!(row.len(), self.d, "feature-count mismatch");
-        self.predict_pool(row)[0]
+        self.predict_tiles::<1>(row)[0]
     }
 
     /// Posterior mean and latent variance at every row of `rows`, a
@@ -268,12 +268,17 @@ impl GaussianProcess {
     /// (`sq_dist`, `dot`, forward substitution), so a prediction does not
     /// depend on the rest of the pool, bit for bit.
     pub fn predict_pool(&self, rows: &[f64]) -> Vec<GpPrediction> {
+        self.predict_tiles::<TILE>(rows)
+    }
+
+    /// [`GaussianProcess::predict_pool`] over tiles of `W` candidates.
+    fn predict_tiles<const W: usize>(&self, rows: &[f64]) -> Vec<GpPrediction> {
         let (n, d) = (self.n_observations(), self.d);
         assert_eq!(rows.len() % d, 0, "feature-count mismatch");
         let m = rows.len() / d;
         // Normalized candidates, dimension-major and zero-padded to whole
         // tiles: `q[j * mp + c]`.
-        let mp = m.next_multiple_of(TILE);
+        let mp = m.next_multiple_of(W);
         let mut q = vec![0.0; d * mp];
         for (c, row) in rows.chunks_exact(d).enumerate() {
             for (j, &v) in row.iter().enumerate() {
@@ -281,21 +286,21 @@ impl GaussianProcess {
             }
         }
         let mut out = Vec::with_capacity(m);
-        // One tile of K* (n × TILE), solved in place into V = L⁻¹ K*.
-        let mut kv = vec![0.0; n * TILE];
-        for c0 in (0..m).step_by(TILE) {
-            let mut mean = [0.0; TILE];
+        // One tile of K* (n × W), solved in place into V = L⁻¹ K*.
+        let mut kv = vec![0.0; n * W];
+        for c0 in (0..m).step_by(W) {
+            let mut mean = [0.0; W];
             for ((xi, ki), &a) in self
                 .x
                 .chunks_exact(d)
-                .zip(kv.chunks_exact_mut(TILE))
+                .zip(kv.chunks_exact_mut(W))
                 .zip(&self.alpha)
             {
                 // Squared distances, summed dimension by dimension as in
                 // `sq_dist`, then the kernel and the running K*ᵀα.
-                let mut d2 = [0.0; TILE];
+                let mut d2 = [0.0; W];
                 for (&xij, qj) in xi.iter().zip(q.chunks_exact(mp)) {
-                    for (s, &qc) in d2.iter_mut().zip(&qj[c0..c0 + TILE]) {
+                    for (s, &qc) in d2.iter_mut().zip(&qj[c0..c0 + W]) {
                         let diff = qc - xij;
                         *s += diff * diff;
                     }
@@ -305,10 +310,10 @@ impl GaussianProcess {
                     *mean_s += *k * a;
                 }
             }
-            self.chol.solve_lower_tile::<TILE>(&mut kv);
+            self.chol.solve_lower_tile::<W>(&mut kv);
             // var = k** − vᵀv, with unit signal variance k**.
-            let mut vv = [0.0; TILE];
-            for vi in kv.chunks_exact(TILE) {
+            let mut vv = [0.0; W];
+            for vi in kv.chunks_exact(W) {
                 for (s, &v) in vv.iter_mut().zip(vi) {
                     *s += v * v;
                 }
@@ -550,12 +555,16 @@ mod tests {
                 let v = gp.chol.solve_lower(&kstar);
                 let mean = dot(&kstar, &gp.alpha) * gp.y_std + gp.y_mean;
                 let variance = (1.0 - dot(&v, &v)).max(0.0) * gp.y_std * gp.y_std;
-                assert_eq!(p.mean.to_bits(), mean.to_bits(), "{kernel:?} {row:?}");
-                assert_eq!(
-                    p.variance.to_bits(),
-                    variance.to_bits(),
-                    "{kernel:?} {row:?}"
-                );
+                // A one-row prediction runs in a tile of one.
+                let one = gp.predict(row);
+                for p in [p, one] {
+                    assert_eq!(p.mean.to_bits(), mean.to_bits(), "{kernel:?} {row:?}");
+                    assert_eq!(
+                        p.variance.to_bits(),
+                        variance.to_bits(),
+                        "{kernel:?} {row:?}"
+                    );
+                }
             }
         }
     }

@@ -38,7 +38,7 @@ pub use local::{IteratedLocalSearch, LocalSearch, Strategy};
 pub use pso::ParticleSwarm;
 pub use random::{ExhaustiveSearch, RandomSearch};
 pub use smac::SmacTuner;
-pub use step::{try_drive, StepCtx, StepTuner, Told};
+pub use step::{try_drive, try_drive_into, RunSink, StepCtx, StepTuner, Told, TrialSink};
 pub use surrogate::SurrogateTuner;
 pub use tpe::Tpe;
 pub use tuner::{new_run, ordinal, record_eval, record_eval2, Recorded, Tuner};

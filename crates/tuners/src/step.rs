@@ -5,9 +5,15 @@
 //! inverts that control flow, the way CATBench's black-box interface does:
 //! a [`StepTuner`] is a resumable state machine that **asks** for a batch
 //! of candidate configurations and is later **told** their outcomes, while
-//! the evaluation side — the shared [`try_drive`] loop plus
+//! the evaluation side — the shared [`try_drive_into`] loop plus
 //! [`Evaluator::evaluate_batch`] — owns batching, measurement and budget
 //! accounting.
+//!
+//! The loop records every outcome into a [`TrialSink`] as it arrives.
+//! [`try_drive`] records into a [`RunSink`], which keeps the complete
+//! [`TuningRun`]; a caller that needs only a reduction of the trials (a
+//! campaign's best-so-far curve, say) passes a sink that folds them, and no
+//! per-trial record is built at all.
 //!
 //! The driver is deterministic: candidates are evaluated in ask order
 //! (fan-out happens inside `evaluate_batch`, which collects results in
@@ -19,6 +25,7 @@
 //! axis campaigns can sweep.
 
 use bat_core::{Error, EvalBackend, EvalFailure, Measurement, Trial, TuningRun};
+use bat_space::ConfigSpace;
 
 /// What the evaluation side offers for the current step.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +55,7 @@ impl Told {
 /// A search algorithm in ask/tell form: a resumable state machine that
 /// proposes candidate configurations and digests their outcomes.
 ///
-/// Contract (enforced by [`try_drive`]):
+/// Contract (enforced by [`try_drive_into`]):
 ///
 /// * `ask` returns the next candidates to measure, at most `ctx.batch` of
 ///   them. An empty vector means the algorithm is finished (e.g.
@@ -66,27 +73,61 @@ pub trait StepTuner {
     fn tell(&mut self, results: &[Told]);
 }
 
+/// Where [`try_drive_into`] records each evaluated configuration, in
+/// evaluation order.
+pub trait TrialSink {
+    /// Record the outcome of the next evaluation, of configuration `index`.
+    fn record(&mut self, index: u64, outcome: &Result<Measurement, EvalFailure>);
+}
+
+/// A [`TrialSink`] that keeps every trial: the complete [`TuningRun`], with
+/// each configuration decoded from the backend's space.
+pub struct RunSink<'a> {
+    space: &'a ConfigSpace,
+    /// The trials recorded so far, under the run's metadata.
+    pub run: TuningRun,
+}
+
+impl<'a> RunSink<'a> {
+    /// An empty run of tuner `name` with `seed` on `backend`'s problem.
+    pub fn new(backend: &'a dyn EvalBackend, name: &str, seed: u64) -> Self {
+        RunSink {
+            space: backend.space(),
+            run: crate::tuner::new_run(backend, name, seed),
+        }
+    }
+}
+
+impl TrialSink for RunSink<'_> {
+    fn record(&mut self, index: u64, outcome: &Result<Measurement, EvalFailure>) {
+        self.run.push(Trial {
+            eval: self.run.trials.len() as u64 + 1,
+            index,
+            config: self.space.config_at(index),
+            outcome: outcome.clone(),
+        });
+    }
+}
+
 /// Run a step-driven session to budget exhaustion under the suite's
-/// measurement discipline, producing the same [`TuningRun`] a classic
-/// pull-loop would.
+/// measurement discipline, recording every outcome into `sink` as it
+/// arrives.
 ///
 /// This is the single search loop of the suite: every [`crate::Tuner`]'s
-/// `tune` is this function applied to its [`crate::Tuner::start`] session,
-/// so no caller ever constructs an evaluation loop by hand. It is generic
-/// over the [`EvalBackend`] — in-process, loopback and remote evaluation
-/// all run this exact loop, which is why their trial histories agree byte
-/// for byte.
+/// `tune` runs it (through [`try_drive`]) on its [`crate::Tuner::start`]
+/// session, and a campaign trial runs it into a sink that reduces the
+/// trials as they arrive, so no caller ever constructs an evaluation loop
+/// by hand. It is generic over the [`EvalBackend`] — in-process, loopback
+/// and remote evaluation all run this exact loop, which is why their trial
+/// histories agree byte for byte.
 ///
 /// `Err` means the *backend* failed (transport, session); per-configuration
 /// failures are ordinary [`Told`] outcomes.
-pub fn try_drive(
-    name: &str,
+pub fn try_drive_into(
     session: &mut dyn StepTuner,
     backend: &dyn EvalBackend,
-    seed: u64,
-) -> Result<TuningRun, Error> {
-    let space = backend.space();
-    let mut run = crate::tuner::new_run(backend, name, seed);
+    sink: &mut dyn TrialSink,
+) -> Result<(), Error> {
     let ctx = StepCtx {
         batch: backend.protocol().batch(),
     };
@@ -112,12 +153,7 @@ pub fn try_drive(
         drop(step_span);
         let mut told = Vec::with_capacity(evaluated);
         for (&index, outcome) in asked.iter().zip(outcomes) {
-            run.push(Trial {
-                eval: run.trials.len() as u64 + 1,
-                index,
-                config: space.config_at(index),
-                outcome: outcome.clone(),
-            });
+            sink.record(index, &outcome);
             told.push(Told { index, outcome });
         }
         session.tell(&told);
@@ -125,7 +161,20 @@ pub fn try_drive(
             break; // budget died mid-batch
         }
     }
-    Ok(run)
+    Ok(())
+}
+
+/// [`try_drive_into`] a [`RunSink`]: the complete [`TuningRun`] of tuner
+/// `name` with `seed`, the same run a classic pull-loop would produce.
+pub fn try_drive(
+    name: &str,
+    session: &mut dyn StepTuner,
+    backend: &dyn EvalBackend,
+    seed: u64,
+) -> Result<TuningRun, Error> {
+    let mut sink = RunSink::new(backend, name, seed);
+    try_drive_into(session, backend, &mut sink)?;
+    Ok(sink.run)
 }
 
 /// Select up to `batch` distinct candidate indices from `(score, index)`
