@@ -1,5 +1,6 @@
-//! Golden digests: the committed campaign artifacts and one tuning run per
-//! tuner, each reduced to an FNV-1a 64-bit digest of the exact bytes
+//! Golden digests: the committed campaign artifacts, one tuning run per
+//! tuner and kernel, and a grid of tuning runs per tuner on synthetic
+//! spaces, each reduced to an FNV-1a 64-bit digest of the exact bytes
 //! written, checked against the committed table `tests/golden_digests.txt`.
 //!
 //! A refactor that claims to leave the science untouched must leave this
@@ -11,6 +12,14 @@
 //! and scalarized objectives, whose records carry `best_energy_mj` without
 //! an evaluation history.
 //!
+//! The `synthetic/*` rows pin every tuner's batch-1 trajectory on the
+//! synthetic objective of `tests/property_step_equivalence.rs`, over six
+//! small spaces with and without a restriction. Each row digests one tuner
+//! variant's whole grid of budgets, seeds and noise settings in grid
+//! order; the `synthetic/paper-scale/*` rows run the model-based tuners at
+//! `paper-ranking` budgets on a six-parameter space whose restriction
+//! rejects 40 % of it, the optimum included.
+//!
 //! `BAT_BLESS=1 cargo test --test golden` rewrites the table. Regenerating
 //! it is a deliberate change that the commit must explain. The digests
 //! depend on float formatting and libm, so the check runs on x86_64 Linux
@@ -20,13 +29,20 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use bat::core::{EvalBackend, Evaluator, Protocol, RetryPolicy};
+use bat::core::{EvalBackend, EvalFailure, Evaluator, Protocol, RetryPolicy, SyntheticProblem};
 use bat::gpusim::{FaultModel, GpuArch};
 use bat::harness::{
     load_spec_file, metadata_path, run_campaign, CampaignOptions, Endpoint, ExperimentSpec,
     ObjectiveMode, ObjectiveSpec, RecordLevel,
 };
-use bat::tuners::{default_tuners, Tuner};
+use bat::moo::Nsga2;
+use bat::space::{ConfigSpace, Param};
+use bat::tuners::{
+    default_tuners, BasinHopping, BayesianOptimization, DifferentialEvolution, ExhaustiveSearch,
+    GeneticAlgorithm, IteratedLocalSearch, LocalSearch, ParticleSwarm, RandomSearch,
+    SimulatedAnnealing, SmacTuner, Strategy, SurrogateTuner, Tpe, TransferDatabase, Tuner,
+    WarmStartTuner,
+};
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_digests.txt");
 
@@ -148,6 +164,14 @@ fn chaos() -> (FaultModel, RetryPolicy) {
     (model, policy)
 }
 
+/// Tune once on `eval` and render the run's JSON followed by the
+/// evaluator's statistics: the bytes every tuning digest covers.
+fn run_record(tuner: &dyn Tuner, eval: &Evaluator<'_>, seed: u64) -> String {
+    let run = tuner.tune(eval, seed);
+    let stats = serde_json::to_string(&EvalBackend::stats(eval)).expect("stats serialize");
+    format!("{}\n{stats}\n", run.to_json())
+}
+
 /// Tune once and digest the run's JSON followed by its statistics.
 fn run_digest(
     tuner: &dyn Tuner,
@@ -173,9 +197,7 @@ fn run_digest(
         builder = builder.faults(model, policy);
     }
     let eval = builder.build().expect("valid protocol");
-    let run = tuner.tune(&eval, TUNER_SEED);
-    let stats = serde_json::to_string(&EvalBackend::stats(&eval)).expect("stats serialize");
-    fnv1a(format!("{}\n{stats}\n", run.to_json()).as_bytes())
+    fnv1a(run_record(tuner, &eval, TUNER_SEED).as_bytes())
 }
 
 fn tuning_digests() -> BTreeMap<String, u64> {
@@ -213,6 +235,221 @@ fn tuning_digests() -> BTreeMap<String, u64> {
     out
 }
 
+/// The spaces of the synthetic grid, from the `arb_space` family of
+/// `tests/property_step_equivalence.rs`: `(radices, restricted)`. Parameter
+/// `pi` takes the values `1..=radices[i]`; a restricted space keeps only
+/// `p0 + p1 <= r0 + r1 - 1`.
+const SYNTHETIC_SPACES: [(&[i64], bool); 6] = [
+    (&[2, 2], false),
+    (&[6, 6], true),
+    (&[3, 5, 2], false),
+    (&[3, 5, 2], true),
+    (&[6, 4, 5], false),
+    (&[5, 6, 4], true),
+];
+
+/// Builds one tuner variant for a space (warm starts seed from it).
+type MakeTuner = fn(&ConfigSpace) -> Box<dyn Tuner>;
+
+/// The search tuners of the synthetic grid: `(row label, tuner)`.
+const SEARCH_TUNERS: [(&str, MakeTuner); 11] = [
+    ("random-search", |_| Box::new(RandomSearch)),
+    ("exhaustive", |_| Box::new(ExhaustiveSearch)),
+    (
+        "mls-first-improvement",
+        |_| Box::new(LocalSearch::default()),
+    ),
+    ("mls-best-improvement", |_| {
+        Box::new(LocalSearch {
+            strategy: Strategy::BestImprovement,
+            ..LocalSearch::default()
+        })
+    }),
+    ("greedy-ils", |_| Box::new(IteratedLocalSearch::default())),
+    ("simulated-annealing", |_| {
+        Box::new(SimulatedAnnealing::default())
+    }),
+    ("basin-hopping", |_| Box::new(BasinHopping::default())),
+    ("genetic-algorithm", |_| {
+        Box::new(GeneticAlgorithm::default())
+    }),
+    ("particle-swarm", |_| Box::new(ParticleSwarm::default())),
+    ("differential-evolution", |_| {
+        Box::new(DifferentialEvolution::default())
+    }),
+    ("warmstart+random-search", |space| {
+        Box::new(WarmStartTuner::new(transfer_seeds(space), RandomSearch))
+    }),
+];
+
+/// NSGA-II cold and warm-started from a transfer database.
+const NSGA2_VARIANTS: [(&str, MakeTuner); 2] = [
+    ("nsga2", |_| Box::new(Nsga2::default())),
+    ("nsga2-warm-started", |space| {
+        let mut db = TransferDatabase::new();
+        for config in transfer_seeds(space) {
+            db.record("elsewhere", config);
+        }
+        Box::new(Nsga2::warm_started(&db, "sim"))
+    }),
+];
+
+/// The model-based tuners, which fit a surrogate along every run.
+const MODEL_TUNERS: [(&str, MakeTuner); 4] = [
+    ("gbdt-surrogate", |_| Box::new(SurrogateTuner::default())),
+    ("gp-bo-ei", |_| Box::new(BayesianOptimization::default())),
+    ("tpe", |_| Box::new(Tpe::default())),
+    ("smac-forest", |_| Box::new(SmacTuner::default())),
+];
+
+/// The model-based tuners at `paper-ranking` budgets on
+/// [`paper_scale_space`]: `(row label, tuner, budget, seed)`. Invalid
+/// configurations add no observation, so along these runs gp-bo-ei reuses
+/// its last GP, grows its factor by appended rows and refits when an input
+/// range moves; the capped variant fits subsamples, and gbdt-surrogate
+/// skips the refits that would see nothing new.
+const PAPER_SCALE: [(&str, MakeTuner, u64, u64); 4] = [
+    (
+        "gp-bo-ei",
+        |_| Box::new(BayesianOptimization::default()),
+        150,
+        3,
+    ),
+    (
+        "gp-bo-ei-capped",
+        |_| {
+            let mut capped = BayesianOptimization::default();
+            capped.max_observations = 10;
+            Box::new(capped)
+        },
+        80,
+        5,
+    ),
+    (
+        "gbdt-surrogate",
+        |_| Box::new(SurrogateTuner::default()),
+        150,
+        3,
+    ),
+    ("smac-forest", |_| Box::new(SmacTuner::default()), 150, 3),
+];
+
+/// Warm-start seeds for `space`: its first configuration, one that is not
+/// representable (skipped for free) and its last.
+fn transfer_seeds(space: &ConfigSpace) -> Vec<Vec<i64>> {
+    vec![
+        space.config_at(0),
+        vec![999; space.num_params()],
+        space.config_at(space.cardinality() - 1),
+    ]
+}
+
+fn synthetic_space(radices: &[i64], restricted: bool) -> ConfigSpace {
+    let mut b = ConfigSpace::builder();
+    for (i, &radix) in radices.iter().enumerate() {
+        b = b.param(Param::new(format!("p{i}"), (1..=radix).collect::<Vec<_>>()));
+    }
+    if restricted {
+        b = b.restrict(&format!("p0 + p1 <= {}", radices[0] + radices[1] - 1));
+    }
+    b.build().expect("valid space")
+}
+
+/// A `paper-ranking`-sized space: six parameters, with a restriction that
+/// rejects 40 % of it, the optimum of [`synthetic_problem`] included, so
+/// tuners keep proposing configurations that fail, as they do near a
+/// kernel's resource limits.
+fn paper_scale_space() -> ConfigSpace {
+    let mut b = ConfigSpace::builder();
+    for (i, radix) in [4i64, 4, 3, 5, 3, 4].into_iter().enumerate() {
+        b = b.param(Param::new(format!("p{i}"), (1..=radix).collect::<Vec<_>>()));
+    }
+    b.restrict("p0 + p1 + p2 >= 7")
+        .build()
+        .expect("valid space")
+}
+
+/// The synthetic objective of `tests/property_step_equivalence.rs`.
+fn synthetic_problem(
+    space: ConfigSpace,
+) -> SyntheticProblem<impl Fn(&[i64]) -> Result<f64, EvalFailure> + Send + Sync> {
+    SyntheticProblem::new("step-prop", "sim", space, |c| {
+        let mut t = 1.0;
+        for (i, &v) in c.iter().enumerate() {
+            t += ((v - 2 * (i as i64 % 3)) * (v - 2)) as f64 * 0.25 + v as f64 * 0.1;
+        }
+        Ok(t.abs() + 0.5)
+    })
+}
+
+/// Digest every case of one tuner variant at batch 1, in grid order: for
+/// each space, noise setting, budget and seed, the bytes [`run_record`]
+/// renders.
+fn grid_digest(
+    tuner: MakeTuner,
+    spaces: &[ConfigSpace],
+    noisy: &[bool],
+    budgets: &[u64],
+    seeds: &[u64],
+) -> u64 {
+    let mut bytes = String::new();
+    for space in spaces {
+        let problem = synthetic_problem(space.clone());
+        let tuner = tuner(space);
+        for &noisy in noisy {
+            let protocol = if noisy {
+                Protocol {
+                    runs: 3,
+                    sigma: 0.05,
+                    seed: 7,
+                    batch: 1,
+                }
+            } else {
+                Protocol::noiseless()
+            };
+            for &budget in budgets {
+                for &seed in seeds {
+                    let eval = Evaluator::builder(&problem)
+                        .protocol(protocol)
+                        .budget(budget)
+                        .energy(tuner.name() == "nsga2")
+                        .build()
+                        .expect("valid protocol");
+                    bytes += &run_record(tuner.as_ref(), &eval, seed);
+                }
+            }
+        }
+    }
+    fnv1a(bytes.as_bytes())
+}
+
+fn synthetic_digests() -> BTreeMap<String, u64> {
+    let spaces: Vec<ConfigSpace> = SYNTHETIC_SPACES
+        .iter()
+        .map(|&(radices, restricted)| synthetic_space(radices, restricted))
+        .collect();
+    let both = [false, true];
+    let mut out = BTreeMap::new();
+    for (label, tuner) in SEARCH_TUNERS {
+        let digest = grid_digest(tuner, &spaces, &both, &[20, 53, 89], &[0, 7, 999]);
+        out.insert(format!("synthetic/{label}"), digest);
+    }
+    for (label, tuner) in NSGA2_VARIANTS {
+        let digest = grid_digest(tuner, &spaces, &both, &[50, 83, 119], &[0, 7, 999]);
+        out.insert(format!("synthetic/{label}"), digest);
+    }
+    for (label, tuner) in MODEL_TUNERS {
+        let digest = grid_digest(tuner, &spaces, &[false], &[24, 39], &[0, 42]);
+        out.insert(format!("synthetic/{label}"), digest);
+    }
+    let paper = [paper_scale_space()];
+    for (label, tuner, budget, seed) in PAPER_SCALE {
+        let digest = grid_digest(tuner, &paper, &[false], &[budget], &[seed]);
+        out.insert(format!("synthetic/paper-scale/{label}"), digest);
+    }
+    out
+}
+
 fn render(table: &BTreeMap<String, u64>) -> String {
     let mut text = String::from(
         "# FNV-1a 64-bit digests checked by tests/golden.rs (x86_64 Linux).\n\
@@ -241,12 +478,18 @@ fn artifacts_and_tuning_runs_match_the_golden_digests() {
     // never read each other's artifacts.
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let (mut got, runs) = std::thread::scope(|s| {
+    let (mut got, runs, synthetic) = std::thread::scope(|s| {
         let campaigns = s.spawn(|| campaign_digests(&dir));
+        let synthetic = s.spawn(synthetic_digests);
         let runs = tuning_digests();
-        (campaigns.join().expect("campaign digests"), runs)
+        (
+            campaigns.join().expect("campaign digests"),
+            runs,
+            synthetic.join().expect("synthetic digests"),
+        )
     });
     got.extend(runs);
+    got.extend(synthetic);
     std::fs::remove_dir_all(&dir).expect("removing the temp dir");
 
     if std::env::var_os("BAT_BLESS").is_some_and(|v| v == "1") {
