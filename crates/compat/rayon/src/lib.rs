@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 mod pool;
 
 pub use pool::{current_num_threads, pool_busy_us, set_global_threads, with_thread_limit};
-use pool::{worker_count, IN_PARALLEL};
+use pool::{parallel_region, worker_count};
 
 /// Shared mutable output pointer for disjoint-slot writes across workers.
 /// Accessed only through [`OutPtr::write`] so closures capture the wrapper
@@ -107,10 +107,8 @@ where
     let n = items.len();
     let workers = worker_count(n);
     if workers <= 1 {
-        let was = IN_PARALLEL.with(|c| c.replace(true));
-        let out = items.into_iter().map(f).collect();
-        IN_PARALLEL.with(|c| c.set(was));
-        return out;
+        let _region = parallel_region();
+        return items.into_iter().map(f).collect();
     }
     let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
     // SAFETY: MaybeUninit slots need no initialization.
@@ -159,9 +157,8 @@ where
     let n = items.len();
     let workers = worker_count(n);
     if workers <= 1 {
-        let was = IN_PARALLEL.with(|c| c.replace(true));
+        let _region = parallel_region();
         items.into_iter().for_each(f);
-        IN_PARALLEL.with(|c| c.set(was));
         return;
     }
     let items = ManuallyDrop::new(items);
@@ -323,12 +320,11 @@ where
     let items = usize::try_from(len).expect("range too large to collect");
     let workers = worker_count(items);
     if workers <= 1 {
-        let was = IN_PARALLEL.with(|c| c.replace(true));
+        let _region = parallel_region();
         let mut out = Vec::with_capacity(items);
         for k in 0..len {
             out.push(f(start.offset(k)));
         }
-        IN_PARALLEL.with(|c| c.set(was));
         return out;
     }
     let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(items);
@@ -369,11 +365,10 @@ where
 {
     let workers = worker_count(usize::try_from(len.min(usize::MAX as u64)).unwrap_or(usize::MAX));
     if workers <= 1 {
-        let was = IN_PARALLEL.with(|c| c.replace(true));
+        let _region = parallel_region();
         for k in 0..len {
             f(start.offset(k));
         }
-        IN_PARALLEL.with(|c| c.set(was));
         return;
     }
     // ~8 claims per worker balances skew against cursor traffic; the block
@@ -709,6 +704,30 @@ mod tests {
         let v: Vec<u64> =
             with_thread_limit(4, || (0u64..100).into_par_iter().map(|x| x * 3).collect());
         assert_eq!(v, (0u64..100).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_caught_panic_restores_the_thread_limit() {
+        let before = super::worker_count(100);
+        let caught = std::panic::catch_unwind(|| with_thread_limit(before + 1, || panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(super::worker_count(100), before);
+    }
+
+    #[test]
+    fn a_caught_panic_in_a_serial_terminal_leaves_the_thread_parallel() {
+        // Two threads, so the serial fallback shows on a one-core host too.
+        with_thread_limit(2, || {
+            let before = super::worker_count(100);
+            let caught = std::panic::catch_unwind(|| {
+                vec![0u64]
+                    .into_par_iter()
+                    .map(|_| -> u64 { panic!("boom") })
+                    .collect::<Vec<u64>>()
+            });
+            assert!(caught.is_err());
+            assert_eq!(super::worker_count(100), before);
+        });
     }
 
     #[test]

@@ -32,16 +32,44 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::LocalKey;
 
 thread_local! {
     /// True while this thread is executing inside a parallel terminal;
     /// nested parallel calls then run serially instead of over-spawning.
     /// Permanently true on pool worker threads.
-    pub(crate) static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
+    static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
 
     /// Per-thread cap on the participants of parallel calls issued from
     /// this thread (0 = no cap). See [`with_thread_limit`].
     static THREAD_LIMIT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Holds a thread-local cell at a value for the guard's lifetime and
+/// restores the previous value on drop — on unwind as on return, so a
+/// caught panic leaves neither a stale thread limit nor a stale parallel
+/// flag behind.
+pub(crate) struct Restore<T: Copy + 'static> {
+    cell: &'static LocalKey<Cell<T>>,
+    prev: T,
+}
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(cell: &'static LocalKey<Cell<T>>, value: T) -> Self {
+        let prev = cell.with(|c| c.replace(value));
+        Restore { cell, prev }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.cell.with(|c| c.set(self.prev));
+    }
+}
+
+/// Mark this thread as inside a parallel region until the guard drops.
+pub(crate) fn parallel_region() -> Restore<bool> {
+    Restore::set(&IN_PARALLEL, true)
 }
 
 /// Explicitly requested pool size (0 = unset). Read once, when the size
@@ -90,10 +118,8 @@ pub fn current_num_threads() -> usize {
 /// inside one process, even on a single-core host. Purely thread-local:
 /// other threads and the global configuration are unaffected.
 pub fn with_thread_limit<R>(limit: usize, f: impl FnOnce() -> R) -> R {
-    let prev = THREAD_LIMIT.with(|c| c.replace(limit.max(1)));
-    let out = f();
-    THREAD_LIMIT.with(|c| c.set(prev));
-    out
+    let _limit = Restore::set(&THREAD_LIMIT, limit.max(1));
+    f()
 }
 
 /// Number of threads a parallel terminal over `items` items should use,
@@ -282,11 +308,10 @@ pub(crate) fn run_parallel(participants: usize, f: &(dyn Fn() + Sync)) {
     let extra = pool.ensure_workers(participants.saturating_sub(1));
     if extra == 0 {
         // Degenerate override: run in place, still marked parallel.
-        let was = IN_PARALLEL.with(|c| c.replace(true));
+        let _region = parallel_region();
         let t0 = std::time::Instant::now();
         f();
         obs().busy_us.add(t0.elapsed().as_micros() as u64);
-        IN_PARALLEL.with(|c| c.set(was));
         return;
     }
     obs().jobs.inc();
@@ -315,11 +340,11 @@ pub(crate) fn run_parallel(participants: usize, f: &(dyn Fn() + Sync)) {
 
     // The caller is a participant too; its share of the claim loop runs
     // inside the parallel region, so nested calls from it serialize.
-    let was = IN_PARALLEL.with(|c| c.replace(true));
+    let region = parallel_region();
     let t0 = std::time::Instant::now();
     let caller_panic = catch_unwind(AssertUnwindSafe(f)).err();
     obs().busy_us.add(t0.elapsed().as_micros() as u64);
-    IN_PARALLEL.with(|c| c.set(was));
+    drop(region);
 
     // Cancel unclaimed tickets: workers that have not started by the time
     // the caller drains the cursor would only observe no work left, and the
