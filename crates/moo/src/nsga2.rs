@@ -6,7 +6,7 @@
 //! tournament selection keyed on (non-domination rank, crowding distance),
 //! uniform ordinal crossover and per-gene mutation; survivors are chosen by
 //! rank with the last front truncated by crowding. Every measurement flows
-//! through the shared [`Evaluator`] protocol, so NSGA-II spends budget
+//! through the shared [`Evaluator`](bat_core::Evaluator) protocol, so NSGA-II spends budget
 //! exactly like the single-objective tuners and its runs drop into the same
 //! campaign artifacts.
 //!
@@ -14,11 +14,9 @@
 //! feasible one, which steers the population into the valid region without
 //! a separate repair step.
 
-use bat_core::{Evaluator, TuningRun};
+use bat_core::TuningRun;
 use bat_space::ConfigSpace;
-use bat_tuners::{
-    new_run, ordinal, record_eval2, StepCtx, StepTuner, Told, TransferDatabase, Tuner,
-};
+use bat_tuners::{ordinal, StepCtx, StepTuner, Told, TransferDatabase, Tuner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,24 +69,6 @@ struct Individual {
     pos: Vec<usize>,
     /// `(time_ms, energy_mj)`; `None` when the evaluation failed.
     objectives: Option<(f64, f64)>,
-}
-
-/// Evaluate `pos` through the shared trial-recording protocol and return
-/// its objectives (`Err(())` when the budget ran out before the
-/// measurement happened).
-fn evaluate(
-    eval: &Evaluator<'_>,
-    space: &ConfigSpace,
-    run: &mut TuningRun,
-    pos: &[usize],
-) -> Result<Option<(f64, f64)>, ()> {
-    let index = ordinal::index_of(space, pos);
-    match record_eval2(eval, run, index) {
-        None => Err(()),
-        Some(outcome) => Ok(outcome
-            .ok()
-            .map(|m| (m.time_ms, m.energy_mj.unwrap_or(m.time_ms)))),
-    }
 }
 
 /// `a` dominates `b` under minimization (failures dominate nothing and are
@@ -359,48 +339,6 @@ impl Nsga2 {
             .map(|idx| ordinal::positions_of(space, idx))
             .collect()
     }
-
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let space = eval.problem().space();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let pop_size = self.population.max(2);
-        let mut seeds: std::collections::VecDeque<Vec<usize>> = self.seed_positions(space).into();
-
-        let mut pop: Vec<Individual> = Vec::with_capacity(pop_size);
-        for _ in 0..pop_size {
-            let pos = match seeds.pop_front() {
-                Some(pos) => pos,
-                None => ordinal::random_positions(space, &mut rng),
-            };
-            match evaluate(eval, space, &mut run, &pos) {
-                Ok(objectives) => pop.push(Individual { pos, objectives }),
-                Err(()) => return run,
-            }
-        }
-
-        loop {
-            let ranks = rank(&pop);
-            let dist = crowding(&pop, &ranks);
-            // Produce and evaluate one generation of offspring.
-            let mut combined = pop.clone();
-            for _ in 0..pop_size {
-                if !eval.has_budget() {
-                    return run;
-                }
-                let p1 = self.tournament(&pop, &ranks, &dist, &mut rng);
-                let p2 = self.tournament(&pop, &ranks, &dist, &mut rng);
-                let pos = self.offspring(space, (p1, p2), &mut rng);
-                match evaluate(eval, space, &mut run, &pos) {
-                    Ok(objectives) => combined.push(Individual { pos, objectives }),
-                    Err(()) => return run,
-                }
-            }
-            pop = environmental_selection(&combined, pop_size);
-        }
-    }
 }
 
 impl Tuner for Nsga2 {
@@ -443,7 +381,7 @@ pub fn front_of_run(run: &TuningRun, capacity: usize) -> ParetoArchive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bat_core::{EvalFailure, Protocol, SyntheticProblem, TuningProblem};
+    use bat_core::{EvalFailure, Evaluator, Protocol, SyntheticProblem, TuningProblem};
     use bat_space::{ConfigSpace, Param};
 
     struct TwoObjective {
@@ -537,17 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = problem();
-        let tuner = Nsga2::default();
-        for seed in 0..4 {
-            let e1 = energy_eval(&p, Protocol::noiseless(), 120);
-            let e2 = energy_eval(&p, Protocol::noiseless(), 120);
-            assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
-        }
-    }
-
-    #[test]
     fn whole_generation_batches_are_deterministic_and_spread_the_front() {
         let p = problem();
         // batch == population: every generation is asked at once.
@@ -583,9 +510,6 @@ mod tests {
         let run = tuner.tune(&eval, 7);
         assert_eq!(run.trials[0].config, vec![20, 3]);
         assert_eq!(run.trials[1].config, vec![5, 1]);
-        // Driver and reference agree with seeds present too.
-        let e2 = energy_eval(&p, Protocol::noiseless(), 60);
-        assert_eq!(run, tuner.reference_tune(&e2, 7));
     }
 
     #[test]

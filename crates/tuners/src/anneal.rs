@@ -5,7 +5,6 @@
 //! processed as a sequential proposal stream); basin hopping reuses the
 //! shared [`Descent`] core between its jumps.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::{ConfigSpace, Neighborhood};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -13,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::local::{Descent, LocalSearch, Strategy};
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{ordinal, Tuner};
 
 /// Simulated annealing with geometric cooling over a Hamming neighbourhood.
 #[derive(Debug, Clone, Copy)]
@@ -135,53 +134,6 @@ impl StepTuner for SaStep<'_> {
                 }
             }
         }
-    }
-}
-
-impl SimulatedAnnealing {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let card = space.cardinality();
-
-        'outer: while eval.has_budget() {
-            // Fresh start.
-            let (mut current, mut current_val) = loop {
-                let idx = rng.random_range(0..card);
-                match record_eval(eval, &mut run, idx) {
-                    Recorded::Exhausted => break 'outer,
-                    Recorded::Failed => {}
-                    Recorded::Ok(v) => break (idx, v),
-                }
-            };
-            let mut temp = current_val * self.initial_temp_frac;
-            let floor = current_val * self.min_temp_frac;
-            while temp > floor {
-                let neighbors = Neighborhood::HammingAny.neighbor_indices(space, current);
-                let Some(&candidate) = neighbors.as_slice().choose(&mut rng) else {
-                    break;
-                };
-                match record_eval(eval, &mut run, candidate) {
-                    Recorded::Exhausted => break 'outer,
-                    Recorded::Failed => {}
-                    Recorded::Ok(v) => {
-                        let accept = v < current_val || {
-                            let p = (-(v - current_val) / temp).exp();
-                            rng.random_range(0.0..1.0) < p
-                        };
-                        if accept {
-                            current = candidate;
-                            current_val = v;
-                        }
-                    }
-                }
-                temp *= self.cooling;
-            }
-        }
-        run
     }
 }
 
@@ -345,67 +297,6 @@ impl StepTuner for BhStep<'_> {
     }
 }
 
-impl BasinHopping {
-    /// The pre-ask/tell pull loop (equivalence oracle, see
-    /// [`SimulatedAnnealing::reference_tune`]).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let card = space.cardinality();
-
-        // Initial random point.
-        let start = loop {
-            let idx = rng.random_range(0..card);
-            match record_eval(eval, &mut run, idx) {
-                Recorded::Exhausted => return run,
-                Recorded::Failed => {}
-                Recorded::Ok(v) => break (idx, v),
-            }
-        };
-        let Some((mut home, _)) = reference_descend(&self.inner, eval, &mut run, &mut rng, start)
-        else {
-            return run;
-        };
-
-        while eval.has_budget() {
-            let mut pos = ordinal::positions_of(space, home);
-            for _ in 0..self.jump {
-                ordinal::mutate_one(space, &mut pos, &mut rng);
-            }
-            let candidate = ordinal::index_of(space, &pos);
-            let c_val = match record_eval(eval, &mut run, candidate) {
-                Recorded::Exhausted => break,
-                Recorded::Failed => continue,
-                Recorded::Ok(v) => v,
-            };
-            match reference_descend(&self.inner, eval, &mut run, &mut rng, (candidate, c_val)) {
-                None => break,
-                Some((idx, _)) => {
-                    // Accept the new basin if its minimum beats the old one
-                    // (monotone acceptance).
-                    let home_best = run
-                        .trials
-                        .iter()
-                        .filter(|t| t.index == home)
-                        .filter_map(|t| t.time_ms())
-                        .fold(f64::INFINITY, f64::min);
-                    let new_best = run
-                        .trials
-                        .iter()
-                        .filter(|t| t.index == idx)
-                        .filter_map(|t| t.time_ms())
-                        .fold(f64::INFINITY, f64::min);
-                    if new_best <= home_best {
-                        home = idx;
-                    }
-                }
-            }
-        }
-        run
-    }
-}
-
 impl Tuner for BasinHopping {
     fn name(&self) -> &str {
         "basin-hopping"
@@ -420,42 +311,6 @@ impl Tuner for BasinHopping {
             home: None,
             state: BhState::Start,
         })
-    }
-}
-
-/// Shared first-improvement descent helper of the reference oracle
-/// (verbatim the pre-ask/tell basin-hopping inner loop).
-fn reference_descend(
-    inner: &LocalSearch,
-    eval: &Evaluator<'_>,
-    run: &mut TuningRun,
-    rng: &mut StdRng,
-    start: (u64, f64),
-) -> Option<(u64, f64)> {
-    use rand::seq::SliceRandom;
-    let space = eval.problem().space();
-    let (mut current, mut current_val) = start;
-    loop {
-        let mut neighbors = inner.neighborhood.neighbor_indices(space, current);
-        neighbors.shuffle(rng);
-        let mut moved = false;
-        for n in neighbors {
-            match record_eval(eval, run, n) {
-                Recorded::Exhausted => return None,
-                Recorded::Failed => {}
-                Recorded::Ok(v) => {
-                    if v < current_val {
-                        current = n;
-                        current_val = v;
-                        moved = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !moved {
-            return Some((current, current_val));
-        }
     }
 }
 
@@ -519,22 +374,6 @@ mod tests {
             SimulatedAnnealing::default().tune(&e1, 9),
             SimulatedAnnealing::default().tune(&e2, 9)
         );
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loops_at_batch_one() {
-        let p = multimodal();
-        for seed in 0..6 {
-            let sa = SimulatedAnnealing::default();
-            let e1 = noiseless(&p, 250);
-            let e2 = noiseless(&p, 250);
-            assert_eq!(sa.tune(&e1, seed), sa.reference_tune(&e2, seed));
-
-            let bh = BasinHopping::default();
-            let e1 = noiseless(&p, 250);
-            let e2 = noiseless(&p, 250);
-            assert_eq!(bh.tune(&e1, seed), bh.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 use std::collections::HashSet;
 
-use bat_core::{Evaluator, TuningRun};
 use bat_ml::stats::{norm_cdf, norm_pdf};
 use bat_ml::{GaussianProcess, GpParams, KernelKind};
 use rand::rngs::StdRng;
@@ -26,9 +25,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{
-    new_run, ordinal, position_feature, record_eval, CandidatePool, Recorded, Tuner,
-};
+use crate::tuner::{ordinal, position_feature, CandidatePool, Tuner};
 
 /// Acquisition functions for minimization. All scores are
 /// "higher-is-better" so candidate selection is a single `max`.
@@ -315,130 +312,6 @@ impl Tuner for BayesianOptimization {
     }
 }
 
-impl BayesianOptimization {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let card = space.cardinality();
-
-        let mut obs = Observations {
-            x: Vec::new(),
-            y: Vec::new(),
-        };
-        let mut best_log = f64::INFINITY;
-        let mut best_idx: Option<u64> = None;
-        // Configurations already spent budget on: re-evaluating one costs
-        // an evaluation but teaches the model nothing, so candidates are
-        // deduplicated against this set.
-        let mut seen: HashSet<u64> = HashSet::new();
-        let record = |run: &mut TuningRun,
-                      obs: &mut Observations,
-                      best_log: &mut f64,
-                      best_idx: &mut Option<u64>,
-                      idx: u64|
-         -> Option<()> {
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => None,
-                Recorded::Failed => Some(()),
-                Recorded::Ok(v) => {
-                    let logv = v.max(1e-12).ln();
-                    obs.x.push(gp_features(space, idx));
-                    obs.y.push(logv);
-                    if logv < *best_log {
-                        *best_log = logv;
-                        *best_idx = Some(idx);
-                    }
-                    Some(())
-                }
-            }
-        };
-
-        for _ in 0..self.warmup {
-            let idx = rng.random_range(0..card);
-            seen.insert(idx);
-            if record(&mut run, &mut obs, &mut best_log, &mut best_idx, idx).is_none() {
-                return run;
-            }
-        }
-
-        let mut hyper: Option<(f64, f64)> = None; // (lengthscale, noise)
-        let mut obs_at_last_grid_fit = 0usize;
-        while eval.has_budget() {
-            if obs.y.len() < 2 {
-                // Everything failed so far: keep sampling at random.
-                let idx = rng.random_range(0..card);
-                seen.insert(idx);
-                if record(&mut run, &mut obs, &mut best_log, &mut best_idx, idx).is_none() {
-                    break;
-                }
-                continue;
-            }
-
-            let (tx, ty) = obs.training_set(self.max_observations, &mut rng);
-            let grid_due =
-                hyper.is_none() || obs.y.len() - obs_at_last_grid_fit >= self.hyper_refit_every;
-            let params = if grid_due {
-                GpParams {
-                    kernel: self.kernel,
-                    ..GpParams::default()
-                }
-            } else {
-                let (ell, noise) = hyper.expect("set when not due");
-                GpParams::fixed(self.kernel, ell, noise)
-            };
-            let gp = GaussianProcess::fit(&tx, &ty, &params);
-            if grid_due {
-                hyper = Some((gp.lengthscale(), gp.noise()));
-                obs_at_last_grid_fit = obs.y.len();
-            }
-
-            // Candidate pool: random configurations plus Hamming-1
-            // neighbours of the incumbent (local refinement, as in the
-            // candidate generation of SMAC/ref [22]).
-            let mut candidates: Vec<u64> = (0..self.pool)
-                .map(|_| ordinal::index_of(space, &ordinal::random_positions(space, &mut rng)))
-                .collect();
-            if let Some(bi) = best_idx {
-                let pos = ordinal::positions_of(space, bi);
-                for i in 0..pos.len() {
-                    for alt in 0..space.params()[i].len() {
-                        if alt != pos[i] {
-                            let mut p = pos.clone();
-                            p[i] = alt;
-                            candidates.push(ordinal::index_of(space, &p));
-                        }
-                    }
-                }
-            }
-
-            let mut chosen = None;
-            let mut best_score = f64::NEG_INFINITY;
-            for &idx in &candidates {
-                if seen.contains(&idx) {
-                    continue;
-                }
-                let p = gp.predict(&gp_features(space, idx));
-                let s = self.acquisition.score(p.mean, p.std_dev(), best_log);
-                if s > best_score {
-                    best_score = s;
-                    chosen = Some(idx);
-                }
-            }
-            // Whole pool already evaluated (tiny spaces): fall back to a
-            // fresh random draw, seen or not.
-            let chosen = chosen.unwrap_or_else(|| rng.random_range(0..card));
-            seen.insert(chosen);
-            if record(&mut run, &mut obs, &mut best_log, &mut best_idx, chosen).is_none() {
-                break;
-            }
-        }
-        run
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,17 +447,6 @@ mod tests {
         let idx1: Vec<u64> = run1.trials.iter().map(|t| t.index).collect();
         let idx2: Vec<u64> = run2.trials.iter().map(|t| t.index).collect();
         assert_eq!(idx1, idx2);
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = smooth_problem();
-        let bo = BayesianOptimization::default();
-        for seed in 0..3 {
-            let e1 = noiseless(&p, 45);
-            let e2 = noiseless(&p, 45);
-            assert_eq!(bo.tune(&e1, seed), bo.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! applies greedy selection in told order. `batch = 1` replays the
 //! historical loop bit-exactly; `batch = population` is synchronous DE.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{ordinal, Tuner};
 
 /// DE/rand/1/bin adapted to discrete spaces: difference vectors act on
 /// continuous ordinal coordinates, trial vectors are rounded for
@@ -126,72 +125,6 @@ impl StepTuner for DeStep<'_> {
     }
 }
 
-impl DifferentialEvolution {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        assert!(self.population >= 4, "DE needs at least 4 individuals");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let dims = space.num_params();
-
-        let evaluate = |run: &mut TuningRun, x: &[f64]| -> Option<f64> {
-            let pos: Vec<usize> = (0..dims).map(|i| ordinal::clamp(space, i, x[i])).collect();
-            let idx = ordinal::index_of(space, &pos);
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => None,
-                Recorded::Failed => Some(f64::INFINITY),
-                Recorded::Ok(v) => Some(v),
-            }
-        };
-
-        // Initialize population.
-        let mut xs: Vec<Vec<f64>> = Vec::with_capacity(self.population);
-        let mut vals: Vec<f64> = Vec::with_capacity(self.population);
-        for _ in 0..self.population {
-            let x: Vec<f64> = (0..dims)
-                .map(|i| rng.random_range(0.0..space.params()[i].len() as f64 - 1e-9))
-                .collect();
-            let Some(v) = evaluate(&mut run, &x) else {
-                return run;
-            };
-            xs.push(x);
-            vals.push(v);
-        }
-
-        'outer: loop {
-            for target in 0..self.population {
-                // Pick three distinct others.
-                let mut pick = || loop {
-                    let c = rng.random_range(0..self.population);
-                    if c != target {
-                        return c;
-                    }
-                };
-                let (a, b, c) = (pick(), pick(), pick());
-                let j_rand = rng.random_range(0..dims);
-                let mut trial = xs[target].clone();
-                for j in 0..dims {
-                    if j == j_rand || rng.random_bool(self.cr) {
-                        let span = space.params()[j].len() as f64;
-                        trial[j] =
-                            (xs[a][j] + self.f * (xs[b][j] - xs[c][j])).clamp(0.0, span - 1.0);
-                    }
-                }
-                let Some(v) = evaluate(&mut run, &trial) else {
-                    break 'outer;
-                };
-                if v <= vals[target] {
-                    xs[target] = trial;
-                    vals[target] = v;
-                }
-            }
-        }
-        run
-    }
-}
-
 impl Tuner for DifferentialEvolution {
     fn name(&self) -> &str {
         "differential-evolution"
@@ -257,17 +190,6 @@ mod tests {
             ..DifferentialEvolution::default()
         }
         .tune(&eval, 0);
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = problem();
-        let de = DifferentialEvolution::default();
-        for seed in 0..6 {
-            let e1 = noiseless(&p, 180);
-            let e2 = noiseless(&p, 180);
-            assert_eq!(de.tune(&e1, seed), de.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

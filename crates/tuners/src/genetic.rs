@@ -8,13 +8,12 @@
 //! batch of the population size it degenerates to a generational GA —
 //! the classic serial/parallel trade-off the batch axis exists to study.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{ordinal, Tuner};
 
 /// Steady-state GA: tournament selection, uniform crossover, per-coordinate
 /// mutation, elitist replacement.
@@ -130,84 +129,6 @@ impl StepTuner for GaStep<'_> {
     }
 }
 
-impl GeneticAlgorithm {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        assert!(self.population >= 2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-
-        // Initial population.
-        let mut pop: Vec<Individual> = Vec::with_capacity(self.population);
-        while pop.len() < self.population {
-            let pos = ordinal::random_positions(space, &mut rng);
-            let idx = ordinal::index_of(space, &pos);
-            match record_eval(eval, &mut run, idx) {
-                Recorded::Exhausted => return run,
-                Recorded::Failed => pop.push(Individual {
-                    pos,
-                    fitness: f64::INFINITY,
-                }),
-                Recorded::Ok(v) => pop.push(Individual { pos, fitness: v }),
-            }
-        }
-
-        loop {
-            // Tournament selection of two parents.
-            let pick = |rng: &mut StdRng, pop: &[Individual]| -> usize {
-                let mut best = rng.random_range(0..pop.len());
-                for _ in 1..self.tournament {
-                    let c = rng.random_range(0..pop.len());
-                    if pop[c].fitness < pop[best].fitness {
-                        best = c;
-                    }
-                }
-                best
-            };
-            let pa = pick(&mut rng, &pop);
-            let pb = pick(&mut rng, &pop);
-
-            // Uniform crossover + mutation.
-            let mut child: Vec<usize> = pop[pa]
-                .pos
-                .iter()
-                .zip(&pop[pb].pos)
-                .map(|(&a, &b)| if rng.random_bool(0.5) { a } else { b })
-                .collect();
-            for (i, c) in child.iter_mut().enumerate() {
-                if rng.random_bool(self.mutation_rate) {
-                    let len = space.params()[i].len();
-                    *c = rng.random_range(0..len);
-                }
-            }
-
-            let idx = ordinal::index_of(space, &child);
-            let fitness = match record_eval(eval, &mut run, idx) {
-                Recorded::Exhausted => break,
-                Recorded::Failed => f64::INFINITY,
-                Recorded::Ok(v) => v,
-            };
-
-            // Replace the worst individual (elitism: never remove the best).
-            let worst = pop
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.fitness.partial_cmp(&b.1.fitness).unwrap())
-                .map(|(i, _)| i)
-                .unwrap();
-            if fitness < pop[worst].fitness {
-                pop[worst] = Individual {
-                    pos: child,
-                    fitness,
-                };
-            }
-        }
-        run
-    }
-}
-
 impl Tuner for GeneticAlgorithm {
     fn name(&self) -> &str {
         "genetic-algorithm"
@@ -276,17 +197,6 @@ mod tests {
             GeneticAlgorithm::default().tune(&e1, 4),
             GeneticAlgorithm::default().tune(&e2, 4)
         );
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = problem();
-        let ga = GeneticAlgorithm::default();
-        for seed in 0..6 {
-            let e1 = noiseless(&p, 200);
-            let e2 = noiseless(&p, 200);
-            assert_eq!(ga.tune(&e1, seed), ga.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use smac::SmacTuner;
 pub use step::{try_drive, try_drive_into, RunSink, StepCtx, StepTuner, Told, TrialSink};
 pub use surrogate::SurrogateTuner;
 pub use tpe::Tpe;
-pub use tuner::{new_run, ordinal, record_eval, record_eval2, Recorded, Tuner};
+pub use tuner::{ordinal, Tuner};
 pub use warmstart::{TransferDatabase, WarmStartTuner};
 
 /// All tuners with default settings, for suite-wide comparisons.

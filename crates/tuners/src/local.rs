@@ -11,14 +11,13 @@
 //! takes the first improving member, best-improvement simply fills its
 //! full-neighbourhood scan in parallel-sized bites.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::{ConfigSpace, Neighborhood};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{ordinal, Tuner};
 
 /// Neighbour-acceptance strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,98 +214,6 @@ impl StepTuner for LocalSearchStep<'_> {
     }
 }
 
-impl LocalSearch {
-    /// Descend from `start`; returns the local-minimum index and its value,
-    /// or `None` when the budget died mid-descent. (Reference-oracle form.)
-    pub(crate) fn reference_descend(
-        &self,
-        eval: &Evaluator<'_>,
-        run: &mut TuningRun,
-        rng: &mut StdRng,
-        start: u64,
-        start_val: f64,
-    ) -> Option<(u64, f64)> {
-        let space = eval.problem().space();
-        let mut current = start;
-        let mut current_val = start_val;
-        loop {
-            let mut neighbors = self.neighborhood.neighbor_indices(space, current);
-            neighbors.shuffle(rng);
-            let mut moved = false;
-            let mut best_neighbor: Option<(u64, f64)> = None;
-            for n in neighbors {
-                match record_eval(eval, run, n) {
-                    Recorded::Exhausted => return None,
-                    Recorded::Failed => {}
-                    Recorded::Ok(v) => match self.strategy {
-                        Strategy::FirstImprovement => {
-                            if v < current_val {
-                                current = n;
-                                current_val = v;
-                                moved = true;
-                                break;
-                            }
-                        }
-                        Strategy::BestImprovement => {
-                            if v < best_neighbor.map_or(current_val, |(_, bv)| bv) {
-                                best_neighbor = Some((n, v));
-                            }
-                        }
-                    },
-                }
-            }
-            if self.strategy == Strategy::BestImprovement {
-                if let Some((n, v)) = best_neighbor {
-                    current = n;
-                    current_val = v;
-                    moved = true;
-                }
-            }
-            if !moved {
-                return Some((current, current_val));
-            }
-        }
-    }
-
-    /// Draw a random starting point that evaluates successfully; records
-    /// the failed draws too. (Reference-oracle form.)
-    pub(crate) fn reference_random_start(
-        &self,
-        eval: &Evaluator<'_>,
-        run: &mut TuningRun,
-        rng: &mut StdRng,
-    ) -> Option<(u64, f64)> {
-        let card = eval.problem().space().cardinality();
-        loop {
-            let idx = rng.random_range(0..card);
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => return None,
-                Recorded::Failed => {}
-                Recorded::Ok(v) => return Some((idx, v)),
-            }
-        }
-    }
-
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        while eval.has_budget() {
-            let Some((start, val)) = self.reference_random_start(eval, &mut run, &mut rng) else {
-                break;
-            };
-            if self
-                .reference_descend(eval, &mut run, &mut rng, start, val)
-                .is_none()
-            {
-                break;
-            }
-        }
-        run
-    }
-}
-
 impl Tuner for LocalSearch {
     fn name(&self) -> &str {
         match self.strategy {
@@ -462,53 +369,6 @@ impl StepTuner for IlsStep<'_> {
     }
 }
 
-impl IteratedLocalSearch {
-    /// The pre-ask/tell pull loop (equivalence oracle, see
-    /// [`LocalSearch::reference_tune`]).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-
-        let Some((start, val)) = self.inner.reference_random_start(eval, &mut run, &mut rng) else {
-            return run;
-        };
-        let Some((mut home, mut home_val)) = self
-            .inner
-            .reference_descend(eval, &mut run, &mut rng, start, val)
-        else {
-            return run;
-        };
-
-        while eval.has_budget() {
-            // Perturb: `perturbation` random coordinate moves.
-            let mut pos = ordinal::positions_of(space, home);
-            for _ in 0..self.perturbation {
-                ordinal::mutate_one(space, &mut pos, &mut rng);
-            }
-            let candidate = ordinal::index_of(space, &pos);
-            let cand_val = match record_eval(eval, &mut run, candidate) {
-                Recorded::Exhausted => break,
-                Recorded::Failed => continue,
-                Recorded::Ok(v) => v,
-            };
-            match self
-                .inner
-                .reference_descend(eval, &mut run, &mut rng, candidate, cand_val)
-            {
-                None => break,
-                Some((idx, v)) => {
-                    if v < home_val {
-                        home = idx;
-                        home_val = v;
-                    }
-                }
-            }
-        }
-        run
-    }
-}
-
 impl Tuner for IteratedLocalSearch {
     fn name(&self) -> &str {
         "greedy-ils"
@@ -611,28 +471,6 @@ mod tests {
             let eval = noiseless(&p, budget);
             let run = LocalSearch::default().tune(&eval, 1);
             assert_eq!(run.trials.len() as u64, budget);
-        }
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = convex_problem();
-        for seed in 0..6 {
-            for tuner in [
-                LocalSearch::default(),
-                LocalSearch {
-                    strategy: Strategy::BestImprovement,
-                    ..LocalSearch::default()
-                },
-            ] {
-                let e1 = noiseless(&p, 300);
-                let e2 = noiseless(&p, 300);
-                assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
-            }
-            let ils = IteratedLocalSearch::default();
-            let e1 = noiseless(&p, 300);
-            let e2 = noiseless(&p, 300);
-            assert_eq!(ils.tune(&e1, seed), ils.reference_tune(&e2, seed));
         }
     }
 

@@ -6,13 +6,12 @@
 //! `batch = 1` replays the historical loop bit-exactly; `batch = swarm
 //! size` is the classic synchronous PSO iteration.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{ordinal, Tuner};
 
 /// PSO over the ordinal embedding of the space: particles carry continuous
 /// coordinates that are rounded/clamped to parameter positions for
@@ -157,83 +156,6 @@ impl StepTuner for PsoStep<'_> {
     }
 }
 
-impl ParticleSwarm {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let dims = space.num_params();
-
-        let evaluate = |run: &mut TuningRun, x: &[f64]| -> Option<f64> {
-            let pos: Vec<usize> = (0..dims).map(|i| ordinal::clamp(space, i, x[i])).collect();
-            let idx = ordinal::index_of(space, &pos);
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => None,
-                Recorded::Failed => Some(f64::INFINITY),
-                Recorded::Ok(v) => Some(v),
-            }
-        };
-
-        // Initialize swarm.
-        let mut swarm: Vec<Particle> = Vec::with_capacity(self.particles);
-        let mut g_best: Option<(Vec<f64>, f64)> = None;
-        for _ in 0..self.particles {
-            let x: Vec<f64> = (0..dims)
-                .map(|i| rng.random_range(0.0..space.params()[i].len() as f64 - 1e-9))
-                .collect();
-            let v: Vec<f64> = (0..dims)
-                .map(|i| {
-                    let span = space.params()[i].len() as f64;
-                    rng.random_range(-span / 4.0..span / 4.0)
-                })
-                .collect();
-            let Some(val) = evaluate(&mut run, &x) else {
-                return run;
-            };
-            if g_best.as_ref().is_none_or(|(_, gv)| val < *gv) {
-                g_best = Some((x.clone(), val));
-            }
-            swarm.push(Particle {
-                best_x: x.clone(),
-                best_val: val,
-                x,
-                v,
-            });
-        }
-
-        'outer: loop {
-            for p in &mut swarm {
-                let (gx, _) = g_best.as_ref().expect("swarm initialized");
-                debug_assert_eq!(gx.len(), dims);
-                for (i, &g) in gx.iter().enumerate() {
-                    let r1: f64 = rng.random_range(0.0..1.0);
-                    let r2: f64 = rng.random_range(0.0..1.0);
-                    p.v[i] = self.inertia * p.v[i]
-                        + self.cognitive * r1 * (p.best_x[i] - p.x[i])
-                        + self.social * r2 * (g - p.x[i]);
-                    // Velocity clamp to half the axis span.
-                    let span = space.params()[i].len() as f64;
-                    p.v[i] = p.v[i].clamp(-span / 2.0, span / 2.0);
-                    p.x[i] = (p.x[i] + p.v[i]).clamp(0.0, span - 1.0);
-                }
-                let Some(val) = evaluate(&mut run, &p.x) else {
-                    break 'outer;
-                };
-                if val < p.best_val {
-                    p.best_val = val;
-                    p.best_x = p.x.clone();
-                }
-                if g_best.as_ref().is_none_or(|(_, gv)| val < *gv) {
-                    g_best = Some((p.x.clone(), val));
-                }
-            }
-        }
-        run
-    }
-}
-
 impl Tuner for ParticleSwarm {
     fn name(&self) -> &str {
         "particle-swarm"
@@ -301,17 +223,6 @@ mod tests {
             ParticleSwarm::default().tune(&e1, 6),
             ParticleSwarm::default().tune(&e2, 6)
         );
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = problem();
-        let pso = ParticleSwarm::default();
-        for seed in 0..6 {
-            let e1 = noiseless(&p, 160);
-            let e2 = noiseless(&p, 160);
-            assert_eq!(pso.tune(&e1, seed), pso.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

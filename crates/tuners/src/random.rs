@@ -1,12 +1,11 @@
 //! Random search — the algorithm the paper's Fig. 2 evaluates.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, record_eval, Recorded, Tuner};
+use crate::tuner::Tuner;
 
 /// Uniform random sampling (with replacement) over the full cartesian
 /// space. Restricted/invalid draws consume budget, exactly as sampling a
@@ -42,24 +41,6 @@ impl Tuner for RandomSearch {
     }
 }
 
-impl RandomSearch {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let card = eval.problem().space().cardinality();
-        loop {
-            let idx = rng.random_range(0..card);
-            match record_eval(eval, &mut run, idx) {
-                Recorded::Exhausted => break,
-                Recorded::Failed | Recorded::Ok(_) => {}
-            }
-        }
-        run
-    }
-}
-
 /// Exhaustive (grid) search in index order; the reference "tuner" used to
 /// produce ground-truth optima for the exhaustively-searched benchmarks.
 #[derive(Debug, Clone, Copy, Default)]
@@ -91,21 +72,6 @@ impl Tuner for ExhaustiveSearch {
             next: 0,
             card: space.cardinality(),
         })
-    }
-}
-
-impl ExhaustiveSearch {
-    /// The pre-ask/tell pull loop (equivalence oracle, see
-    /// [`RandomSearch::reference_tune`]).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut run = new_run(eval, self.name(), seed);
-        let card = eval.problem().space().cardinality();
-        for idx in 0..card {
-            if matches!(record_eval(eval, &mut run, idx), Recorded::Exhausted) {
-                break;
-            }
-        }
-        run
     }
 }
 

@@ -11,16 +11,13 @@
 
 use std::collections::HashSet;
 
-use bat_core::{Evaluator, TuningRun};
 use bat_ml::{Dataset, ForestParams, RandomForest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::bayes::Acquisition;
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{
-    decode_features, new_run, ordinal, record_eval, value_feature, CandidatePool, Recorded, Tuner,
-};
+use crate::tuner::{value_feature, CandidatePool, Tuner};
 
 /// SMAC-style tuner settings.
 #[derive(Debug, Clone, Copy)]
@@ -192,134 +189,6 @@ impl Tuner for SmacTuner {
     }
 }
 
-impl SmacTuner {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let card = space.cardinality();
-        let feature_names: Vec<String> = space.names().to_vec();
-
-        let mut obs_x: Vec<Vec<f64>> = Vec::new();
-        let mut obs_y: Vec<f64> = Vec::new(); // log time
-        let record = |run: &mut TuningRun,
-                      obs_x: &mut Vec<Vec<f64>>,
-                      obs_y: &mut Vec<f64>,
-                      idx: u64|
-         -> Option<()> {
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => None,
-                Recorded::Failed => Some(()),
-                Recorded::Ok(v) => {
-                    obs_x.push(space.config_at(idx).iter().map(|&x| x as f64).collect());
-                    obs_y.push(v.max(1e-12).ln());
-                    Some(())
-                }
-            }
-        };
-
-        // Budget already spent on these indices; scoring skips them.
-        let mut seen: HashSet<u64> = HashSet::new();
-        for _ in 0..self.warmup {
-            let idx = rng.random_range(0..card);
-            seen.insert(idx);
-            if record(&mut run, &mut obs_x, &mut obs_y, idx).is_none() {
-                return run;
-            }
-        }
-
-        let mut forest: Option<RandomForest> = None;
-        let mut fitted_at = 0usize;
-        let mut iteration = 0usize;
-        while eval.has_budget() {
-            iteration += 1;
-            // Interleaved random evaluation (SMAC's exploration guarantee).
-            if self.interleave_random > 0 && iteration.is_multiple_of(self.interleave_random) {
-                let idx = rng.random_range(0..card);
-                seen.insert(idx);
-                if record(&mut run, &mut obs_x, &mut obs_y, idx).is_none() {
-                    break;
-                }
-                continue;
-            }
-            if obs_y.len() < 2 {
-                let idx = rng.random_range(0..card);
-                seen.insert(idx);
-                if record(&mut run, &mut obs_x, &mut obs_y, idx).is_none() {
-                    break;
-                }
-                continue;
-            }
-
-            if forest.is_none() || obs_y.len() - fitted_at >= self.refit_every {
-                let data = Dataset::new(&obs_x, obs_y.clone(), feature_names.clone());
-                forest = Some(RandomForest::fit(
-                    &data,
-                    &ForestParams {
-                        n_trees: self.n_trees,
-                        seed: seed ^ 0xf0_5e57,
-                        ..ForestParams::default()
-                    },
-                ));
-                fitted_at = obs_y.len();
-            }
-            let model = forest.as_ref().expect("fitted above");
-            let best_log = obs_y.iter().cloned().fold(f64::INFINITY, f64::min);
-
-            // Candidate pool: global random + neighbourhoods of the best
-            // `local_from` incumbents.
-            let mut candidates: Vec<u64> = (0..self.pool)
-                .map(|_| ordinal::index_of(space, &ordinal::random_positions(space, &mut rng)))
-                .collect();
-            let mut order: Vec<usize> = (0..obs_y.len()).collect();
-            order.sort_by(|&a, &b| obs_y[a].total_cmp(&obs_y[b]));
-            for &oi in order.iter().take(self.local_from) {
-                let pos: Vec<usize> = obs_x[oi]
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &raw)| space.params()[d].position(raw as i64).unwrap_or(0))
-                    .collect();
-                for d in 0..pos.len() {
-                    for alt in 0..space.params()[d].len() {
-                        if alt != pos[d] {
-                            let mut p = pos.clone();
-                            p[d] = alt;
-                            candidates.push(ordinal::index_of(space, &p));
-                        }
-                    }
-                }
-            }
-
-            let acq = Acquisition::ExpectedImprovement;
-            let mut chosen = None;
-            let mut best_score = f64::NEG_INFINITY;
-            let d = space.num_params();
-            let mut cfg = vec![0i64; d];
-            let mut features = vec![0.0f64; d];
-            for &idx in &candidates {
-                if seen.contains(&idx) {
-                    continue;
-                }
-                decode_features(space, idx, &mut cfg, &mut features);
-                let p = model.predict(&features);
-                let s = acq.score(p.mean, p.std_dev(), best_log);
-                if s > best_score {
-                    best_score = s;
-                    chosen = Some(idx);
-                }
-            }
-            let chosen = chosen.unwrap_or_else(|| rng.random_range(0..card));
-            seen.insert(chosen);
-            if record(&mut run, &mut obs_x, &mut obs_y, chosen).is_none() {
-                break;
-            }
-        }
-        run
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,17 +272,6 @@ mod tests {
         let eval = noiseless(&p, 40);
         let run = tuner.tune(&eval, 3);
         assert_eq!(run.trials.len(), 40);
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = rugged_problem();
-        let t = SmacTuner::default();
-        for seed in 0..3 {
-            let e1 = noiseless(&p, 45);
-            let e2 = noiseless(&p, 45);
-            assert_eq!(t.tune(&e1, seed), t.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

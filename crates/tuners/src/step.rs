@@ -18,11 +18,12 @@
 //! The driver is deterministic: candidates are evaluated in ask order
 //! (fan-out happens inside `evaluate_batch`, which collects results in
 //! order), trials are recorded in ask order, and the tuner's RNG only ever
-//! advances inside `ask`/`tell`. With `Protocol::batch == 1` every ported
-//! tuner reproduces its historical pull-loop bit-exactly (property-tested
-//! against the retained `reference_tune` oracles); larger batches trade
-//! per-candidate feedback for measurement parallelism — a new scenario
-//! axis campaigns can sweep.
+//! advances inside `ask`/`tell`. With `Protocol::batch == 1` every tuner
+//! sees each outcome before its next proposal, the classic sequential
+//! search; the golden `run/*/batch-1` and `synthetic/*` digests
+//! (`tests/golden.rs`) pin those trajectories for every tuner. Larger
+//! batches trade per-candidate feedback for measurement parallelism — a
+//! new scenario axis campaigns can sweep.
 
 use bat_core::{Error, EvalBackend, EvalFailure, Measurement, Trial, TuningRun};
 use bat_space::ConfigSpace;
@@ -93,7 +94,12 @@ impl<'a> RunSink<'a> {
     pub fn new(backend: &'a dyn EvalBackend, name: &str, seed: u64) -> Self {
         RunSink {
             space: backend.space(),
-            run: crate::tuner::new_run(backend, name, seed),
+            run: TuningRun::new(
+                backend.problem_name().to_string(),
+                backend.platform().to_string(),
+                name.to_string(),
+                seed,
+            ),
         }
     }
 }
@@ -165,7 +171,7 @@ pub fn try_drive_into(
 }
 
 /// [`try_drive_into`] a [`RunSink`]: the complete [`TuningRun`] of tuner
-/// `name` with `seed`, the same run a classic pull-loop would produce.
+/// `name` with `seed`.
 pub fn try_drive(
     name: &str,
     session: &mut dyn StepTuner,
@@ -182,8 +188,8 @@ pub fn try_drive(
 /// (GBDT/GP/TPE/SMAC). `minimize` orders by ascending score (prediction
 /// objectives), otherwise descending (acquisition scores / likelihood
 /// ratios). The sort is stable, so ties keep pool order and `batch = 1`
-/// selects exactly the classic first-strict-extremum candidate — the
-/// tie-break the reference oracles are property-tested against.
+/// selects the first strict extremum in pool order — the tie-break the
+/// golden `synthetic/*` trajectories pin.
 pub(crate) fn take_top_distinct(
     mut scored: Vec<(f64, u64)>,
     batch: usize,

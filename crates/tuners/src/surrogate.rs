@@ -7,16 +7,13 @@
 //! q-greedy batched SMBO generalization, which collapses to the exact
 //! historical argmin at `batch = 1`.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_ml::{Dataset, Gbdt, GbdtParams, TreeParams};
 use bat_space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{
-    decode_features, new_run, ordinal, record_eval, value_feature, CandidatePool, Recorded, Tuner,
-};
+use crate::tuner::{value_feature, CandidatePool, Tuner};
 
 /// SMBO loop: random warm-up, then repeatedly (1) fit a GBDT surrogate on
 /// all successful observations, (2) score a random candidate pool, (3)
@@ -137,103 +134,6 @@ impl StepTuner for SurrogateStep<'_> {
     }
 }
 
-impl SurrogateTuner {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let card = space.cardinality();
-        let feature_names: Vec<String> = space.names().to_vec();
-
-        // Observations: (config as f64 features, log time).
-        let mut obs_x: Vec<Vec<f64>> = Vec::new();
-        let mut obs_y: Vec<f64> = Vec::new();
-        let record = |run: &mut TuningRun,
-                      obs_x: &mut Vec<Vec<f64>>,
-                      obs_y: &mut Vec<f64>,
-                      idx: u64|
-         -> Option<()> {
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => None,
-                Recorded::Failed => Some(()),
-                Recorded::Ok(v) => {
-                    let cfg = space.config_at(idx);
-                    obs_x.push(cfg.iter().map(|&x| x as f64).collect());
-                    obs_y.push(v.max(1e-12).ln());
-                    Some(())
-                }
-            }
-        };
-
-        // Warm-up.
-        for _ in 0..self.warmup {
-            let idx = rng.random_range(0..card);
-            if record(&mut run, &mut obs_x, &mut obs_y, idx).is_none() {
-                return run;
-            }
-        }
-
-        let mut model: Option<Gbdt> = None;
-        let mut since_refit = usize::MAX; // force initial fit
-        while eval.has_budget() {
-            // ε-greedy exploration.
-            if rng.random_bool(self.epsilon) || obs_x.len() < 2 {
-                let idx = rng.random_range(0..card);
-                if record(&mut run, &mut obs_x, &mut obs_y, idx).is_none() {
-                    break;
-                }
-                since_refit = since_refit.saturating_add(1);
-                continue;
-            }
-            if since_refit >= self.refit_every {
-                let data = Dataset::new(&obs_x, obs_y.clone(), feature_names.clone());
-                model = Some(Gbdt::fit(
-                    &data,
-                    &GbdtParams {
-                        n_trees: 60,
-                        learning_rate: 0.15,
-                        tree: TreeParams {
-                            max_depth: 5,
-                            min_samples_leaf: 2,
-                            ..TreeParams::default()
-                        },
-                        subsample: 0.9,
-                        seed: seed ^ 0x5eed,
-                    },
-                ));
-                since_refit = 0;
-            }
-            let m = model.as_ref().expect("fitted above");
-            // Score a random candidate pool; pick the best prediction.
-            // Decode/featurize through reusable scratch buffers — this loop
-            // runs `pool` times per iteration.
-            let mut best_idx = None;
-            let mut best_pred = f64::INFINITY;
-            let d = space.num_params();
-            let mut cfg = vec![0i64; d];
-            let mut features = vec![0.0f64; d];
-            for _ in 0..self.pool {
-                let pos = ordinal::random_positions(space, &mut rng);
-                let idx = ordinal::index_of(space, &pos);
-                decode_features(space, idx, &mut cfg, &mut features);
-                let pred = m.predict(&features);
-                if pred < best_pred {
-                    best_pred = pred;
-                    best_idx = Some(idx);
-                }
-            }
-            let idx = best_idx.expect("pool is non-empty");
-            if record(&mut run, &mut obs_x, &mut obs_y, idx).is_none() {
-                break;
-            }
-            since_refit += 1;
-        }
-        run
-    }
-}
-
 impl Tuner for SurrogateTuner {
     fn name(&self) -> &str {
         "gbdt-surrogate"
@@ -323,17 +223,6 @@ mod tests {
         let eval = noiseless(&p, 60);
         let run = SurrogateTuner::default().tune(&eval, 0);
         assert_eq!(run.trials.len(), 60);
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = problem();
-        let t = SurrogateTuner::default();
-        for seed in 0..3 {
-            let e1 = noiseless(&p, 70);
-            let e2 = noiseless(&p, 70);
-            assert_eq!(t.tune(&e1, seed), t.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! estimator reduces to smoothed categorical histograms — exactly how
 //! Optuna treats `suggest_categorical` dimensions.
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::ConfigSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{new_run, ordinal, record_eval, Recorded, Tuner};
+use crate::tuner::{ordinal, Tuner};
 
 /// TPE tuner settings.
 #[derive(Debug, Clone, Copy)]
@@ -268,116 +267,6 @@ impl Tuner for Tpe {
     }
 }
 
-impl Tpe {
-    /// The pre-ask/tell pull loop, kept verbatim as the equivalence oracle
-    /// for the step driver (property-tested bit-identical at `batch = 1`).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut run = new_run(eval, self.name(), seed);
-        let space = eval.problem().space();
-        let card = space.cardinality();
-
-        // (positions, log time); failures are kept with a penalty objective
-        // so TPE learns to avoid invalid regions (Optuna would receive a
-        // pruned/failed trial there).
-        let mut observations: Vec<(Vec<usize>, f64)> = Vec::new();
-        let mut worst_seen = f64::NEG_INFINITY;
-        let record = |run: &mut TuningRun,
-                      observations: &mut Vec<(Vec<usize>, f64)>,
-                      worst_seen: &mut f64,
-                      idx: u64|
-         -> Option<()> {
-            let pos = ordinal::positions_of(space, idx);
-            match record_eval(eval, run, idx) {
-                Recorded::Exhausted => None,
-                Recorded::Failed => {
-                    let penalty = if worst_seen.is_finite() {
-                        *worst_seen + 1.0
-                    } else {
-                        1e3
-                    };
-                    observations.push((pos, penalty));
-                    Some(())
-                }
-                Recorded::Ok(v) => {
-                    let logv = v.max(1e-12).ln();
-                    *worst_seen = worst_seen.max(logv);
-                    observations.push((pos, logv));
-                    Some(())
-                }
-            }
-        };
-
-        // Uniform draw, rejection-sampled against the static restrictions
-        // when `respect_restrictions` (bounded attempts: heavily
-        // constrained spaces fall back to an unfiltered draw).
-        let mut draw_scratch = vec![0i64; space.num_params()];
-        let mut draw = |rng: &mut StdRng| -> u64 {
-            if self.respect_restrictions {
-                for _ in 0..64 {
-                    let idx = rng.random_range(0..card);
-                    if space.is_valid_index_into(idx, &mut draw_scratch) {
-                        return idx;
-                    }
-                }
-            }
-            rng.random_range(0..card)
-        };
-
-        for _ in 0..self.warmup {
-            let idx = draw(&mut rng);
-            if record(&mut run, &mut observations, &mut worst_seen, idx).is_none() {
-                return run;
-            }
-        }
-
-        while eval.has_budget() {
-            if observations.len() < 2 {
-                let idx = draw(&mut rng);
-                if record(&mut run, &mut observations, &mut worst_seen, idx).is_none() {
-                    return run;
-                }
-                continue;
-            }
-            let pair = ParzenPair::build(space, &observations, self.gamma, self.prior_weight);
-            let mut best_pos: Option<Vec<usize>> = None;
-            let mut best_ratio = f64::NEG_INFINITY;
-            let mut kept = 0usize;
-            let mut attempts = 0usize;
-            while kept < self.candidates && attempts < self.candidates * 10 {
-                attempts += 1;
-                let pos = pair.sample_good(&mut rng);
-                if self.respect_restrictions {
-                    let cfg: Vec<i64> = pos
-                        .iter()
-                        .enumerate()
-                        .map(|(d, &p)| space.params()[d].value(p))
-                        .collect();
-                    if !space.is_valid(&cfg) {
-                        continue;
-                    }
-                }
-                kept += 1;
-                let r = pair.log_ratio(&pos);
-                if r > best_ratio {
-                    best_ratio = r;
-                    best_pos = Some(pos);
-                }
-            }
-            // All sampled candidates were restricted: evaluate an
-            // unfiltered draw rather than stalling.
-            let idx = match best_pos {
-                Some(pos) => ordinal::index_of(space, &pos),
-                None => draw(&mut rng),
-            };
-            if record(&mut run, &mut observations, &mut worst_seen, idx).is_none() {
-                return run;
-            }
-        }
-        run
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,17 +404,6 @@ mod tests {
         };
         assert_eq!(idx(4), idx(4));
         assert_ne!(idx(4), idx(5));
-    }
-
-    #[test]
-    fn step_driver_matches_reference_loop_at_batch_one() {
-        let p = separable_problem();
-        let t = Tpe::default();
-        for seed in 0..4 {
-            let e1 = noiseless(&p, 80);
-            let e2 = noiseless(&p, 80);
-            assert_eq!(t.tune(&e1, seed), t.reference_tune(&e2, seed));
-        }
     }
 
     #[test]

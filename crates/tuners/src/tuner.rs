@@ -1,6 +1,6 @@
 //! The tuner-side of the shared problem interface.
 
-use bat_core::{Error, EvalBackend, EvalFailure, Evaluator, Measurement, Trial, TuningRun};
+use bat_core::{Error, EvalBackend, Evaluator, TuningRun};
 use bat_space::{ConfigSpace, Param};
 use rand::Rng;
 
@@ -35,10 +35,8 @@ pub trait Tuner: Send + Sync {
     /// transport/session error.
     ///
     /// The default implementation runs [`Tuner::start`]'s session through
-    /// the shared deterministic driver; with `Protocol::batch == 1` it is
-    /// bit-identical to the historical per-tuner loops, and across backends
-    /// it produces byte-identical trial histories for the same problem and
-    /// protocol.
+    /// the shared deterministic driver, so across backends it produces
+    /// byte-identical trial histories for the same problem and protocol.
     fn try_tune(&self, backend: &dyn EvalBackend, seed: u64) -> Result<TuningRun, Error> {
         let mut session = self.start(backend.space(), seed);
         crate::step::try_drive(self.name(), session.as_mut(), backend, seed)
@@ -54,32 +52,6 @@ pub trait Tuner: Send + Sync {
     fn tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
         self.try_tune(eval, seed)
             .expect("in-process evaluation cannot fail")
-    }
-}
-
-/// Outcome of one recorded evaluation inside a tuner loop.
-pub enum Recorded {
-    /// Budget exhausted: stop the tuner.
-    Exhausted,
-    /// Configuration failed (restricted or launch failure).
-    Failed,
-    /// Successful measurement.
-    Ok(f64),
-}
-
-/// Decode `index` into `cfg` and featurize it as f64s into `features`,
-/// through caller-owned scratch: the tree-surrogate reference loops'
-/// candidate features, which [`CandidatePool`] rows built with
-/// [`value_feature`] equal.
-pub(crate) fn decode_features(
-    space: &ConfigSpace,
-    index: u64,
-    cfg: &mut [i64],
-    features: &mut [f64],
-) {
-    space.decode_into(index, cfg);
-    for (f, &v) in features.iter_mut().zip(cfg.iter()) {
-        *f = v as f64;
     }
 }
 
@@ -156,46 +128,6 @@ pub(crate) fn position_feature(_: &Param, pos: usize) -> f64 {
 /// A candidate's parameter value as its feature (the tree ensembles').
 pub(crate) fn value_feature(p: &Param, pos: usize) -> f64 {
     p.value(pos) as f64
-}
-
-/// Evaluate `index`, append a [`Trial`] to `run`, and return the full
-/// outcome — `None` when the budget is exhausted. The single
-/// trial-recording protocol every tuner shares; multi-objective tuners use
-/// this form directly because they need more than the scalar objective.
-pub fn record_eval2(
-    eval: &Evaluator<'_>,
-    run: &mut TuningRun,
-    index: u64,
-) -> Option<Result<Measurement, EvalFailure>> {
-    let outcome = eval.evaluate_index(index)?;
-    let config = eval.problem().space().config_at(index);
-    let trial = Trial {
-        eval: run.trials.len() as u64 + 1,
-        index,
-        config,
-        outcome: outcome.clone(),
-    };
-    run.push(trial);
-    Some(outcome)
-}
-
-/// Evaluate `index`, append a [`Trial`] to `run`, and classify the outcome.
-pub fn record_eval(eval: &Evaluator<'_>, run: &mut TuningRun, index: u64) -> Recorded {
-    match record_eval2(eval, run, index) {
-        None => Recorded::Exhausted,
-        Some(Ok(m)) => Recorded::Ok(m.time_ms),
-        Some(Err(_)) => Recorded::Failed,
-    }
-}
-
-/// Start an empty [`TuningRun`] for `backend` under `tuner_name`.
-pub fn new_run(backend: &dyn EvalBackend, tuner_name: &str, seed: u64) -> TuningRun {
-    TuningRun::new(
-        backend.problem_name().to_string(),
-        backend.platform().to_string(),
-        tuner_name.to_string(),
-        seed,
-    )
 }
 
 /// Ordinal encoding helpers: tuners operate on per-parameter *positions*

@@ -11,11 +11,10 @@
 //! from (and that multi-objective tuners like NSGA-II can draw initial
 //! populations from).
 
-use bat_core::{Evaluator, TuningRun};
 use bat_space::ConfigSpace;
 
 use crate::step::{StepCtx, StepTuner, Told};
-use crate::tuner::{record_eval, Recorded, Tuner};
+use crate::tuner::Tuner;
 
 /// A store of known-good configurations per platform: the suite's transfer
 /// database. Entries are kept in insertion order, so seed evaluation order
@@ -113,33 +112,6 @@ impl StepTuner for WarmStep<'_> {
         if !self.in_seeds {
             self.inner.tell(results);
         }
-    }
-}
-
-impl<T: Tuner> WarmStartTuner<T> {
-    /// The pre-ask/tell seed-splicing loop, kept as the equivalence oracle
-    /// for the step driver (the inner search runs through its own `tune`,
-    /// which is itself oracle-tested per tuner).
-    pub fn reference_tune(&self, eval: &Evaluator<'_>, seed: u64) -> TuningRun {
-        let space = eval.problem().space();
-        // Evaluate representable seeds against the shared budget.
-        let mut prefix = crate::tuner::new_run(eval, self.name(), seed);
-        for cfg in &self.seeds {
-            let Some(idx) = space.index_of(cfg) else {
-                continue; // not representable here: skip for free
-            };
-            if matches!(record_eval(eval, &mut prefix, idx), Recorded::Exhausted) {
-                return prefix;
-            }
-        }
-        // Hand the evaluator (budget already partly spent, cache warm) to
-        // the inner tuner and splice the histories.
-        let inner_run = self.inner.tune(eval, seed);
-        for mut t in inner_run.trials {
-            t.eval = prefix.trials.len() as u64 + 1;
-            prefix.push(t);
-        }
-        prefix
     }
 }
 
@@ -256,17 +228,6 @@ mod tests {
         let wi: Vec<u64> = warm.trials.iter().map(|t| t.index).collect();
         let pi: Vec<u64> = plain.trials.iter().map(|t| t.index).collect();
         assert_eq!(wi, pi);
-    }
-
-    #[test]
-    fn step_driver_matches_reference_splice_at_batch_one() {
-        let p = problem();
-        let tuner = WarmStartTuner::new(vec![vec![5, 5], vec![99, 99], vec![20, 13]], RandomSearch);
-        for seed in 0..4 {
-            let e1 = noiseless(&p, 25);
-            let e2 = noiseless(&p, 25);
-            assert_eq!(tuner.tune(&e1, seed), tuner.reference_tune(&e2, seed));
-        }
     }
 
     #[test]
