@@ -264,8 +264,7 @@ impl StepTuner for Nsga2Step<'_> {
         self.pending.clear();
         if self.pop.len() < self.pop_size {
             // Initial population: warm-start seeds head the generation,
-            // the remainder is random (RNG-identical to the classic loop
-            // when no seeds are present).
+            // the remainder is random.
             let want = (self.pop_size - self.pop.len()).min(ctx.batch);
             for _ in 0..want {
                 let pos = match self.seeds.pop_front() {

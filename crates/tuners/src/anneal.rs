@@ -66,9 +66,8 @@ impl StepTuner for SaStep<'_> {
                 }
                 SaState::Cooling { current, .. } => {
                     // One neighbourhood computation per ask: every batch
-                    // slot samples the same list (the classic loop's
-                    // per-candidate recomputation produced the identical
-                    // list, `current` being fixed until the next tell).
+                    // slot samples the same list, `current` being fixed
+                    // until the next tell.
                     let neighbors = Neighborhood::HammingAny.neighbor_indices(self.space, *current);
                     if neighbors.is_empty() {
                         // No neighbours at all: restart from a fresh point.
@@ -103,8 +102,8 @@ impl StepTuner for SaStep<'_> {
                                 floor,
                             };
                         }
-                        // Otherwise the schedule is empty: stay Fresh,
-                        // exactly like the classic loop's instant restart.
+                        // Otherwise the schedule is empty: stay Fresh and
+                        // restart at once.
                         break;
                     }
                 }
@@ -193,9 +192,9 @@ struct BhStep<'a> {
 }
 
 impl BhStep<'_> {
-    /// Basin hopping's descent is the classic first-improvement walk over
-    /// the inner neighbourhood (its historical helper ignored the inner
-    /// strategy field, which is preserved here).
+    /// Basin hopping descends by first improvement over the inner
+    /// neighbourhood and ignores the inner strategy field, as it always
+    /// has (the golden basin-hopping runs pin this).
     fn begin_descent(&mut self, start: u64, val: f64) -> Descent {
         Descent::begin(
             self.space,
@@ -217,8 +216,7 @@ impl BhStep<'_> {
     }
 
     /// Monotone basin acceptance: adopt the new minimum when it is at
-    /// least as good (the classic loop compared deterministic re-measured
-    /// values, which this is equivalent to).
+    /// least as good.
     fn accept(&mut self, idx: u64, v: f64) {
         if v <= self.home.expect("home set").1 {
             self.home = Some((idx, v));

@@ -82,7 +82,7 @@ impl PsoStep<'_> {
     }
 
     /// Advance particle `p` one flight step against the current global
-    /// best (mutates its position in place, as the classic loop did).
+    /// best (mutates its position in place).
     fn fly(&mut self, p: usize) {
         let (gx, _) = self.g_best.as_ref().expect("swarm initialized");
         let gx = gx.clone();
