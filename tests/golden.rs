@@ -302,12 +302,12 @@ const MODEL_TUNERS: [(&str, MakeTuner); 4] = [
     ("smac-forest", |_| Box::new(SmacTuner::default())),
 ];
 
-/// The model-based tuners at `paper-ranking` budgets on
-/// [`paper_scale_space`]: `(row label, tuner, budget, seed)`. Invalid
-/// configurations add no observation, so along these runs gp-bo-ei reuses
-/// its last GP, grows its factor by appended rows and refits when an input
-/// range moves; the capped variant fits subsamples, and gbdt-surrogate
-/// skips the refits that would see nothing new.
+/// The model-based tuners at `paper-ranking` budgets on the paper-scale
+/// space: `(row label, tuner, budget, seed)`. Invalid configurations add
+/// no observation, so along these runs gp-bo-ei reuses its last GP, grows
+/// its factor by appended rows and refits when an input range moves; the
+/// capped variant fits subsamples, and gbdt-surrogate skips the refits
+/// that would see nothing new.
 const PAPER_SCALE: [(&str, MakeTuner, u64, u64); 4] = [
     (
         "gp-bo-ei",
@@ -344,29 +344,17 @@ fn transfer_seeds(space: &ConfigSpace) -> Vec<Vec<i64>> {
     ]
 }
 
-fn synthetic_space(radices: &[i64], restricted: bool) -> ConfigSpace {
+/// A space whose parameter `pi` takes the values `1..=radices[i]`, cut by
+/// `restriction` when there is one.
+fn synthetic_space(radices: &[i64], restriction: Option<&str>) -> ConfigSpace {
     let mut b = ConfigSpace::builder();
     for (i, &radix) in radices.iter().enumerate() {
         b = b.param(Param::new(format!("p{i}"), (1..=radix).collect::<Vec<_>>()));
     }
-    if restricted {
-        b = b.restrict(&format!("p0 + p1 <= {}", radices[0] + radices[1] - 1));
+    if let Some(restriction) = restriction {
+        b = b.restrict(restriction);
     }
     b.build().expect("valid space")
-}
-
-/// A `paper-ranking`-sized space: six parameters, with a restriction that
-/// rejects 40 % of it, the optimum of [`synthetic_problem`] included, so
-/// tuners keep proposing configurations that fail, as they do near a
-/// kernel's resource limits.
-fn paper_scale_space() -> ConfigSpace {
-    let mut b = ConfigSpace::builder();
-    for (i, radix) in [4i64, 4, 3, 5, 3, 4].into_iter().enumerate() {
-        b = b.param(Param::new(format!("p{i}"), (1..=radix).collect::<Vec<_>>()));
-    }
-    b.restrict("p0 + p1 + p2 >= 7")
-        .build()
-        .expect("valid space")
 }
 
 /// The synthetic objective of `tests/property_step_equivalence.rs`.
@@ -426,7 +414,10 @@ fn grid_digest(
 fn synthetic_digests() -> BTreeMap<String, u64> {
     let spaces: Vec<ConfigSpace> = SYNTHETIC_SPACES
         .iter()
-        .map(|&(radices, restricted)| synthetic_space(radices, restricted))
+        .map(|&(radices, restricted)| {
+            let cut = format!("p0 + p1 <= {}", radices[0] + radices[1] - 1);
+            synthetic_space(radices, restricted.then_some(cut.as_str()))
+        })
         .collect();
     let both = [false, true];
     let mut out = BTreeMap::new();
@@ -442,7 +433,14 @@ fn synthetic_digests() -> BTreeMap<String, u64> {
         let digest = grid_digest(tuner, &spaces, &[false], &[24, 39], &[0, 42]);
         out.insert(format!("synthetic/{label}"), digest);
     }
-    let paper = [paper_scale_space()];
+    // A `paper-ranking`-sized space: six parameters, with a restriction
+    // that rejects 40 % of it, the optimum of the objective included, so
+    // tuners keep proposing configurations that fail, as they do near a
+    // kernel's resource limits.
+    let paper = [synthetic_space(
+        &[4, 4, 3, 5, 3, 4],
+        Some("p0 + p1 + p2 >= 7"),
+    )];
     for (label, tuner, budget, seed) in PAPER_SCALE {
         let digest = grid_digest(tuner, &paper, &[false], &[budget], &[seed]);
         out.insert(format!("synthetic/paper-scale/{label}"), digest);
