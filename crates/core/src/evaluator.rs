@@ -8,11 +8,11 @@
 //! paper's core motivation.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
-use std::collections::HashMap;
 
 use bat_gpusim::{noise_key, noisy_time_ms, FaultModel};
 
@@ -95,10 +95,11 @@ pub struct Protocol {
     pub sigma: f64,
     /// Seed folded into the deterministic noise.
     pub seed: u64,
-    /// Measurement parallelism: how many configurations the evaluation
-    /// side measures per step of the ask/tell protocol (step-driven tuners
-    /// ask up to this many candidates before seeing any result). `1` is
-    /// the classic strictly-serial protocol; values are clamped to ≥ 1.
+    /// Candidates per round of the ask/tell protocol: step-driven tuners
+    /// ask up to this many configurations before seeing any result, and
+    /// the evaluator measures them in ask order on the calling thread.
+    /// `1` is the classic strictly-serial protocol; values are clamped to
+    /// ≥ 1.
     pub batch: u32,
 }
 
@@ -124,43 +125,22 @@ impl Protocol {
         }
     }
 
-    /// The same protocol with a different measurement parallelism.
+    /// The same protocol with a different batch size.
     pub fn with_batch(mut self, batch: u32) -> Self {
         self.batch = batch;
         self
     }
 
-    /// The validated measurement parallelism (never 0).
+    /// The validated batch size (never 0).
     pub fn batch(&self) -> usize {
         self.batch.max(1) as usize
     }
 }
 
-/// Number of independent memo-cache shards. Tuners running under rayon hit
-/// the cache from many threads; index-keyed sharding keeps them from
-/// serializing on one global mutex.
-const CACHE_SHARDS: usize = 64;
-
 thread_local! {
     /// Per-thread configuration decode scratch: measurement sits in every
     /// tuner's inner loop, so the per-call `Vec<i64>` is hoisted here.
     static CONFIG_SCRATCH: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
-
-    /// Reusable dedup scratch: the ask/tell driver calls `evaluate_batch`
-    /// once per generation, so its bookkeeping buffers are hoisted here
-    /// instead of being reallocated per call.
-    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
-}
-
-/// Scratch buffers reused across `evaluate_batch` calls on one thread.
-#[derive(Default)]
-struct BatchScratch {
-    /// Unique memo-missing indices, in first-occurrence order.
-    to_measure: Vec<u64>,
-    /// `(output position, to_measure slot)` for every memo miss.
-    occurrences: Vec<(usize, usize)>,
-    /// Index → `to_measure` slot.
-    slot_of: HashMap<u64, usize>,
 }
 
 /// Salt folded into the energy noise stream so a configuration's energy
@@ -204,7 +184,7 @@ fn obs() -> &'static EvalMetrics {
         ),
         dedup_hits: counter(
             "bat_eval_dedup_hits_total",
-            "Duplicate in-batch occurrences measured once by batch dedup.",
+            "In-batch repeats of an unmemoized failure, served without another retry chain.",
         ),
         measured: counter(
             "bat_eval_measured_total",
@@ -243,7 +223,9 @@ pub struct Evaluator<'p> {
     noise_salt: u64,
     measure_energy: bool,
     cache_enabled: bool,
-    cache: Vec<Mutex<HashMap<u64, Result<Measurement, EvalFailure>>>>,
+    /// The memo. A lock, not a plain map: `&self` callers on several
+    /// threads may share one evaluator.
+    cache: Mutex<HashMap<u64, Result<Measurement, EvalFailure>>>,
     faults: FaultInjection,
     evals: AtomicU64,
     distinct: AtomicU64,
@@ -257,15 +239,6 @@ impl<'p> Evaluator<'p> {
     /// construct one, shared by in-process use and the tuning server.
     pub fn builder(problem: &'p dyn TuningProblem) -> EvaluatorBuilder<'p> {
         EvaluatorBuilder::new(problem)
-    }
-
-    /// The cache shard responsible for `index` (multiplicative hash so
-    /// consecutive indices — the common tuner access pattern — spread
-    /// across shards).
-    #[inline]
-    fn shard(&self, index: u64) -> &Mutex<HashMap<u64, Result<Measurement, EvalFailure>>> {
-        let mixed = index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.cache[(mixed >> 58) as usize % CACHE_SHARDS]
     }
 
     /// The wrapped problem.
@@ -358,19 +331,15 @@ impl<'p> Evaluator<'p> {
     /// side of the ask/tell protocol, and the evaluator's one evaluation
     /// path.
     ///
-    /// Semantically equivalent to evaluating each element in order (same
-    /// results, same budget accounting, same memo/distinct state), but:
-    ///
-    /// * the budget is claimed **once** for the whole batch;
-    /// * memo hits are served first, and duplicate misses within the batch
-    ///   run one retry chain (each occurrence still spends budget, exactly
-    ///   as the memo serves serial repeats);
-    /// * each unique miss runs its whole retry chain on one pool worker, so
-    ///   per-configuration attempt numbers never depend on thread count.
-    ///
-    /// Without memoization every occurrence measures; under a model that
-    /// can fail, those chains run in batch order so repeats draw their
-    /// attempt numbers in order.
+    /// The budget is claimed **once** for the whole batch. Then each
+    /// element is served in order, on the calling thread: from the memo,
+    /// from an earlier occurrence in this batch whose failure is never
+    /// memoized (transient, timeout or crash), or by one retry chain whose
+    /// outcome is memoized unless it is such a failure. Every occurrence
+    /// spends budget, exactly as the memo serves serial repeats, so apart
+    /// from those in-batch repeats of a failure the results, budget
+    /// accounting and memo/distinct state equal evaluating each element
+    /// in turn. Without memoization every occurrence measures.
     ///
     /// The returned vector holds one outcome per element until the budget
     /// ran out: if only `k` evaluations were affordable, it has length `k`.
@@ -384,91 +353,60 @@ impl<'p> Evaluator<'p> {
         let mut batch_span = bat_obs::trace::span("batch");
         batch_span.record_u64("size", claimed as u64);
 
-        if !self.cache_enabled {
-            let out: Vec<_> = if self.faults.can_fail {
-                indices.iter().map(|&idx| self.measure_chain(idx)).collect()
-            } else {
-                (0..claimed)
-                    .into_par_iter()
-                    .map(|k| self.measure_chain(indices[k]))
-                    .collect()
-            };
-            self.distinct.fetch_add(claimed as u64, Ordering::Relaxed);
-            obs().measured.add(claimed as u64);
-            batch_span.record_u64("measured", claimed as u64);
-            return out;
-        }
-
-        BATCH_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.to_measure.clear();
-            scratch.occurrences.clear();
-            scratch.slot_of.clear();
-
-            // Partition into memo hits and a deduplicated measurement list
-            // in first-occurrence order. Every placeholder below is
-            // overwritten: each position is a hit or in `occurrences`.
-            let mut out: Vec<Result<Measurement, EvalFailure>> =
-                vec![Err(EvalFailure::Restricted); claimed];
-            for (i, &idx) in indices.iter().enumerate() {
-                if let Some(hit) = self.shard(idx).lock().get(&idx) {
-                    out[i] = hit.clone();
+        let mut out: Vec<Result<Measurement, EvalFailure>> = Vec::with_capacity(claimed);
+        // Output position of each failure this batch left out of the memo.
+        let mut failed: HashMap<u64, usize> = HashMap::new();
+        let (mut memo_hits, mut dedup_hits, mut distinct) = (0u64, 0u64, 0u64);
+        for &idx in indices {
+            if self.cache_enabled {
+                if let Some(&pos) = failed.get(&idx) {
+                    dedup_hits += 1;
+                    out.push(out[pos].clone());
                     continue;
                 }
-                let slot = *scratch.slot_of.entry(idx).or_insert_with(|| {
-                    scratch.to_measure.push(idx);
-                    scratch.to_measure.len() - 1
-                });
-                scratch.occurrences.push((i, slot));
+                if let Some(hit) = self.cache.lock().get(&idx) {
+                    memo_hits += 1;
+                    out.push(hit.clone());
+                    continue;
+                }
             }
-            let memo_hits = (claimed - scratch.occurrences.len()) as u64;
-            let dedup_hits = (scratch.occurrences.len() - scratch.to_measure.len()) as u64;
-            let measured = scratch.to_measure.len() as u64;
-            obs().memo_hits.add(memo_hits);
-            obs().dedup_hits.add(dedup_hits);
-            obs().measured.add(measured);
-            batch_span.record_u64("memo_hits", memo_hits);
-            batch_span.record_u64("dedup_hits", dedup_hits);
-            batch_span.record_u64("measured", measured);
-
-            let to_measure = &scratch.to_measure;
-            let results: Vec<Result<Measurement, EvalFailure>> = (0..to_measure.len())
-                .into_par_iter()
-                .map(|k| self.measure_chain(to_measure[k]))
-                .collect();
-
+            let result = self.measure_chain(idx);
             // Publish deterministic outcomes: a cached flake would be
             // permanent, and crashes stay uncached so repeat proposals keep
             // striking toward quarantine. A model that can fail counts new
             // configurations in its ledger (their failures never reach the
             // memo); otherwise a configuration is new exactly when its memo
             // entry is, which also counts it once under racing batches.
-            let mut distinct = 0;
-            for (&idx, result) in to_measure.iter().zip(&results) {
-                let cacheable = !matches!(
-                    result,
-                    Err(EvalFailure::Transient(_) | EvalFailure::Timeout | EvalFailure::Crash(_))
-                );
-                if cacheable {
-                    if let std::collections::hash_map::Entry::Vacant(e) =
-                        self.shard(idx).lock().entry(idx)
-                    {
-                        e.insert(result.clone());
-                        distinct += u64::from(!self.faults.can_fail);
-                    }
-                }
+            if !self.cache_enabled {
+                distinct += 1;
+            } else if matches!(
+                result,
+                Err(EvalFailure::Transient(_) | EvalFailure::Timeout | EvalFailure::Crash(_))
+            ) {
+                failed.insert(idx, out.len());
+            } else if let Entry::Vacant(e) = self.cache.lock().entry(idx) {
+                e.insert(result.clone());
+                distinct += u64::from(!self.faults.can_fail);
             }
-            self.distinct.fetch_add(distinct, Ordering::Relaxed);
-            for &(i, slot) in &scratch.occurrences {
-                out[i] = results[slot].clone();
-            }
-            out
-        })
+            out.push(result);
+        }
+        self.distinct.fetch_add(distinct, Ordering::Relaxed);
+        let measured = claimed as u64 - memo_hits - dedup_hits;
+        obs().memo_hits.add(memo_hits);
+        obs().dedup_hits.add(dedup_hits);
+        obs().measured.add(measured);
+        batch_span.record_u64("memo_hits", memo_hits);
+        batch_span.record_u64("dedup_hits", dedup_hits);
+        batch_span.record_u64("measured", measured);
+        out
     }
 
-    /// One budget-charged measurement of `index`: a bounded retry chain
-    /// over measurement attempts. Without a model that can fail, that is a
-    /// single attempt and no ledger is touched.
+    /// One budget-charged measurement of `index` on the calling thread: a
+    /// bounded retry chain over measurement attempts. Without a model that
+    /// can fail, that is a single attempt and no ledger is touched. The
+    /// ledger is locked because callers sharing one evaluator may race;
+    /// attempt numbers are per configuration, so a chain's outcome never
+    /// depends on what other configurations measure meanwhile.
     fn measure_chain(&self, index: u64) -> Result<Measurement, EvalFailure> {
         let faults = &self.faults;
         if !faults.can_fail {
@@ -518,9 +456,9 @@ impl<'p> Evaluator<'p> {
                     // The r-th retry charges `1 + backoff_evals · r`: the
                     // re-measurement plus a linear cool-down, priced in
                     // budget currency. Charged unconditionally — never
-                    // budget-gated — so concurrent workers cannot disagree
-                    // on whether a retry happened; the budget overshoots by
-                    // at most one bounded retry chain.
+                    // budget-gated — so racing callers cannot disagree on
+                    // whether a retry happened; the budget overshoots by at
+                    // most one bounded retry chain per claimed evaluation.
                     let backoff = u64::from(faults.policy.backoff_evals) * u64::from(retry);
                     self.evals.fetch_add(1 + backoff, Ordering::Relaxed);
                     self.retries.fetch_add(1, Ordering::Relaxed);
@@ -677,10 +615,12 @@ impl<'p> EvaluatorBuilder<'p> {
         self
     }
 
-    /// Size the measurement worker pool. **Process-global**: resolves the
-    /// shared rayon pool to `threads` workers for every evaluator in the
-    /// process, and only before the pool's first use (later calls are
-    /// ignored by the pool, exactly like the `BAT_THREADS` variable).
+    /// Size the worker pool. **Process-global**: resolves the shared rayon
+    /// pool, which runs a campaign's trials, to `threads` workers for the
+    /// whole process, and only before the pool's first use (later calls
+    /// are ignored by the pool, exactly like the `BAT_THREADS` variable).
+    /// An evaluator never fans a batch out: it measures on the calling
+    /// thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -715,9 +655,7 @@ impl<'p> EvaluatorBuilder<'p> {
             noise_salt,
             measure_energy: self.energy,
             cache_enabled: self.cache,
-            cache: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            cache: Mutex::new(HashMap::new()),
             faults: FaultInjection::new(model, policy, noise_salt),
             evals: AtomicU64::new(0),
             distinct: AtomicU64::new(0),
@@ -1273,36 +1211,36 @@ mod tests {
     }
 
     #[test]
-    fn faulty_outcomes_are_thread_count_independent() {
-        // The same batch on a 1-thread and a default pool must agree byte
-        // for byte: attempt counters are per-configuration and each unique
-        // index runs on exactly one worker.
+    fn a_repeat_after_an_unmemoized_failure_reuses_its_outcome() {
         let p = wide_problem();
+        let protocol = Protocol::default();
         let model = FaultModel {
-            transient_rate: 0.3,
-            crash_rate: 0.1,
-            seed: 2,
+            transient_rate: 0.4,
+            seed: 5,
             ..FaultModel::disabled()
         };
-        let indices: Vec<u64> = (0..64).collect();
-        let wide = Evaluator::builder(&p)
+        let salt = fault_salt(&p, &protocol, &model);
+        let i = (0..4096u64)
+            .find(|&i| {
+                (0..3).all(|a| model.transient_fires(salt, i, a))
+                    && !model.transient_fires(salt, i, 3)
+            })
+            .expect("some config flakes on attempts 0-2 only");
+        assert_ne!(i, 7);
+        let e = Evaluator::builder(&p)
+            .protocol(protocol)
             .faults(model, RetryPolicy::default())
             .build()
             .unwrap();
-        let wide_out = wide.evaluate_batch(&indices);
-        // A single-element outer par_iter marks the thread as already
-        // parallel, so the inner batch fan-out degrades to one worker.
-        let narrow = Evaluator::builder(&p)
-            .faults(model, RetryPolicy::default())
-            .build()
-            .unwrap();
-        let narrow_out: Vec<Vec<Result<Measurement, EvalFailure>>> = [&narrow]
-            .par_iter()
-            .map(|e| e.evaluate_batch(&indices))
-            .collect();
-        assert_eq!(wide_out, narrow_out[0]);
-        assert_eq!(wide.retries_used(), narrow.retries_used());
-        assert_eq!(wide.evals_used(), narrow.evals_used());
+        let got = e.evaluate_batch(&[i, 7, i]);
+        assert!(matches!(got[0], Err(EvalFailure::Transient(_))), "{got:?}");
+        assert_eq!(got[2], got[0]);
+        // One retry chain for both occurrences of `i`: three attempts.
+        assert_eq!(e.retries_used(), 2);
+        assert_eq!(e.evals_used(), 5);
+        assert_eq!(e.distinct_evals(), 2);
+        // The failure was not memoized: the next call draws attempt 3.
+        assert!(e.evaluate_index(i).unwrap().is_ok());
     }
 
     #[test]

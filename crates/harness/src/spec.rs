@@ -122,8 +122,8 @@ pub struct ProtocolSpec {
     pub sigma: f64,
     /// Seed folded into the deterministic measurement noise.
     pub noise_seed: u64,
-    /// Measurement parallelism of the ask/tell protocol: step-driven
-    /// tuners ask up to this many configurations per round. Absent means
+    /// Batch size of the ask/tell protocol: step-driven tuners ask up to
+    /// this many configurations per round. Absent means
     /// `1` — the classic strictly-serial protocol, under which artifacts
     /// are byte-identical to the pre-batch suite (which is why the default
     /// is skipped during serialization).
@@ -154,7 +154,7 @@ impl ProtocolSpec {
         }
     }
 
-    /// The effective measurement parallelism (≥ 1).
+    /// The effective batch size (≥ 1).
     pub fn batch(&self) -> u32 {
         self.batch.unwrap_or(1).max(1)
     }

@@ -77,8 +77,9 @@ impl GpuBenchmark {
 }
 
 thread_local! {
-    /// Per-worker model arena. One long-lived slot per thread — with the
-    /// persistent worker pool that is one slot per pool worker — that the
+    /// Per-thread model arena. One long-lived slot per measuring thread —
+    /// a campaign trial's pool worker or a daemon session's worker, since
+    /// an evaluator measures a batch on its calling thread — that the
     /// evaluation hot path rebuilds in place via [`KernelSpec::model_into`],
     /// instead of constructing a fresh [`KernelModel`] per evaluation.
     static MODEL_ARENA: std::cell::RefCell<KernelModel> =

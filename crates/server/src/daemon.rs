@@ -3,12 +3,14 @@
 //! ## Lifecycle
 //!
 //! A [`Daemon`] owns the process-wide evaluation resources: the fair
-//! scheduler gating the measurement worker pool, the session id source and
-//! the shutdown flag. Connections arrive either over TCP ([`Daemon::serve`])
-//! or in-process over the loopback transport ([`Daemon::connect_loopback`]);
-//! each connection gets a reader thread, and each session opened on a
-//! connection gets a dedicated worker thread that owns that session's
-//! problem and [`Evaluator`].
+//! scheduler gating how many batches measure at once, the session id
+//! source and the shutdown flag. Connections arrive either over TCP
+//! ([`Daemon::serve`]) or in-process over the loopback transport
+//! ([`Daemon::connect_loopback`]); each connection gets a reader thread,
+//! and each session opened on a connection gets a dedicated worker thread
+//! that owns that session's problem and [`Evaluator`]. Sessions are the
+//! daemon's parallelism: a worker measures each of its batches in order
+//! on its own thread.
 //!
 //! ## Session model
 //!

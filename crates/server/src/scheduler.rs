@@ -1,12 +1,12 @@
 //! Fair scheduling of evaluation work across sessions.
 //!
-//! The daemon hosts many sessions but owns one measurement worker pool; an
-//! unbounded free-for-all would let one chatty session starve the rest and
-//! oversubscribe the pool. The [`FairScheduler`] bounds how many batches
-//! evaluate at once and grants turns in round-robin arrival order: each
-//! waiting session gets one batch through before any session gets a
-//! second, so N concurrent campaigns make even progress regardless of who
-//! connected first.
+//! The daemon hosts many sessions, each measuring its batches on its own
+//! worker thread; an unbounded free-for-all would let one chatty session
+//! starve the rest and oversubscribe the host's cores. The
+//! [`FairScheduler`] bounds how many batches evaluate at once and grants
+//! turns in round-robin arrival order: each waiting session gets one batch
+//! through before any session gets a second, so N concurrent campaigns
+//! make even progress regardless of who connected first.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, OnceLock};

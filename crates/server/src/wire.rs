@@ -127,7 +127,7 @@ pub struct OpenSession {
     pub sigma: f64,
     /// Seed folded into the deterministic measurement noise.
     pub noise_seed: u64,
-    /// Measurement parallelism per ask/tell step.
+    /// Candidates per ask/tell step (the protocol's batch size).
     pub batch: u32,
     /// Per-session evaluation budget (`null` = unlimited).
     #[serde(default, skip_serializing_if = "Option::is_none")]

@@ -16,14 +16,17 @@
 //! per-trial record is built at all.
 //!
 //! The driver is deterministic: candidates are evaluated in ask order
-//! (fan-out happens inside `evaluate_batch`, which collects results in
-//! order), trials are recorded in ask order, and the tuner's RNG only ever
+//! (`evaluate_batch` measures a batch in order on the calling thread;
+//! parallelism lives a layer up, where a campaign runs its trials over
+//! the worker pool and a daemon runs each session on its own thread),
+//! trials are recorded in ask order, and the tuner's RNG only ever
 //! advances inside `ask`/`tell`. With `Protocol::batch == 1` every tuner
 //! sees each outcome before its next proposal, the classic sequential
 //! search; the golden `run/*/batch-1` and `synthetic/*` digests
 //! (`tests/golden.rs`) pin those trajectories for every tuner. Larger
-//! batches trade per-candidate feedback for measurement parallelism — a
-//! new scenario axis campaigns can sweep.
+//! batches trade per-candidate feedback for fewer, larger rounds, the way
+//! a parallel measurement harness would ask — a scenario axis campaigns
+//! can sweep.
 
 use bat_core::{Error, EvalBackend, EvalFailure, Measurement, Trial, TuningRun};
 use bat_space::ConfigSpace;
@@ -32,8 +35,8 @@ use bat_space::ConfigSpace;
 #[derive(Debug, Clone, Copy)]
 pub struct StepCtx {
     /// Maximum number of configurations measurable in one ask/tell round
-    /// (the protocol's measurement parallelism; always ≥ 1). Tuners may
-    /// ask fewer — sequential algorithms typically ask exactly one.
+    /// (the protocol's batch size; always ≥ 1). Tuners may ask fewer —
+    /// sequential algorithms typically ask exactly one.
     pub batch: usize,
 }
 

@@ -207,7 +207,8 @@ fn tuning_digests() -> BTreeMap<String, u64> {
         .collect();
     assert_eq!(tuners.len(), 14, "13 single-objective tuners plus NSGA-II");
     let mut out = BTreeMap::new();
-    // Four pool threads on every host, so batch 8 really fans out.
+    // Four pool threads on every host, so smac-forest's tree fits run on
+    // the pool; batches themselves are measured on this thread.
     rayon::with_thread_limit(4, || {
         for tuner in &tuners {
             for kernel in KERNELS {

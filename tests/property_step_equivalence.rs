@@ -2,9 +2,9 @@
 //! is semantically identical to the same sequence of serial
 //! `evaluate_index` calls at any batch size (same results, same budget
 //! accounting, same memo/distinct state), and every tuner stays
-//! deterministic and inside its budget under faults, batching and any pool
-//! size. The step driver's batch-1 trajectories are pinned by the
-//! `synthetic/*` rows of the golden digests (`tests/golden.rs`).
+//! deterministic and inside its budget under faults and batching. The step
+//! driver's batch-1 trajectories are pinned by the `synthetic/*` rows of
+//! the golden digests (`tests/golden.rs`).
 
 use bat::prelude::*;
 use proptest::prelude::*;
@@ -202,50 +202,6 @@ proptest! {
         let tuner = Nsga2::default();
         prop_assert_eq!(tuner.tune(&e1, seed), tuner.tune(&e2, seed));
         prop_assert_eq!(e1.retries_used(), e2.retries_used());
-    }
-
-    /// Thread-count sweep: the serialized bytes of a whole run — trials,
-    /// measurements, retry/quarantine counters — are identical at 1, 2 and
-    /// 4 worker threads, on fault-free and faulted campaigns alike. This
-    /// is the quality-neutrality contract of the worker pool: thread count
-    /// is an execution detail, never an input to the science.
-    #[test]
-    fn runs_are_byte_identical_across_thread_counts(
-        space in arb_space(),
-        seed in 0u64..300,
-        batch in 2u32..10,
-        noisy in 0u32..2,
-        faulted in 0u32..2,
-    ) {
-        let p = problem(space.clone());
-        let proto = protocol(noisy == 1).with_batch(batch);
-        let budget = 60u64;
-        let model = FaultModel {
-            transient_rate: 0.08,
-            timeout_rate: 0.04,
-            crash_rate: 0.03,
-            ..FaultModel::disabled()
-        };
-        let run_at = |threads: usize| -> (String, u64, u64) {
-            rayon::with_thread_limit(threads, || {
-                let mut b = budgeted(&p, proto, budget);
-                if faulted == 1 {
-                    b = b.faults(model, RetryPolicy::default());
-                }
-                let e = b.build().unwrap();
-                let run = GeneticAlgorithm::default().tune(&e, seed);
-                (
-                    serde_json::to_string(&run).expect("serializable run"),
-                    e.evals_used(),
-                    e.retries_used(),
-                )
-            })
-        };
-        let baseline = run_at(1);
-        for threads in [2usize, 4] {
-            let swept = run_at(threads);
-            prop_assert_eq!(&swept, &baseline, "{threads} threads diverged");
-        }
     }
 
     /// At any fixed batch size, runs are deterministic and spend exactly
