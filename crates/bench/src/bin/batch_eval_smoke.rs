@@ -34,8 +34,8 @@ fn measure() -> Vec<(usize, f64)> {
     BATCHES
         .iter()
         .map(|&batch| {
-            // Warm up the pool and the caches of everything but the memo
-            // (the gate times the uncached measurement path).
+            // Warm up the caches of everything but the memo (the gate
+            // times the uncached measurement path).
             let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
             for chunk in indices.chunks(batch).take(8) {
                 std::hint::black_box(eval.evaluate_batch(chunk).len());
@@ -51,64 +51,6 @@ fn measure() -> Vec<(usize, f64)> {
                 best = best.min(start.elapsed().as_secs_f64());
             }
             (batch, n as f64 / best)
-        })
-        .collect()
-}
-
-/// Batch size at which the thread-scaling sweep runs.
-const SCALING_BATCH: usize = 256;
-
-/// Thread counts the scaling sweep records.
-const SCALING_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Throughput of the scaling batch size at fixed worker-pool sizes (via
-/// the per-thread override, so one process sweeps all counts), plus the
-/// measured worker utilization from the pool's busy-time counter:
-/// busy-µs accrued across the timed passes over `threads ×` their wall
-/// time. On a single-core host the sweep documents that extra workers are
-/// quality-neutral and roughly throughput-neutral; on a multi-core host it
-/// records the actual speedup and how busy the workers really were.
-fn measure_scaling() -> Vec<(usize, f64, f64)> {
-    let problem = bat_kernels::benchmark("gemm", GpuArch::rtx_3090()).unwrap();
-    let card = problem.space().cardinality();
-    let n = 1u64 << 16;
-    let indices = index_stream(n, card);
-    SCALING_THREADS
-        .iter()
-        .map(|&threads| {
-            rayon::with_thread_limit(threads, || {
-                let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
-                for chunk in indices.chunks(SCALING_BATCH).take(8) {
-                    std::hint::black_box(eval.evaluate_batch(chunk).len());
-                }
-                let mut best = f64::MAX;
-                let busy0 = rayon::pool_busy_us();
-                let mut timed_wall = 0.0f64;
-                for _ in 0..3 {
-                    let eval = Evaluator::builder(&problem).cache(false).build().unwrap();
-                    let start = Instant::now();
-                    for chunk in indices.chunks(SCALING_BATCH) {
-                        std::hint::black_box(eval.evaluate_batch(chunk).len());
-                    }
-                    let wall = start.elapsed().as_secs_f64();
-                    timed_wall += wall;
-                    best = best.min(wall);
-                }
-                let busy_us = (rayon::pool_busy_us() - busy0) as f64;
-                let capacity_us = threads as f64 * timed_wall * 1e6;
-                // At one thread the evaluator short-circuits before the
-                // pool, so no busy time accrues there — but the lone
-                // participant is the caller, busy for the full wall by
-                // construction.
-                let utilization = if threads == 1 {
-                    1.0
-                } else if capacity_us > 0.0 {
-                    (busy_us / capacity_us).min(1.0)
-                } else {
-                    0.0
-                };
-                (threads, n as f64 / best, utilization)
-            })
         })
         .collect()
 }
@@ -148,14 +90,6 @@ fn main() -> std::process::ExitCode {
     }
 
     if let Some(path) = opt("--write") {
-        let scaling = measure_scaling();
-        for (threads, rate, util) in &scaling {
-            println!(
-                "threads {threads} @ batch {SCALING_BATCH}: {:.2} M evals/s ({:.0}% utilized)",
-                rate / 1e6,
-                util * 100.0
-            );
-        }
         let threads = std::env::var("BAT_THREADS").unwrap_or_else(|_| "auto".into());
         let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
         let mut body = String::from("{\n  \"schema\": \"bat/bench-batch-eval/v1\",\n");
@@ -166,19 +100,6 @@ fn main() -> std::process::ExitCode {
         for (i, (batch, rate)) in measured.iter().enumerate() {
             let sep = if i + 1 == measured.len() { "" } else { "," };
             body.push_str(&format!("    \"batch_{batch}\": {rate:.0}{sep}\n"));
-        }
-        body.push_str("  },\n");
-        body.push_str(&format!(
-            "  \"thread_scaling\": {{\n    \"batch\": {SCALING_BATCH},\n"
-        ));
-        for (threads, rate, _) in scaling.iter() {
-            body.push_str(&format!("    \"threads_{threads}\": {rate:.0},\n"));
-        }
-        for (i, (threads, _, util)) in scaling.iter().enumerate() {
-            let sep = if i + 1 == scaling.len() { "" } else { "," };
-            body.push_str(&format!(
-                "    \"utilization_threads_{threads}\": {util:.3}{sep}\n"
-            ));
         }
         body.push_str("  }\n}\n");
         if let Err(e) = std::fs::write(&path, body) {

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 mod pool;
 
-pub use pool::{current_num_threads, pool_busy_us, set_global_threads, with_thread_limit};
+pub use pool::{current_num_threads, set_global_threads, with_thread_limit};
 use pool::{parallel_region, worker_count};
 
 /// Shared mutable output pointer for disjoint-slot writes across workers.

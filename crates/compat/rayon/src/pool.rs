@@ -1,13 +1,12 @@
 //! The persistent worker pool behind every parallel terminal.
 //!
 //! The original compat-rayon spawned fresh scoped OS threads on every
-//! `par_iter` call; per-batch thread creation dominated small and medium
-//! batches (the evaluator's batch fan-out issues thousands of them per
-//! campaign). This module replaces spawn-per-call with a lazily-initialized
-//! pool of *parked* OS threads that live for the process: a parallel
-//! terminal injects one job, the pool's workers (plus the calling thread)
-//! run it cooperatively, and the call returns when every participant is
-//! done.
+//! `par_iter` call, so thread creation dominated small parallel calls
+//! (a campaign's chunks of trials, a forest's trees, a kernel's rows).
+//! This module replaces spawn-per-call with a lazily-initialized pool of
+//! *parked* OS threads that live for the process: a parallel terminal
+//! injects one job, the pool's workers (plus the calling thread) run it
+//! cooperatively, and the call returns when every participant is done.
 //!
 //! A job is a borrowed `&(dyn Fn() + Sync)` closure: each participant calls
 //! it exactly once, and the closure itself loops claiming blocks of work
@@ -211,12 +210,6 @@ fn obs() -> &'static PoolMetrics {
             "Microseconds between job submission and a worker claiming a ticket.",
         ),
     })
-}
-
-/// Total microseconds participants spent busy inside job closures — read
-/// by the batch-eval bench to report measured worker utilization.
-pub fn pool_busy_us() -> u64 {
-    obs().busy_us.get()
 }
 
 /// The process-wide pool: a queue of pending jobs plus parked workers.
