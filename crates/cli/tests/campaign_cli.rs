@@ -1,7 +1,8 @@
 //! End-to-end checks of the `bat` binary.
 //!
 //! Every route `bat campaign` offers to the ci-smoke artifact — plain,
-//! serial, flag overrides, shard merge, resume, cold and warm cache —
+//! serial, flag overrides, a pool size from the flag or from
+//! `BAT_THREADS`, shard merge, resume, cold and warm cache —
 //! must write the artifact and metadata bytes that the committed golden
 //! table `tests/golden_digests.txt` holds for `ci-smoke/threads-1`. The
 //! table is only read here, never rewritten. Bad input must exit 1 with
@@ -21,9 +22,11 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn bat(dir: &Path, args: &[&str]) -> Output {
+/// Run `bat ARGS…` in `dir` with `env` added to the environment.
+fn bat(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(BAT)
         .args(args)
+        .envs(env.iter().copied())
         .current_dir(dir)
         .output()
         .expect("bat starts")
@@ -32,9 +35,14 @@ fn bat(dir: &Path, args: &[&str]) -> Output {
 /// Run `bat campaign --spec ci-smoke.json --out OUT EXTRA…`, requiring
 /// success.
 fn campaign(dir: &Path, out: &str, extra: &[&str]) -> Output {
+    campaign_with(dir, out, extra, &[])
+}
+
+/// [`campaign`] with `env` added to the environment.
+fn campaign_with(dir: &Path, out: &str, extra: &[&str], env: &[(&str, &str)]) -> Output {
     let mut args = vec!["campaign", "--spec", SPEC, "--out", out];
     args.extend(extra);
-    let output = bat(dir, &args);
+    let output = bat(dir, &args, env);
     assert!(
         output.status.success(),
         "bat {args:?} failed:\n{}",
@@ -83,20 +91,24 @@ mod golden {
             committed("meta/ci-smoke/threads-1"),
         );
         let dir = scratch("campaign-cli");
-        let routes: [(&str, &[&str]); 5] = [
-            ("plain.json", &[]),
-            ("serial.json", &["--serial"]),
-            ("batch-1.json", &["--batch", "1"]),
-            ("fault-0.json", &["--fault-rate", "0"]),
-            ("threads-1.json", &["--threads", "1"]),
+        // (output, extra flags, extra environment)
+        type Route<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str)]);
+        let routes: [Route; 7] = [
+            ("plain.json", &[], &[]),
+            ("serial.json", &["--serial"], &[]),
+            ("batch-1.json", &["--batch", "1"], &[]),
+            ("fault-0.json", &["--fault-rate", "0"], &[]),
+            ("threads-1.json", &["--threads", "1"], &[]),
+            ("threads-4.json", &["--threads", "4"], &[]),
+            ("env-threads-4.json", &[], &[("BAT_THREADS", "4")]),
         ];
-        for (out, extra) in routes {
-            let output = campaign(&dir, out, extra);
+        for (out, extra, env) in routes {
+            let output = campaign_with(&dir, out, extra, env);
             assert_eq!(
                 String::from_utf8_lossy(&output.stdout),
                 format!("wrote {out}\n")
             );
-            assert_eq!(digests(&dir, out), want, "{out} ({extra:?})");
+            assert_eq!(digests(&dir, out), want, "{out} ({extra:?}, {env:?})");
         }
 
         campaign(&dir, "shard-0.json", &["--shard", "0/2"]);
@@ -111,7 +123,7 @@ mod golden {
             "--out",
             "merged.json",
         ];
-        assert!(bat(&dir, &merge).status.success());
+        assert!(bat(&dir, &merge, &[]).status.success());
         assert_eq!(digests(&dir, "merged.json"), want, "merged shards");
 
         let resumed = campaign(&dir, "plain.json", &["--resume"]);
@@ -172,7 +184,7 @@ fn bad_input_exits_1_with_an_error_naming_the_file() {
         ),
     ];
     for (args, file) in cases {
-        let output = bat(&dir, args);
+        let output = bat(&dir, args, &[]);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "bat {args:?}: {stderr}");
         assert!(stderr.contains("error:"), "bat {args:?}: {stderr}");
