@@ -112,6 +112,26 @@ pub struct CachedTrial {
     pub record: Value,
 }
 
+/// `v` as it reads back after being written as JSON: non-negative `Int`s
+/// parse as `UInt`, and non-finite floats, written as `null`, parse as
+/// `Null`. Everything else — strings, finite floats (written with their
+/// shortest round-trip text), key order and duplicate keys — survives the
+/// trip unchanged.
+fn canonical(v: Value) -> Value {
+    match v {
+        Value::Int(i) if i >= 0 => Value::UInt(i as u64),
+        Value::Float(f) if !f.is_finite() => Value::Null,
+        Value::Array(items) => Value::Array(items.into_iter().map(canonical).collect()),
+        Value::Object(entries) => Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k, canonical(v)))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
 /// The persistent cache artifact: sorted cells plus sorted trial blobs.
 ///
 /// Invariants (maintained by every constructor and mutator): `cells`
@@ -157,7 +177,12 @@ impl CacheStore {
             )));
         }
         let mut normalized = CacheStore::new();
-        normalized.merge(&store);
+        for cell in store.cells {
+            normalized.merge_cell(cell);
+        }
+        for trial in store.trials {
+            normalized.insert_trial(trial);
+        }
         Ok(normalized)
     }
 
@@ -244,22 +269,20 @@ impl CacheStore {
     }
 
     /// Insert one trial blob, keeping the sorted invariant. The record is
-    /// canonicalized through a JSON round-trip first (e.g. non-negative
-    /// `Int` becomes `UInt`, as the parser would produce), so a freshly
-    /// folded store compares equal to its reloaded self. A fingerprint
-    /// collision keeps the record that serializes lower — an arbitrary but
-    /// deterministic tie-break, so merge order never changes the artifact.
+    /// first put in the form a JSON round trip gives it (non-negative
+    /// `Int`s become `UInt`s, non-finite floats `Null`), so a freshly
+    /// folded store compares equal to its reloaded self. A fingerprint collision keeps the record that
+    /// serializes lower — an arbitrary but deterministic tie-break, so
+    /// merge order never changes the artifact.
     pub fn insert_trial(&mut self, mut trial: CachedTrial) {
-        let canonical = serde_json::to_string_pretty(&trial.record).expect("record serializes");
-        trial.record = serde_json::from_str(&canonical).expect("canonical record parses");
+        trial.record = canonical(trial.record);
         let at = self
             .trials
             .binary_search_by(|t| t.fingerprint.cmp(&trial.fingerprint));
         match at {
             Ok(i) => {
-                let mine = serde_json::to_string_pretty(&self.trials[i].record)
-                    .expect("stored record serializes");
-                if canonical < mine {
+                let text = |v: &Value| serde_json::to_string_pretty(v).expect("record serializes");
+                if text(&trial.record) < text(&self.trials[i].record) {
                     self.trials[i] = trial;
                 }
             }
@@ -273,13 +296,17 @@ impl CacheStore {
     /// over the same shards yields the same bytes.
     pub fn merge(&mut self, other: &CacheStore) {
         for cell in &other.cells {
-            match index::position(&self.cells, cell.key()) {
-                Ok(i) => self.cells[i].merge(cell),
-                Err(i) => self.cells.insert(i, cell.clone()),
-            }
+            self.merge_cell(cell.clone());
         }
         for trial in &other.trials {
             self.insert_trial(trial.clone());
+        }
+    }
+
+    fn merge_cell(&mut self, cell: CacheCell) {
+        match index::position(&self.cells, cell.key()) {
+            Ok(i) => self.cells[i].merge(&cell),
+            Err(i) => self.cells.insert(i, cell),
         }
     }
 
@@ -409,5 +436,95 @@ mod tests {
         let s = CacheStore::load_or_empty("/nonexistent/dir/cache.json");
         // Missing parent dir still reads as NotFound on open.
         assert_eq!(s.unwrap(), CacheStore::new());
+    }
+
+    /// Random JSON trees of at most `self.0` levels, drawing the scalars a
+    /// JSON round trip can change: signed and unsigned integers at their
+    /// extremes, `-0.0`, NaN, ±inf, subnormals and arbitrary float bits,
+    /// strings with quotes, escapes, control and non-ASCII characters, and
+    /// objects with repeated keys.
+    struct ArbValue(u32);
+
+    impl proptest::Strategy for ArbValue {
+        type Value = Value;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Value {
+            fn pick(rng: &mut proptest::TestRng, n: usize) -> usize {
+                (0..n).generate(rng)
+            }
+            fn bits(rng: &mut proptest::TestRng) -> u64 {
+                (0..u64::MAX).generate(rng)
+            }
+            let kinds = if self.0 == 0 { 6 } else { 8 };
+            match pick(rng, kinds) {
+                0 => Value::Null,
+                1 => Value::Bool(pick(rng, 2) == 1),
+                2 => {
+                    let any = bits(rng) as i64;
+                    Value::Int([i64::MIN, -1, 0, 1, i64::MAX, any][pick(rng, 6)])
+                }
+                3 => {
+                    let any = bits(rng);
+                    Value::UInt([0, 7, u64::MAX, any][pick(rng, 4)])
+                }
+                4 => {
+                    let any = f64::from_bits(bits(rng));
+                    let floats = [
+                        -0.0,
+                        0.0,
+                        f64::NAN,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        5e-324,
+                        f64::MAX,
+                        1e16,
+                        -1e-7,
+                        any,
+                    ];
+                    Value::Float(floats[pick(rng, floats.len())])
+                }
+                5 => {
+                    let pool = [
+                        'a', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é',
+                        '∑', '🦀',
+                    ];
+                    let len = pick(rng, 8);
+                    Value::String((0..len).map(|_| pool[pick(rng, pool.len())]).collect())
+                }
+                6 => {
+                    let len = pick(rng, 4);
+                    Value::Array(
+                        (0..len)
+                            .map(|_| ArbValue(self.0 - 1).generate(rng))
+                            .collect(),
+                    )
+                }
+                _ => {
+                    let keys = ["k", "é\"", "k", ""];
+                    let len = pick(rng, 4);
+                    Value::Object(
+                        (0..len)
+                            .map(|_| {
+                                let key = keys[pick(rng, keys.len())].to_string();
+                                (key, ArbValue(self.0 - 1).generate(rng))
+                            })
+                            .collect(),
+                    )
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn canonical_records_equal_their_json_round_trip(v in ArbValue(4)) {
+            let text = serde_json::to_string_pretty(&v).unwrap();
+            let parsed: Value = serde_json::from_str(&text).unwrap();
+            let canon = canonical(v);
+            // Structure (`Int` against `UInt`, `Null` against a float) and
+            // text (`-0.0` against `0.0`) both agree.
+            proptest::prop_assert_eq!(&canon, &parsed);
+            proptest::prop_assert_eq!(serde_json::to_string_pretty(&canon).unwrap(), text);
+        }
     }
 }

@@ -1,114 +1,57 @@
 //! Offline stand-in for the subset of `serde` used by this workspace.
 //!
-//! Instead of serde's visitor-based data model, serialization here goes
-//! through one concrete intermediate [`Value`] tree (the only format the
-//! workspace ever uses is JSON, via the sibling `serde_json` stand-in):
+//! The workspace's only format is JSON (through the sibling `serde_json`
+//! stand-in), so instead of serde's format-independent visitor model both
+//! traits speak JSON text directly, and nothing is built in between:
 //!
-//! * [`Serialize`] — `fn to_value(&self) -> Value`;
-//! * [`Deserialize`] — `fn from_value(&Value) -> Result<Self, DeError>`.
+//! * [`Serialize`] — `fn serialize(&self, w: &mut Writer)` appends the
+//!   value's text to the [`Writer`]'s one output buffer, compact or
+//!   two-space pretty;
+//! * [`Deserialize`] — `fn deserialize(r: &mut Reader) -> Result<Self,
+//!   DeError>` pulls the value from the [`Reader`], a parser over the
+//!   input text that borrows unescaped strings and compares object keys in
+//!   place.
+//!
+//! [`Value`] is not an intermediate: it is the type of documents whose
+//! shape the program does not know (opaque record blobs), and implements
+//! both traits like any other type.
 //!
 //! The derive macros (`#[derive(Serialize, Deserialize)]`, re-exported from
 //! the `serde_derive` stand-in) generate those impls for structs with named
-//! fields and for enums with unit/newtype variants, honouring the
-//! `#[serde(rename)]`, `#[serde(rename_all = "snake_case")]`,
+//! fields and for enums with unit, newtype and struct variants, honouring
+//! the `#[serde(rename)]`, `#[serde(rename_all = "snake_case")]`,
 //! `#[serde(default)]`, `#[serde(skip_serializing_if = "path")]` and
 //! `#[serde(deny_unknown_fields)]` attributes the workspace uses.
+//!
+//! Reading rules every impl keeps: integer types accept integer text in
+//! range and reject fractions and exponents; float types accept any
+//! number; a missing non-`default` field is an error; when an object
+//! repeats a field name the first occurrence wins (maps keep the last);
+//! arrays and objects nest at most [`MAX_DEPTH`] levels.
 
 pub use serde_derive::{Deserialize, Serialize};
 
+mod de;
+mod ser;
+mod value;
+
+use de::Number;
+pub use de::{DeError, Reader, MAX_DEPTH};
+pub use ser::Writer;
+pub use value::Value;
+
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A self-describing tree value — the single intermediate data model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Signed integer.
-    Int(i64),
-    /// Unsigned integer (preserves `u64` values above `i64::MAX`).
-    UInt(u64),
-    /// Floating-point number.
-    Float(f64),
-    /// String.
-    String(String),
-    /// Array.
-    Array(Vec<Value>),
-    /// Object; insertion order is preserved for stable output.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// The object entries, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Look up `key` in an object value.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()
-            .and_then(|entries| entries.iter().find(|(k, _)| k == key))
-            .map(|(_, v)| v)
-    }
-}
-
-/// Error produced when a [`Value`] does not match the expected shape.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeError(pub String);
-
-impl DeError {
-    /// "expected X while deserializing Y" error.
-    pub fn expected(what: &str, ty: &str) -> DeError {
-        DeError(format!("expected {what} while deserializing {ty}"))
-    }
-
-    /// Missing required field error.
-    pub fn missing_field(field: &str, ty: &str) -> DeError {
-        DeError(format!("missing field {field:?} while deserializing {ty}"))
-    }
-
-    /// Unknown field error (emitted by `#[serde(deny_unknown_fields)]`).
-    pub fn unknown_field(field: &str, ty: &str) -> DeError {
-        DeError(format!("unknown field {field:?} while deserializing {ty}"))
-    }
-}
-
-impl fmt::Display for DeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for DeError {}
-
-/// Conversion into the intermediate [`Value`] tree.
+/// A type that writes itself as JSON.
 pub trait Serialize {
-    /// Serialize `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Append `self`'s JSON text to `w`.
+    fn serialize(&self, w: &mut Writer<'_>);
 }
 
-/// Conversion from the intermediate [`Value`] tree.
+/// A type that reads itself from JSON.
 pub trait Deserialize: Sized {
-    /// Deserialize from a [`Value`].
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-}
-
-/// Find `key` among object `entries` (helper used by derived code).
-pub fn field<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    /// Read one value of this type from `r`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -118,16 +61,17 @@ pub fn field<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value>
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(*self as i64) }
+            fn serialize(&self, w: &mut Writer<'_>) { w.i64(*self as i64) }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| DeError::expected("in-range integer", stringify!($t))),
-                    Value::UInt(u) => <$t>::try_from(*u)
-                        .map_err(|_| DeError::expected("in-range integer", stringify!($t))),
-                    _ => Err(DeError::expected("integer", stringify!($t))),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let ty = stringify!($t);
+                match r.number("integer", ty)? {
+                    Number::Int(i) => <$t>::try_from(i)
+                        .map_err(|_| r.expected("in-range integer", ty)),
+                    Number::UInt(u) => <$t>::try_from(u)
+                        .map_err(|_| r.expected("in-range integer", ty)),
+                    Number::Float(_) => Err(r.expected("integer", ty)),
                 }
             }
         }
@@ -138,18 +82,19 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::UInt(*self as u64) }
+            fn serialize(&self, w: &mut Writer<'_>) { w.u64(*self as u64) }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::UInt(u) => <$t>::try_from(*u)
-                        .map_err(|_| DeError::expected("in-range integer", stringify!($t))),
-                    Value::Int(i) => u64::try_from(*i)
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let ty = stringify!($t);
+                match r.number("integer", ty)? {
+                    Number::UInt(u) => <$t>::try_from(u)
+                        .map_err(|_| r.expected("in-range integer", ty)),
+                    Number::Int(i) => u64::try_from(i)
                         .ok()
                         .and_then(|u| <$t>::try_from(u).ok())
-                        .ok_or_else(|| DeError::expected("non-negative integer", stringify!($t))),
-                    _ => Err(DeError::expected("integer", stringify!($t))),
+                        .ok_or_else(|| r.expected("non-negative integer", ty)),
+                    Number::Float(_) => Err(r.expected("integer", ty)),
                 }
             }
         }
@@ -160,16 +105,15 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Float(*self as f64) }
+            fn serialize(&self, w: &mut Writer<'_>) { w.f64(*self as f64) }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::UInt(u) => Ok(*u as $t),
-                    _ => Err(DeError::expected("number", stringify!($t))),
-                }
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                Ok(match r.number("number", stringify!($t))? {
+                    Number::Float(f) => f as $t,
+                    Number::Int(i) => i as $t,
+                    Number::UInt(u) => u as $t,
+                })
             }
         }
     )*};
@@ -177,60 +121,32 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-/// A `Value` serializes to itself — the identity — so documents can embed
-/// already-serialized subtrees (e.g. opaque record blobs) verbatim.
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-/// A `Value` deserializes from itself — the identity — so callers can
-/// parse arbitrary JSON into the tree and inspect it structurally.
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.bool(*self)
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::expected("boolean", "bool")),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            _ => Err(DeError::expected("string", "String")),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.bool("bool")
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self)
     }
 }
 
-impl Serialize for &str {
-    fn to_value(&self) -> Value {
-        Value::String((*self).to_string())
+impl Serialize for String {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self)
+    }
+}
+
+impl Deserialize for String {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.string("String").map(|s| s.into_owned())
     }
 }
 
@@ -238,82 +154,104 @@ impl Serialize for &str {
 // Container impls
 // ---------------------------------------------------------------------------
 
+impl<T: Serialize + ?Sized> Serialize for &T {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w)
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_array();
+        for item in self {
+            w.element();
+            item.serialize(w);
+        }
+        w.end_array();
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.as_slice().serialize(w)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::expected("array", "Vec")),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_array("Vec")?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::deserialize(r)?);
         }
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
+            Some(inner) => inner.serialize(w),
+            None => w.null(),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        for (k, v) in self {
+            w.field(k, v);
+        }
+        w.end_object();
     }
 }
 
 impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            _ => Err(DeError::expected("object", "BTreeMap")),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_object("BTreeMap")?;
+        let mut map = BTreeMap::new();
+        while let Some(key) = r.next_key()? {
+            let value = V::deserialize(r)?;
+            map.insert(key.into_owned(), value);
         }
+        Ok(map)
     }
 }
 
 // serde's externally-tagged representation: {"Ok": ...} / {"Err": ...}.
 impl<T: Serialize, E: Serialize> Serialize for Result<T, E> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.begin_object();
         match self {
-            Ok(v) => Value::Object(vec![("Ok".to_string(), v.to_value())]),
-            Err(e) => Value::Object(vec![("Err".to_string(), e.to_value())]),
+            Ok(v) => w.field("Ok", v),
+            Err(e) => w.field("Err", e),
         }
+        w.end_object();
     }
 }
 
 impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = v
-            .as_object()
-            .filter(|e| e.len() == 1)
-            .ok_or_else(|| DeError::expected("single-key object", "Result"))?;
-        let (tag, inner) = &entries[0];
-        match tag.as_str() {
-            "Ok" => T::from_value(inner).map(Ok),
-            "Err" => E::from_value(inner).map(Err),
-            _ => Err(DeError::expected("\"Ok\" or \"Err\" tag", "Result")),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_object("Result")?;
+        let out = match r.next_key()?.as_deref() {
+            Some("Ok") => Ok(T::deserialize(r)?),
+            Some("Err") => Err(E::deserialize(r)?),
+            _ => return Err(r.expected("a single \"Ok\" or \"Err\" key", "Result")),
+        };
+        match r.next_key()? {
+            None => Ok(out),
+            Some(_) => Err(r.expected("a single \"Ok\" or \"Err\" key", "Result")),
         }
     }
 }
@@ -322,31 +260,122 @@ impl<T: Deserialize, E: Deserialize> Deserialize for Result<T, E> {
 mod tests {
     use super::*;
 
+    fn text<T: Serialize + ?Sized>(v: &T) -> String {
+        let mut out = String::new();
+        v.serialize(&mut Writer::compact(&mut out));
+        out
+    }
+
+    fn read<T: Deserialize>(s: &str) -> Result<T, DeError> {
+        let mut r = Reader::new(s);
+        let v = T::deserialize(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(i64::from_value(&42i64.to_value()).unwrap(), 42);
-        assert_eq!(u64::from_value(&7u64.to_value()).unwrap(), 7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
-        assert!(bool::from_value(&true.to_value()).unwrap());
+        assert_eq!(read::<i64>(&text(&42i64)).unwrap(), 42);
+        assert_eq!(read::<u64>(&text(&7u64)).unwrap(), 7);
+        assert_eq!(read::<f64>(&text(&1.5f64)).unwrap(), 1.5);
+        assert_eq!(read::<String>(&text("hi")).unwrap(), "hi");
+        assert!(read::<bool>(&text(&true)).unwrap());
+        assert_eq!(text(&i64::MIN), "-9223372036854775808");
+        assert_eq!(text(&u64::MAX), "18446744073709551615");
+        assert_eq!(text(&-0.0f64), "-0.0");
+        assert_eq!(text(&f64::NAN), "null");
     }
 
     #[test]
     fn containers_round_trip() {
         let v = vec![1i64, 2, 3];
-        assert_eq!(Vec::<i64>::from_value(&v.to_value()).unwrap(), v);
+        assert_eq!(read::<Vec<i64>>(&text(&v)).unwrap(), v);
         let o: Option<u64> = Some(9);
-        assert_eq!(Option::<u64>::from_value(&o.to_value()).unwrap(), o);
+        assert_eq!(read::<Option<u64>>(&text(&o)).unwrap(), o);
         let n: Option<u64> = None;
-        assert_eq!(Option::<u64>::from_value(&n.to_value()).unwrap(), n);
+        assert_eq!(read::<Option<u64>>(&text(&n)).unwrap(), n);
         let r: Result<u64, String> = Err("boom".into());
-        assert_eq!(Result::<u64, String>::from_value(&r.to_value()).unwrap(), r);
+        assert_eq!(text(&r), r#"{"Err":"boom"}"#);
+        assert_eq!(read::<Result<u64, String>>(&text(&r)).unwrap(), r);
+        let m = BTreeMap::from([("b".to_string(), 2u8), ("a".to_string(), 1)]);
+        assert_eq!(text(&m), r#"{"a":1,"b":2}"#);
+        assert_eq!(read::<BTreeMap<String, u8>>(&text(&m)).unwrap(), m);
     }
 
     #[test]
     fn type_mismatches_error() {
-        assert!(i64::from_value(&Value::String("x".into())).is_err());
-        assert!(u64::from_value(&Value::Int(-1)).is_err());
-        assert!(Vec::<i64>::from_value(&Value::Null).is_err());
+        assert!(read::<i64>("\"x\"").is_err());
+        assert!(read::<u64>("-1").is_err());
+        assert!(read::<u64>("1.0").is_err());
+        assert!(read::<u8>("256").is_err());
+        assert!(read::<Vec<i64>>("null").is_err());
+        assert!(read::<Result<u64, String>>(r#"{"Ok":1,"Err":"x"}"#).is_err());
+        assert!(read::<Result<u64, String>>("{}").is_err());
+        // Integer text out of every integer range fails even for floats.
+        assert!(read::<f64>("18446744073709551616").is_err());
+        assert_eq!(read::<f64>("-0").unwrap(), 0.0);
+        assert_eq!(read::<u64>("-0").unwrap(), 0);
+    }
+
+    #[test]
+    fn maps_keep_the_last_duplicate() {
+        let m: BTreeMap<String, u8> = read(r#"{"a":1,"a":2}"#).unwrap();
+        assert_eq!(m["a"], 2);
+    }
+
+    #[test]
+    fn values_keep_their_shape() {
+        let doc = r#"{"a":[1,-2,2.5,null,true,"s\n"],"a":{},"b":[]}"#;
+        let v: Value = read(doc).unwrap();
+        assert_eq!(
+            v,
+            Value::Object(vec![
+                (
+                    "a".into(),
+                    Value::Array(vec![
+                        Value::UInt(1),
+                        Value::Int(-2),
+                        Value::Float(2.5),
+                        Value::Null,
+                        Value::Bool(true),
+                        Value::String("s\n".into()),
+                    ])
+                ),
+                ("a".into(), Value::Object(vec![])),
+                ("b".into(), Value::Array(vec![])),
+            ])
+        );
+        assert_eq!(text(&v), doc);
+        assert_eq!(v.get("a").and_then(|a| a.as_object()), None);
+    }
+
+    #[test]
+    fn pretty_layout_matches_the_artifact_form() {
+        let v: Value = read(r#"{"a":[1,{"b":[]}],"c":{}}"#).unwrap();
+        let mut out = String::new();
+        v.serialize(&mut Writer::pretty(&mut out));
+        assert_eq!(
+            out,
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": []\n    }\n  ],\n  \"c\": {}\n}"
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_error_names_the_offset() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(read::<Value>(&ok).is_ok());
+        let deep = "[".repeat(200_000);
+        let err = read::<Value>(&deep).unwrap_err();
+        assert!(
+            err.0.contains(&format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            )),
+            "{err}"
+        );
+        // Skipping an unknown value is bounded the same way.
+        let mut r = Reader::new(&deep);
+        assert!(r.skip_value().is_err());
+        let deep_objects = "{\"k\":".repeat(200_000);
+        assert!(read::<Value>(&deep_objects).is_err());
     }
 }

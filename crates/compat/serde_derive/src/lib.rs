@@ -1,10 +1,15 @@
-//! Offline stand-in for serde's derive macros, targeting the value-based
-//! `Serialize` / `Deserialize` traits of the sibling `serde` stand-in.
+//! Offline stand-in for serde's derive macros, targeting the streaming
+//! `Serialize` / `Deserialize` traits of the sibling `serde` stand-in: a
+//! derived `serialize` writes the value's JSON members straight into the
+//! `serde::Writer`, and a derived `deserialize` walks the object keys the
+//! `serde::Reader` yields, matching each against the field names in place
+//! and skipping (or, under `deny_unknown_fields`, rejecting) the rest.
 //!
 //! Supported shapes (everything this workspace derives):
 //!
 //! * structs with named fields;
-//! * enums whose variants are unit or newtype (one unnamed field);
+//! * enums whose variants are unit, newtype (one unnamed field) or struct
+//!   variants;
 //! * attributes `#[serde(rename = "...")]`, `#[serde(rename_all =
 //!   "snake_case")]`, `#[serde(default)]`,
 //!   `#[serde(skip_serializing_if = "path")]` and the container attribute
@@ -44,6 +49,8 @@ impl SerdeAttrs {
 
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     attrs: SerdeAttrs,
 }
 
@@ -166,7 +173,8 @@ fn parse_fields(body: &proc_macro::Group) -> Vec<Field> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
             other => panic!("serde-compat derive: expected ':' after field {name}, got {other:?}"),
         }
-        // Skip the type: everything up to a comma at angle-bracket depth 0.
+        // The type: everything up to a comma at angle-bracket depth 0.
+        let start = i;
         let mut depth = 0i32;
         while let Some(tok) = tokens.get(i) {
             if let TokenTree::Punct(p) = tok {
@@ -179,8 +187,13 @@ fn parse_fields(body: &proc_macro::Group) -> Vec<Field> {
             }
             i += 1;
         }
+        let ty = tokens[start..i]
+            .iter()
+            .cloned()
+            .collect::<TokenStream>()
+            .to_string();
         i += 1; // past the comma (or past the end)
-        fields.push(Field { name, attrs });
+        fields.push(Field { name, ty, attrs });
     }
     fields
 }
@@ -291,183 +304,180 @@ fn field_key(f: &Field) -> String {
     f.attrs.rename.clone().unwrap_or_else(|| f.name.clone())
 }
 
-/// Derive the value-based `serde::Serialize`.
+/// Statements writing `fields` as members of the open object; `access`
+/// gives the source of a reference to each field's value.
+fn write_members(fields: &[Field], access: impl Fn(&Field) -> String) -> String {
+    let mut src = String::new();
+    for f in fields {
+        let key = field_key(f);
+        let value = access(f);
+        let write = format!("__w.field(\"{key}\", {value});");
+        match &f.attrs.skip_serializing_if {
+            Some(pred) => src.push_str(&format!("if !{pred}({value}) {{ {write} }}\n")),
+            None => src.push_str(&format!("{write}\n")),
+        }
+    }
+    src
+}
+
+/// A block expression reading one object of `fields` from `__r` and
+/// building it with `ctor` (`Name` or `Name::Variant`). Field names are
+/// matched against each key in place; the first occurrence of a repeated
+/// key wins; other keys are skipped, or rejected when `deny_unknown`.
+fn read_object(ty_name: &str, ctor: &str, fields: &[Field], deny_unknown: bool) -> String {
+    let mut src = String::from("{\n");
+    for (i, f) in fields.iter().enumerate() {
+        src.push_str(&format!(
+            "let mut __f{i}: ::core::option::Option<{}> = ::core::option::Option::None;\n",
+            f.ty
+        ));
+    }
+    src.push_str(&format!(
+        "__r.begin_object(\"{ty_name}\")?;\nwhile let ::core::option::Option::Some(__key) = __r.next_key()? {{\nmatch &*__key {{\n"
+    ));
+    for (i, f) in fields.iter().enumerate() {
+        src.push_str(&format!(
+            "\"{}\" if __f{i}.is_none() => __f{i} = ::core::option::Option::Some(::serde::Deserialize::deserialize(__r)?),\n",
+            field_key(f)
+        ));
+    }
+    if deny_unknown {
+        if !fields.is_empty() {
+            let known: Vec<String> = fields
+                .iter()
+                .map(|f| format!("\"{}\"", field_key(f)))
+                .collect();
+            src.push_str(&format!("{} => __r.skip_value()?,\n", known.join(" | ")));
+        }
+        src.push_str(&format!(
+            "_ => return ::core::result::Result::Err(__r.unknown_field(&__key, \"{ty_name}\")),\n"
+        ));
+    } else {
+        src.push_str("_ => __r.skip_value()?,\n");
+    }
+    src.push_str("}\n}\n");
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let fallback = if f.attrs.default {
+                "::core::default::Default::default()".to_string()
+            } else {
+                format!(
+                    "return ::core::result::Result::Err(__r.missing_field(\"{}\", \"{ty_name}\"))",
+                    field_key(f)
+                )
+            };
+            format!(
+                "{}: match __f{i} {{ ::core::option::Option::Some(__v) => __v, ::core::option::Option::None => {fallback} }}",
+                f.name
+            )
+        })
+        .collect();
+    src.push_str(&format!("{ctor} {{ {} }}\n}}", inits.join(", ")));
+    src
+}
+
+/// Derive the streaming `serde::Serialize`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let mut src = String::new();
-    match parse_item(input) {
+    let (name, body) = match parse_item(input) {
         Item::Struct { name, fields, .. } => {
-            src.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n    fn to_value(&self) -> ::serde::Value {{\n        let mut entries: Vec<(String, ::serde::Value)> = Vec::new();\n"
-            ));
-            for f in &fields {
-                let key = field_key(f);
-                let fname = &f.name;
-                let push = format!(
-                    "entries.push((\"{key}\".to_string(), ::serde::Serialize::to_value(&self.{fname})));"
-                );
-                if let Some(pred) = &f.attrs.skip_serializing_if {
-                    src.push_str(&format!("        if !{pred}(&self.{fname}) {{ {push} }}\n"));
-                } else {
-                    src.push_str(&format!("        {push}\n"));
-                }
-            }
-            src.push_str("        ::serde::Value::Object(entries)\n    }\n}\n");
+            let members = write_members(&fields, |f| format!("&self.{}", f.name));
+            let body = format!("__w.begin_object();\n{members}__w.end_object();");
+            (name, body)
         }
         Item::Enum {
             name,
             attrs,
             variants,
         } => {
-            src.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\n    fn to_value(&self) -> ::serde::Value {{\n        match self {{\n"
-            ));
+            let mut arms = String::new();
             for v in &variants {
                 let key = variant_key(v, &attrs);
                 let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => src.push_str(&format!(
-                        "            {name}::{vname} => ::serde::Value::String(\"{key}\".to_string()),\n"
-                    )),
-                    VariantKind::Newtype => src.push_str(&format!(
-                        "            {name}::{vname}(inner) => ::serde::Value::Object(vec![(\"{key}\".to_string(), ::serde::Serialize::to_value(inner))]),\n"
-                    )),
+                arms.push_str(&match &v.kind {
+                    VariantKind::Unit => format!("{name}::{vname} => __w.str(\"{key}\"),\n"),
+                    VariantKind::Newtype => format!(
+                        "{name}::{vname}(__inner) => {{ __w.begin_object(); __w.field(\"{key}\", __inner); __w.end_object(); }}\n"
+                    ),
                     VariantKind::Struct(fields) => {
-                        let bindings: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
-                        let pushes: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                let key = field_key(f);
-                                let fname = &f.name;
-                                format!(
-                                    "(\"{key}\".to_string(), ::serde::Serialize::to_value({fname}))"
-                                )
-                            })
-                            .collect();
-                        src.push_str(&format!(
-                            "            {name}::{vname} {{ {} }} => ::serde::Value::Object(vec![(\"{key}\".to_string(), ::serde::Value::Object(vec![{}]))]),\n",
-                            bindings.join(", "),
-                            pushes.join(", ")
-                        ));
+                        let bindings: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let members = write_members(fields, |f| f.name.clone());
+                        format!(
+                            "{name}::{vname} {{ {} }} => {{ __w.begin_object(); __w.key(\"{key}\"); __w.begin_object();\n{members}__w.end_object(); __w.end_object(); }}\n",
+                            bindings.join(", ")
+                        )
                     }
-                }
+                });
             }
-            src.push_str("        }\n    }\n}\n");
+            (name, format!("match self {{\n{arms}}}"))
         }
-    }
-    src.parse()
-        .expect("serde-compat derive generated invalid Serialize impl")
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n    fn serialize(&self, __w: &mut ::serde::Writer<'_>) {{\n{body}\n    }}\n}}\n"
+    )
+    .parse()
+    .expect("serde-compat derive generated invalid Serialize impl")
 }
 
-/// Derive the value-based `serde::Deserialize`.
+/// Derive the streaming `serde::Deserialize`.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let mut src = String::new();
-    match parse_item(input) {
+    let (name, body) = match parse_item(input) {
         Item::Struct {
             name,
             attrs,
             fields,
         } => {
-            src.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\n    fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n        let entries = v.as_object().ok_or_else(|| ::serde::DeError::expected(\"object\", \"{name}\"))?;\n"
-            ));
-            if attrs.deny_unknown_fields {
-                let known: Vec<String> = fields
-                    .iter()
-                    .map(|f| format!("\"{}\"", field_key(f)))
-                    .collect();
-                src.push_str(&format!(
-                    "        const KNOWN: &[&str] = &[{}];\n        for (k, _) in entries {{\n            if !KNOWN.contains(&k.as_str()) {{\n                return ::core::result::Result::Err(::serde::DeError::unknown_field(k, \"{name}\"));\n            }}\n        }}\n",
-                    known.join(", ")
-                ));
-            }
-            src.push_str(&format!("        ::core::result::Result::Ok({name} {{\n"));
-            for f in &fields {
-                let key = field_key(f);
-                let fname = &f.name;
-                let fallback = if f.attrs.default {
-                    "::core::default::Default::default()".to_string()
-                } else {
-                    format!(
-                        "return ::core::result::Result::Err(::serde::DeError::missing_field(\"{key}\", \"{name}\"))"
-                    )
-                };
-                src.push_str(&format!(
-                    "            {fname}: match ::serde::field(entries, \"{key}\") {{ ::core::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?, ::core::option::Option::None => {fallback} }},\n"
-                ));
-            }
-            src.push_str("        })\n    }\n}\n");
+            let read = read_object(&name, &name, &fields, attrs.deny_unknown_fields);
+            let body = format!("::core::result::Result::Ok({read})");
+            (name, body)
         }
         Item::Enum {
             name,
             attrs,
             variants,
         } => {
-            src.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\n    fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n"
-            ));
-            let units: Vec<&Variant> = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .collect();
-            let newtypes: Vec<&Variant> = variants
-                .iter()
-                .filter(|v| !matches!(v.kind, VariantKind::Unit))
-                .collect();
+            let unknown = format!(
+                "::core::result::Result::Err(__r.expected(\"a known variant\", \"{name}\"))"
+            );
+            let mut units = String::new();
+            let mut tagged = String::new();
+            for v in &variants {
+                let key = variant_key(v, &attrs);
+                let vname = &v.name;
+                match &v.kind {
+                    VariantKind::Unit => units.push_str(&format!(
+                        "\"{key}\" => ::core::result::Result::Ok({name}::{vname}),\n"
+                    )),
+                    VariantKind::Newtype => tagged.push_str(&format!(
+                        "::core::option::Option::Some(\"{key}\") => {name}::{vname}(::serde::Deserialize::deserialize(__r)?),\n"
+                    )),
+                    VariantKind::Struct(fields) => tagged.push_str(&format!(
+                        "::core::option::Option::Some(\"{key}\") => {},\n",
+                        read_object(&name, &format!("{name}::{vname}"), fields, false)
+                    )),
+                }
+            }
+            let mut body = String::from("match __r.peek() {\n");
             if !units.is_empty() {
-                src.push_str(
-                    "        if let ::serde::Value::String(s) = v {\n            match s.as_str() {\n",
-                );
-                for v in &units {
-                    let key = variant_key(v, &attrs);
-                    let vname = &v.name;
-                    src.push_str(&format!(
-                        "                \"{key}\" => return ::core::result::Result::Ok({name}::{vname}),\n"
-                    ));
-                }
-                src.push_str("                _ => {}\n            }\n        }\n");
+                body.push_str(&format!(
+                    "::core::option::Option::Some(b'\"') => {{\nlet __tag = __r.string(\"{name}\")?;\nmatch &*__tag {{\n{units}_ => {unknown},\n}}\n}}\n"
+                ));
             }
-            if !newtypes.is_empty() {
-                src.push_str(
-                    "        if let ::core::option::Option::Some(entries) = v.as_object() {\n            if entries.len() == 1 {\n                let (tag, inner) = &entries[0];\n                match tag.as_str() {\n",
-                );
-                for v in &newtypes {
-                    let key = variant_key(v, &attrs);
-                    let vname = &v.name;
-                    match &v.kind {
-                        VariantKind::Newtype => src.push_str(&format!(
-                            "                    \"{key}\" => return ::core::result::Result::Ok({name}::{vname}(::serde::Deserialize::from_value(inner)?)),\n"
-                        )),
-                        VariantKind::Struct(fields) => {
-                            let field_inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    let fkey = field_key(f);
-                                    let fname = &f.name;
-                                    format!(
-                                        "{fname}: match inner.get(\"{fkey}\") {{ ::core::option::Option::Some(x) => ::serde::Deserialize::from_value(x)?, ::core::option::Option::None => return ::core::result::Result::Err(::serde::DeError::missing_field(\"{fkey}\", \"{name}\")) }}"
-                                    )
-                                })
-                                .collect();
-                            src.push_str(&format!(
-                                "                    \"{key}\" => return ::core::result::Result::Ok({name}::{vname} {{ {} }}),\n",
-                                field_inits.join(", ")
-                            ));
-                        }
-                        VariantKind::Unit => unreachable!(),
-                    }
-                }
-                src.push_str(
-                    "                    _ => {}\n                }\n            }\n        }\n",
-                );
+            if !tagged.is_empty() {
+                body.push_str(&format!(
+                    "::core::option::Option::Some(b'{{') => {{\n__r.begin_object(\"{name}\")?;\nlet __value = match __r.next_key()?.as_deref() {{\n{tagged}_ => return {unknown},\n}};\nmatch __r.next_key()? {{\n::core::option::Option::None => ::core::result::Result::Ok(__value),\n::core::option::Option::Some(_) => {unknown},\n}}\n}}\n"
+                ));
             }
-            src.push_str(&format!(
-                "        ::core::result::Result::Err(::serde::DeError::expected(\"a known variant\", \"{name}\"))\n    }}\n}}\n"
-            ));
+            body.push_str(&format!("_ => {unknown},\n}}"));
+            (name, body)
         }
-    }
-    src.parse()
-        .expect("serde-compat derive generated invalid Deserialize impl")
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n    fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::core::result::Result<Self, ::serde::DeError> {{\n{body}\n    }}\n}}\n"
+    )
+    .parse()
+    .expect("serde-compat derive generated invalid Deserialize impl")
 }

@@ -1,11 +1,15 @@
 //! Offline stand-in for the subset of `serde_json` used by this workspace:
-//! [`to_string_pretty`], [`from_str`] and [`Error`], over the value-based
-//! `serde` stand-in.
+//! [`to_string`], [`to_string_pretty`], [`from_str`] and [`Error`].
+//!
+//! The streaming `serde` stand-in's [`Writer`] and [`Reader`] do the work:
+//! a value writes its JSON text straight into the output `String`, and is
+//! read straight from the input text, with no tree in between. [`Value`]
+//! is the tree type for documents of unknown shape.
 
 use std::fmt;
 
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Serialization/deserialization failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,353 +30,25 @@ impl From<serde::DeError> for Error {
 }
 
 /// Serialize `value` as a pretty-printed (2-space indented) JSON string.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), 0, &mut out);
+    value.serialize(&mut Writer::pretty(&mut out));
     Ok(out)
 }
 
 /// Serialize `value` as a compact JSON string.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value_compact(&value.to_value(), &mut out);
+    value.serialize(&mut Writer::compact(&mut out));
     Ok(out)
 }
 
 /// Parse a JSON string into `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        src: s,
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing input at byte {}", p.pos)));
-    }
-    Ok(T::from_value(&value)?)
-}
-
-// ---------------------------------------------------------------------------
-// Printing
-// ---------------------------------------------------------------------------
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_float(f: f64, out: &mut String) {
-    if f.is_finite() {
-        // `{:?}` prints the shortest representation that round-trips, and
-        // always includes a '.' or exponent so integral floats stay floats.
-        out.push_str(&format!("{f:?}"));
-    } else {
-        // JSON has no infinities/NaN; mirror serde_json's `null`.
-        out.push_str("null");
-    }
-}
-
-fn write_value(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    let pad_in = "  ".repeat(indent + 1);
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => write_float(*f, out),
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad_in);
-                write_value(item, indent + 1, out);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&pad);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, item)) in entries.iter().enumerate() {
-                out.push_str(&pad_in);
-                write_escaped(k, out);
-                out.push_str(": ");
-                write_value(item, indent + 1, out);
-                out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-            }
-            out.push_str(&pad);
-            out.push('}');
-        }
-    }
-}
-
-fn write_value_compact(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => write_float(*f, out),
-        Value::String(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value_compact(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_value_compact(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.bytes.get(self.pos) {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => {
-                if self.eat_keyword("null") {
-                    Ok(Value::Null)
-                } else {
-                    Err(self.err("invalid keyword"))
-                }
-            }
-            Some(b't') => {
-                if self.eat_keyword("true") {
-                    Ok(Value::Bool(true))
-                } else {
-                    Err(self.err("invalid keyword"))
-                }
-            }
-            Some(b'f') => {
-                if self.eat_keyword("false") {
-                    Ok(Value::Bool(false))
-                } else {
-                    Err(self.err("invalid keyword"))
-                }
-            }
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(&b) => Err(self.err(&format!("unexpected character {:?}", b as char))),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed by this suite's
-                            // documents; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or backslash. Both
-                    // are ASCII, so the run ends on a character boundary of
-                    // the source `&str`.
-                    let start = self.pos;
-                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.src[start..self.pos]);
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid number"))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| self.err("integer out of range"))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| self.err("integer out of range"))
-        }
-    }
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -448,6 +124,94 @@ mod tests {
         assert!(from_str::<i64>("").is_err());
         assert!(from_str::<i64>("12 34").is_err());
         assert!(from_str::<Vec<i64>>("[1,").is_err());
+        assert!(from_str::<Vec<i64>>("[1,]").is_err());
+        assert!(from_str::<Vec<i64>>("[,1]").is_err());
+        assert!(from_str::<Vec<i64>>("[1 2]").is_err());
         assert!(from_str::<String>("\"abc").is_err());
+        assert!(from_str::<String>("\"\\u12\"").is_err());
+        assert!(from_str::<Value>("{\"a\":1,}").is_err());
+        assert!(from_str::<Value>("{\"a\" 1}").is_err());
+        assert!(from_str::<Value>("nul").is_err());
+        assert!(from_str::<Value>("-").is_err());
+        assert!(from_str::<Value>("1.2.3").is_err());
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(deny_unknown_fields)]
+    struct Strict {
+        #[serde(rename = "type")]
+        kind: String,
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        limit: Option<u32>,
+        shape: Shape,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Loose {
+        #[serde(default)]
+        n: u8,
+        shapes: Vec<Shape>,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(rename_all = "snake_case")]
+    enum Shape {
+        UnitSquare,
+        Circle(f64),
+        Rect { width: u32, height: u32 },
+    }
+
+    #[test]
+    fn derived_impls_keep_their_shapes_and_rules() {
+        let strict = Strict {
+            kind: "a".into(),
+            limit: None,
+            shape: Shape::Rect {
+                width: 2,
+                height: 3,
+            },
+        };
+        let json = to_string(&strict).unwrap();
+        assert_eq!(
+            json,
+            r#"{"type":"a","shape":{"rect":{"width":2,"height":3}}}"#
+        );
+        assert_eq!(from_str::<Strict>(&json).unwrap(), strict);
+        // deny_unknown_fields rejects a stray key; a repeated known key is
+        // no stray, and its first occurrence wins.
+        assert!(from_str::<Strict>(r#"{"type":"a","shape":"unit_square","x":1}"#).is_err());
+        let first = from_str::<Strict>(r#"{"type":"a","shape":"unit_square","type":[[]]}"#);
+        assert_eq!(first.unwrap().kind, "a");
+        // A missing required field is an error; a missing default is not.
+        assert!(from_str::<Strict>(r#"{"type":"a"}"#).is_err());
+        let loose: Loose =
+            from_str(r#"{"extra":{"deep":[1,{"x":null}]},"shapes":["unit_square",{"circle":1}]}"#)
+                .unwrap();
+        assert_eq!(loose.n, 0);
+        assert_eq!(loose.shapes, vec![Shape::UnitSquare, Shape::Circle(1.0)]);
+        // Variants: unknown tags, tags of the wrong kind and extra keys fail.
+        for bad in [
+            r#""circle""#,
+            r#"{"unit_square":null}"#,
+            r#"{"circle":1,"circle":2}"#,
+            r#"{"oval":1}"#,
+            r#"{}"#,
+            r#"{"rect":{"width":1}}"#,
+        ] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            to_string_pretty(&Shape::Circle(0.5)).unwrap(),
+            "{\n  \"circle\": 0.5\n}"
+        );
+    }
+
+    #[test]
+    fn a_depth_bomb_is_an_error_naming_its_offset() {
+        let bomb = "[".repeat(100_000);
+        let err = from_str::<Value>(&bomb).unwrap_err();
+        assert!(err.to_string().contains("at byte 128"), "{err}");
+        let err = from_str::<Vec<u64>>(&bomb).unwrap_err();
+        assert!(err.to_string().contains("at byte 1"), "{err}");
     }
 }

@@ -199,20 +199,19 @@ impl<'a> IntoIterator for &'a Samples {
 }
 
 impl Serialize for Samples {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        self.as_slice().serialize(w)
     }
 }
 
 impl Deserialize for Samples {
-    fn from_value(v: &serde::Value) -> Result<Samples, serde::DeError> {
-        match v {
-            serde::Value::Array(items) => items
-                .iter()
-                .map(f64::from_value)
-                .collect::<Result<Samples, _>>(),
-            _ => Err(serde::DeError::expected("array", "Samples")),
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Samples, serde::DeError> {
+        r.begin_array("Samples")?;
+        let mut samples = Samples::new();
+        while r.next_element()? {
+            samples.push(f64::deserialize(r)?);
         }
+        Ok(samples)
     }
 }
 
@@ -398,7 +397,7 @@ mod tests {
             serde_json::to_string(&s).unwrap(),
             serde_json::to_string(&v).unwrap()
         );
-        let back = Samples::from_value(&v.to_value()).unwrap();
+        let back: Samples = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
         assert_eq!(back, v);
     }
 

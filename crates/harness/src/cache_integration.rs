@@ -117,6 +117,13 @@ pub fn trial_fingerprint(spec: &ExperimentSpec, ct: &CompiledTrial) -> String {
     )
 }
 
+/// `from` read back as a `T`: the JSON text one writes, the other reads.
+/// This turns typed trial records into the store's opaque record blobs
+/// and back.
+fn convert<T: Deserialize>(from: &impl Serialize) -> Result<T, serde_json::Error> {
+    serde_json::from_str(&serde_json::to_string(from)?)
+}
+
 /// Fold a finished campaign into a cache store. Idempotent: a trial whose
 /// fingerprint is already stored contributes nothing (so re-folding a
 /// warm run, or folding the same artifact twice, is a no-op and sharded
@@ -187,7 +194,7 @@ pub fn fold_run_into_cache(store: &mut CacheStore, result: &CampaignResult) {
             fingerprint,
             benchmark: trial.benchmark.clone(),
             architecture: trial.architecture.clone(),
-            record: trial.to_value(),
+            record: convert(trial).expect("a trial record reads back as a JSON value"),
         });
     }
 }
@@ -214,7 +221,7 @@ pub fn cache_prior(store: &CacheStore, spec: &ExperimentSpec) -> Option<Campaign
         );
         let hit = store
             .trial(&fingerprint)
-            .and_then(|cached| TrialRecord::from_value(&cached.record).ok());
+            .and_then(|cached| convert::<TrialRecord>(&cached.record).ok());
         bat_cache::record_lookup(hit.is_some());
         if let Some(record) = hit {
             trials.push(record);

@@ -7,7 +7,7 @@
 //! campaign is reproducible from its JSON alone, bit-for-bit, on any
 //! machine and with any thread count.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize};
 
 use bat_core::{Protocol, RetryPolicy};
 use bat_gpusim::{mix, FaultModel, GpuArch};
@@ -28,31 +28,20 @@ pub enum Selector {
 }
 
 impl Serialize for Selector {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
         match self {
-            Selector::All => Value::String("all".to_string()),
-            Selector::Subset(names) => {
-                Value::Array(names.iter().map(|n| Value::String(n.clone())).collect())
-            }
+            Selector::All => w.str("all"),
+            Selector::Subset(names) => names.serialize(w),
         }
     }
 }
 
 impl Deserialize for Selector {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::String(s) if s == "all" => Ok(Selector::All),
-            Value::String(_) => Err(DeError::expected("\"all\" or an array", "Selector")),
-            Value::Array(items) => items
-                .iter()
-                .map(|i| {
-                    i.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| DeError::expected("string element", "Selector"))
-                })
-                .collect::<Result<Vec<String>, DeError>>()
-                .map(Selector::Subset),
-            _ => Err(DeError::expected("\"all\" or an array", "Selector")),
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, DeError> {
+        match r.peek() {
+            Some(b'"') if r.string("Selector")? == "all" => Ok(Selector::All),
+            Some(b'[') => Ok(Selector::Subset(Deserialize::deserialize(r)?)),
+            _ => Err(r.expected("\"all\" or an array", "Selector")),
         }
     }
 }

@@ -25,21 +25,22 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 /// Write one `value` as a length-prefixed JSON frame.
 ///
-/// Prefix and payload go out in one `write_all`: written separately, the
-/// payload of a small frame would sit in the sender's Nagle buffer until
-/// the peer's delayed ACK of the prefix.
+/// The JSON is written into the frame buffer right after four placeholder
+/// bytes, which then become the length prefix. Prefix and payload go out
+/// in one `write_all`: written separately, the payload of a small frame
+/// would sit in the sender's Nagle buffer until the peer's delayed ACK of
+/// the prefix.
 pub fn write_frame<W: Write + ?Sized, T: Serialize>(w: &mut W, value: &T) -> Result<(), Error> {
-    let json = serde_json::to_string(value).map_err(Error::wire)?;
-    let bytes = json.as_bytes();
-    if bytes.len() > MAX_FRAME {
+    let mut text = String::from("\0\0\0\0");
+    value.serialize(&mut serde::Writer::compact(&mut text));
+    let mut frame = text.into_bytes();
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
         return Err(Error::transport(format!(
-            "frame of {} bytes exceeds the {MAX_FRAME}-byte limit",
-            bytes.len()
+            "frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"
         )));
     }
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.extend_from_slice(bytes);
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     w.write_all(&frame).map_err(Error::transport)?;
     w.flush().map_err(Error::transport)?;
     Ok(())
@@ -83,6 +84,8 @@ pub fn read_frame<R: Read + ?Sized, T: Deserialize>(r: &mut R) -> Result<T, Erro
             n => got += n,
         }
     }
+    // The payload is parsed where it was read; strings without escapes
+    // are borrowed from it.
     let json = std::str::from_utf8(&payload)
         .map_err(|e| Error::wire(format!("frame is not UTF-8: {e}")))?;
     serde_json::from_str(json).map_err(Error::wire)
