@@ -63,7 +63,9 @@ SUITE COMMANDS:
                          keep the compact shippable cells)
     serve                host tuning sessions as a daemon (--addr HOST:PORT,
                          --slots N concurrent batches, --inflight N queued
-                         batches per session, --threads N, --metrics ADDR
+                         batches per session, --threads N is accepted but
+                         has no effect: each session measures on its own
+                         thread, --metrics ADDR
                          serves Prometheus text exposition over HTTP,
                          --heartbeat N prints a status line every N seconds,
                          0 disables, default 10, --cache FILE loads a

@@ -262,6 +262,43 @@ mod tests {
     }
 
     #[test]
+    fn hostile_frames_leave_the_daemon_serving() {
+        use std::io::Write as _;
+        let daemon = Daemon::new(ServerConfig::default());
+        let frame = |payload: &[u8], len: usize| {
+            let mut out = (len as u32).to_be_bytes().to_vec();
+            out.extend_from_slice(payload);
+            out
+        };
+        let bomb = vec![b'['; 200_000];
+        let mut envelope_bomb =
+            br#"{"v":"bat/wire/v1","req":{"eval":{"session":1,"indices":"#.to_vec();
+        envelope_bomb.extend_from_slice(&bomb);
+        for hostile in [
+            frame(&bomb, bomb.len()),
+            frame(&envelope_bomb, envelope_bomb.len()),
+            frame(b"[", codec::MAX_FRAME + 1),
+        ] {
+            let mut conn = daemon.connect_loopback();
+            conn.write_all(&hostile).unwrap();
+            // The daemon answers a bad frame with a wire error, and an
+            // oversized one by hanging up; either way the connection ends.
+            match codec::read_response(&mut conn) {
+                Ok(Response::Error(e)) => {
+                    assert!(matches!(e.error, bat_core::Error::Wire(_)), "{:?}", e.error);
+                    assert!(e.error.to_string().contains("at byte"), "{}", e.error);
+                }
+                Err(e) => assert!(e.to_string().contains("connection closed"), "{e}"),
+                Ok(other) => panic!("unexpected response {other:?}"),
+            }
+        }
+        // A new connection still runs a whole session.
+        let backend = RemoteBackend::open(daemon.connect_loopback(), open_spec(4)).unwrap();
+        assert_eq!(backend.evaluate_batch(&[0, 1, 2, 3]).unwrap().len(), 4);
+        assert_eq!(backend.close().unwrap().evals, 4);
+    }
+
+    #[test]
     fn ping_and_shutdown_round_trip() {
         let daemon = Daemon::new(ServerConfig::default());
         let mut conn = daemon.connect_loopback();
