@@ -225,35 +225,7 @@ impl<'a> Reader<'a> {
 
     /// Read past the next value, checking its syntax.
     pub fn skip_value(&mut self) -> Result<(), DeError> {
-        match self.peek() {
-            Some(b'[') => {
-                self.begin_array("a value")?;
-                while self.next_element()? {
-                    self.skip_value()?;
-                }
-            }
-            Some(b'{') => {
-                self.begin_object("a value")?;
-                while self.next_key()?.is_some() {
-                    self.skip_value()?;
-                }
-            }
-            Some(b'"') => {
-                self.quoted()?;
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                self.number("number", "a value")?;
-            }
-            Some(b't' | b'f') => {
-                self.bool("a value")?;
-            }
-            _ => {
-                if !self.null()? {
-                    return Err(self.unexpected());
-                }
-            }
-        }
-        Ok(())
+        <crate::Value as crate::Deserialize>::deserialize(self).map(drop)
     }
 
     /// The error for a byte that starts no JSON value.
