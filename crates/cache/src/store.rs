@@ -271,9 +271,9 @@ impl CacheStore {
     /// Insert one trial blob, keeping the sorted invariant. The record is
     /// first put in the form a JSON round trip gives it (non-negative
     /// `Int`s become `UInt`s, non-finite floats `Null`), so a freshly
-    /// folded store compares equal to its reloaded self. A fingerprint collision keeps the record that
-    /// serializes lower — an arbitrary but deterministic tie-break, so
-    /// merge order never changes the artifact.
+    /// folded store compares equal to its reloaded self. A fingerprint
+    /// collision keeps the record that serializes lower — an arbitrary but
+    /// deterministic tie-break, so merge order never changes the artifact.
     pub fn insert_trial(&mut self, mut trial: CachedTrial) {
         trial.record = canonical(trial.record);
         let at = self

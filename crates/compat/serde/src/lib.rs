@@ -377,5 +377,8 @@ mod tests {
         assert!(r.skip_value().is_err());
         let deep_objects = "{\"k\":".repeat(200_000);
         assert!(read::<Value>(&deep_objects).is_err());
+        // A typed reader stops at the first value of the wrong shape.
+        let err = read::<Vec<u64>>(&deep).unwrap_err();
+        assert!(err.0.contains("at byte 1"), "{err}");
     }
 }
