@@ -195,3 +195,123 @@ fn bad_input_exits_1_with_an_error_naming_the_file() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A daemon out of file descriptors loses only the connections it cannot
+/// take: once they are released, it answers again, counts the failed
+/// accepts and exits 0 on `shutdown`.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemon_out_of_file_descriptors_keeps_serving() {
+    use bat_server::codec;
+    use bat_server::wire::{Request, Response};
+    use std::io::{BufRead as _, ErrorKind, Read as _};
+    use std::net::TcpStream;
+    use std::process::{Child, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon if the test fails before it exits.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    fn request(conn: &mut TcpStream, req: Request) -> Response {
+        codec::write_request(conn, req).unwrap();
+        codec::read_response(conn).unwrap()
+    }
+
+    /// Ping over `conn`: true once answered, false if the daemon has not
+    /// taken the connection within half a second.
+    fn answers_ping(mut conn: &TcpStream) -> bool {
+        conn.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        codec::write_request(&mut conn, Request::Ping).unwrap();
+        match conn.peek(&mut [0u8]) {
+            Ok(1) => {
+                assert_eq!(codec::read_response(&mut conn).unwrap(), Response::Pong);
+                true
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => false,
+            other => panic!("the daemon hung up: {other:?}"),
+        }
+    }
+
+    let mut daemon = Daemon(
+        Command::new("sh")
+            .args([
+                "-c",
+                r#"ulimit -n 24; exec "$0" serve --addr 127.0.0.1:0 --heartbeat 0"#,
+            ])
+            .arg(BAT)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sh starts"),
+    );
+    let mut line = String::new();
+    std::io::BufReader::new(daemon.0.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("bat serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
+
+    // Each connection costs the daemon two descriptors, so it takes the
+    // held connections in order until it runs out; the first it cannot
+    // take goes unanswered.
+    let held: Vec<TcpStream> = (0..24)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    let served = held.iter().take_while(|c| answers_ping(c)).count();
+    assert!((1..24).contains(&served), "served {served} of 24");
+    drop(held);
+
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert_eq!(request(&mut conn, Request::Ping), Response::Pong);
+    #[cfg(not(feature = "no-obs"))]
+    {
+        let Response::Metrics(report) = request(&mut conn, Request::Metrics) else {
+            panic!("expected metrics");
+        };
+        let errors: u64 = report
+            .text
+            .lines()
+            .find_map(|l| l.strip_prefix("bat_serve_accept_errors_total "))
+            .expect("accept error counter")
+            .parse()
+            .unwrap();
+        assert!(errors >= 1, "{errors} accept errors");
+    }
+    assert_eq!(
+        request(&mut conn, Request::Shutdown),
+        Response::ShuttingDown
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "bat serve still running 10 s after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "bat serve exited with {status}: {stderr}");
+}

@@ -12,6 +12,15 @@
 //! daemon's parallelism: a worker measures each of its batches in order
 //! on its own thread.
 //!
+//! The TCP accept loop blocks in `accept`, so a new connection is read
+//! as soon as it arrives. A `shutdown` request, over TCP or loopback,
+//! sets the flag, answers, and then opens one throwaway connection to
+//! every listening address to wake the blocked `accept`; the loop checks
+//! the flag after every accept and returns. A connection the daemon
+//! cannot set up (typically for want of file descriptors) is dropped and
+//! counted in `bat_serve_accept_errors_total`; the loop waits a short
+//! back-off and accepts again, so only that connection is lost.
+//!
 //! ## Session model
 //!
 //! Sessions are connection-scoped: `open` allocates a daemon-unique id,
@@ -36,10 +45,11 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use bat_cache::CacheStore;
 use bat_core::{Error, EvalBackend, Evaluator, TuningProblem};
@@ -86,6 +96,7 @@ struct ServeMetrics {
     requests: &'static bat_obs::metrics::Counter,
     backpressure: &'static bat_obs::metrics::Counter,
     inflight: &'static bat_obs::metrics::Gauge,
+    accept_errors: &'static bat_obs::metrics::Counter,
 }
 
 fn obs() -> &'static ServeMetrics {
@@ -103,14 +114,26 @@ fn obs() -> &'static ServeMetrics {
             "bat_serve_inflight",
             "Eval batches accepted but not yet picked up by a session worker.",
         ),
+        accept_errors: counter(
+            "bat_serve_accept_errors_total",
+            "TCP connections dropped because accepting or setting them up failed.",
+        ),
     })
 }
+
+/// How long the accept loop waits after a connection it could not set
+/// up. Out of file descriptors, `accept` fails at once and leaves the
+/// connection queued, so retrying without a pause would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Daemon-wide shared state.
 struct Shared {
     scheduler: FairScheduler,
     next_session: AtomicU64,
     shutdown: AtomicBool,
+    /// Addresses [`Daemon::serve`] listens on, an unspecified IP mapped
+    /// to loopback: `shutdown` connects to each to wake its `accept`.
+    listening: Mutex<Vec<SocketAddr>>,
     /// Loaded `bat/cache/v1` store answering `cache_lookup` requests.
     /// Every connection thread shares one immutable store, so lookups
     /// never contend with evaluation.
@@ -145,6 +168,7 @@ impl Daemon {
                 scheduler: FairScheduler::new(config.max_concurrent_batches),
                 next_session: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
+                listening: Mutex::new(Vec::new()),
                 cache,
             }),
         };
@@ -177,32 +201,56 @@ impl Daemon {
     }
 
     /// Accept TCP connections until a client sends `shutdown`.
+    ///
+    /// The listener is put in blocking mode and the loop blocks in
+    /// `accept`, so each connection is served as it arrives. `shutdown`
+    /// (on any connection, loopback included) wakes the loop with a
+    /// throwaway connection to the listening address (`127.0.0.1` or
+    /// `::1` when the listener is bound to an unspecified IP), and `serve`
+    /// returns `Ok`. A connection that fails to be accepted or set up is
+    /// dropped and counted in `bat_serve_accept_errors_total`, and the
+    /// loop waits 10 ms before accepting again; the daemon keeps serving.
+    /// Errors only if the listener cannot be switched to blocking mode or
+    /// report its address.
     pub fn serve(&self, listener: TcpListener) -> Result<(), Error> {
-        listener.set_nonblocking(true).map_err(Error::io)?;
-        loop {
-            if self.shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false).map_err(Error::io)?;
-                    // Responses go out as soon as they are written; with
-                    // Nagle on, a response queued behind an unacknowledged
-                    // one waits for the client's delayed ACK.
-                    stream.set_nodelay(true).map_err(Error::io)?;
-                    let reader = stream.try_clone().map_err(Error::io)?;
+        listener.set_nonblocking(false).map_err(Error::io)?;
+        let mut addr = listener.local_addr().map_err(Error::io)?;
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        // Registered before the first flag check, so a `shutdown` that
+        // lands in between still finds this listener to wake.
+        self.shared
+            .listening
+            .lock()
+            .expect("listener list poisoned")
+            .push(addr);
+        while !self.shutting_down() {
+            let accepted = listener.accept().and_then(|(stream, _peer)| {
+                // Responses go out as soon as they are written; with
+                // Nagle on, a response queued behind an unacknowledged
+                // one waits for the client's delayed ACK.
+                stream.set_nodelay(true)?;
+                Ok((stream.try_clone()?, stream))
+            });
+            match accepted {
+                Ok(_) if self.shutting_down() => break,
+                Ok((reader, stream)) => {
                     let shared = Arc::clone(&self.shared);
                     let config = self.config;
                     std::thread::spawn(move || {
                         handle_connection(shared, config, reader, Arc::new(Mutex::new(stream)));
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+                Err(_) => {
+                    obs().accept_errors.inc();
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
-                Err(e) => return Err(Error::transport(e)),
             }
         }
+        Ok(())
     }
 }
 
@@ -312,6 +360,18 @@ fn handle_connection<R: Read, W: Write + Send + 'static>(
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 respond(&writer, Response::ShuttingDown);
+                // Answer first: `bat serve` exits once `serve` returns.
+                // Then wake every blocked accept, whose loop sees the
+                // flag; if a connect fails (say, out of file descriptors),
+                // that loop returns after its next accept instead.
+                let listening = shared
+                    .listening
+                    .lock()
+                    .expect("listener list poisoned")
+                    .clone();
+                for addr in listening {
+                    let _ = TcpStream::connect(addr);
+                }
             }
             Request::Open(open) => {
                 let id = shared.next_session.fetch_add(1, Ordering::SeqCst) + 1;

@@ -313,42 +313,101 @@ mod tests {
         assert!(daemon.shutting_down());
     }
 
+    /// A daemon serving TCP on `bind` from a thread of its own.
+    struct Serving {
+        daemon: std::sync::Arc<Daemon>,
+        /// Where clients connect: loopback, at the listener's port.
+        addr: std::net::SocketAddr,
+        returned: std::sync::mpsc::Receiver<Result<(), bat_core::Error>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Serving {
+        fn start(bind: &str) -> Serving {
+            let daemon = std::sync::Arc::new(Daemon::new(ServerConfig::default()));
+            let listener = std::net::TcpListener::bind(bind).unwrap();
+            let addr = ([127, 0, 0, 1], listener.local_addr().unwrap().port()).into();
+            let (tx, returned) = std::sync::mpsc::channel();
+            let thread = {
+                let daemon = std::sync::Arc::clone(&daemon);
+                std::thread::spawn(move || {
+                    let _ = tx.send(daemon.serve(listener));
+                })
+            };
+            Serving {
+                daemon,
+                addr,
+                returned,
+                thread,
+            }
+        }
+
+        /// Require `serve` to return `Ok` within 5 s, then join its thread.
+        fn stopped(self) {
+            let served = self
+                .returned
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("serve returns within 5 s of shutdown");
+            served.unwrap();
+            self.thread.join().unwrap();
+        }
+    }
+
+    /// Send `shutdown` over a loopback connection.
+    fn shut_down(daemon: &Daemon) {
+        let mut conn = daemon.connect_loopback();
+        codec::write_request(&mut conn, Request::Shutdown).unwrap();
+        assert_eq!(
+            codec::read_response(&mut conn).unwrap(),
+            Response::ShuttingDown
+        );
+    }
+
+    /// A TCP connection set up as `RemoteBackend::connect` sets it up.
+    fn tcp_connect(addr: std::net::SocketAddr) -> std::net::TcpStream {
+        let conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.set_nodelay(true).unwrap();
+        conn
+    }
+
     #[test]
     fn tcp_session_matches_loopback() {
-        let daemon = std::sync::Arc::new(Daemon::new(ServerConfig::default()));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        {
-            let daemon = std::sync::Arc::clone(&daemon);
-            std::thread::spawn(move || daemon.serve(listener).unwrap());
-        }
-        let tcp = RemoteBackend::connect(&addr, open_spec(6)).unwrap();
-        let loopback = RemoteBackend::open(daemon.connect_loopback(), open_spec(6)).unwrap();
+        let serving = Serving::start("127.0.0.1:0");
+        let tcp = RemoteBackend::connect(&serving.addr.to_string(), open_spec(6)).unwrap();
+        let loopback =
+            RemoteBackend::open(serving.daemon.connect_loopback(), open_spec(6)).unwrap();
         let indices = [3u64, 1, 4, 1, 5, 9];
         assert_eq!(
             tcp.evaluate_batch(&indices).unwrap(),
             loopback.evaluate_batch(&indices).unwrap()
         );
         assert_eq!(tcp.close().unwrap(), loopback.close().unwrap());
-        // Ask the daemon to stop so the serve thread exits.
-        let mut conn = daemon.connect_loopback();
-        codec::write_request(&mut conn, Request::Shutdown).unwrap();
-        let _ = codec::read_response(&mut conn);
+        shut_down(&serving.daemon);
+        serving.stopped();
     }
 
-    /// Run `exchange` on a TCP connection to a serving daemon (client side
-    /// set up as `RemoteBackend::connect` does), then shut the daemon down.
-    /// Returns the exchange's wall time.
+    #[test]
+    fn shutdown_over_loopback_wakes_a_blocked_accept() {
+        // `0.0.0.0` is no address to connect to: the wake goes to loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let serving = Serving::start(bind);
+            // Once a TCP ping is answered, the loop is past its first
+            // accept and blocks in the next one.
+            let mut conn = tcp_connect(serving.addr);
+            codec::write_request(&mut conn, Request::Ping).unwrap();
+            assert_eq!(codec::read_response(&mut conn).unwrap(), Response::Pong);
+            drop(conn);
+            shut_down(&serving.daemon);
+            serving.stopped();
+        }
+    }
+
+    /// Run `exchange` on a TCP connection to a serving daemon, then shut
+    /// the daemon down over that connection. Returns the exchange's wall
+    /// time.
     fn time_tcp_exchange(exchange: impl FnOnce(&mut std::net::TcpStream)) -> std::time::Duration {
-        let daemon = std::sync::Arc::new(Daemon::new(ServerConfig::default()));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let serving = {
-            let daemon = std::sync::Arc::clone(&daemon);
-            std::thread::spawn(move || daemon.serve(listener).unwrap())
-        };
-        let mut conn = std::net::TcpStream::connect(addr).unwrap();
-        conn.set_nodelay(true).unwrap();
+        let serving = Serving::start("127.0.0.1:0");
+        let mut conn = tcp_connect(serving.addr);
         let started = std::time::Instant::now();
         exchange(&mut conn);
         let elapsed = started.elapsed();
@@ -357,7 +416,7 @@ mod tests {
             codec::read_response(&mut conn).unwrap(),
             Response::ShuttingDown
         );
-        serving.join().unwrap();
+        serving.stopped();
         elapsed
     }
 
@@ -372,6 +431,26 @@ mod tests {
             }
         });
         assert!(elapsed.as_secs_f64() < 1.0, "100 pings took {elapsed:?}");
+    }
+
+    #[test]
+    fn tcp_fresh_connections_do_not_wait_for_an_accept_poll() {
+        // An accept loop that sleeps 10 ms whenever no connection is
+        // waiting makes each new connection wait for the end of a sleep.
+        let serving = Serving::start("127.0.0.1:0");
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            let mut conn = tcp_connect(serving.addr);
+            codec::write_request(&mut conn, Request::Ping).unwrap();
+            assert_eq!(codec::read_response(&mut conn).unwrap(), Response::Pong);
+        }
+        let elapsed = started.elapsed();
+        shut_down(&serving.daemon);
+        serving.stopped();
+        assert!(
+            elapsed.as_secs_f64() < 0.25,
+            "50 fresh connections took {elapsed:?}"
+        );
     }
 
     #[test]
