@@ -224,10 +224,9 @@ fn a_daemon_out_of_file_descriptors_keeps_serving() {
     }
 
     /// Ping over `conn`: true once answered, false if the daemon has not
-    /// taken the connection within half a second.
+    /// taken the connection within a second.
     fn answers_ping(mut conn: &TcpStream) -> bool {
-        conn.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
         codec::write_request(&mut conn, Request::Ping).unwrap();
         match conn.peek(&mut [0u8]) {
             Ok(1) => {

@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn shutdown_over_loopback_wakes_a_blocked_accept() {
-        // `0.0.0.0` is no address to connect to: the wake goes to loopback.
+        // A listener on an unspecified IP is woken through loopback.
         for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
             let serving = Serving::start(bind);
             // Once a TCP ping is answered, the loop is past its first
