@@ -8,7 +8,8 @@
 //! and once through the loopback endpoint (the real `bat/wire/v1` codec),
 //! so thread count and endpoint are held to the same bytes; build with
 //! `--features no-obs` to hold compiled-out telemetry to them too. The
-//! ci-smoke grid also runs at record level `curve` under the energy, EDP
+//! ci-smoke grid also runs at `protocol.batch = 8` on 1, 2 and 4 pool
+//! threads, and at record level `curve` under the energy, EDP
 //! and scalarized objectives, whose records carry `best_energy_mj` without
 //! an evaluation history.
 //!
@@ -124,6 +125,14 @@ fn campaign_digests(dir: &Path) -> BTreeMap<String, u64> {
         artifact_digests(&spec, &key, dir, &Endpoint::Loopback, &mut out);
     }
     let smoke = committed_spec("ci-smoke");
+    let mut batched = smoke.clone();
+    batched.protocol.set_batch(8);
+    for threads in THREADS {
+        rayon::with_thread_limit(threads, || {
+            let key = format!("ci-smoke-batch-8/threads-{threads}");
+            artifact_digests(&batched, &key, dir, &Endpoint::InProcess, &mut out);
+        });
+    }
     for (objective, mode, weight) in ENERGY_OBJECTIVES {
         let spec = ExperimentSpec {
             record: RecordLevel::Curve,
