@@ -18,9 +18,6 @@
 use rayon::prelude::*;
 
 use bat_core::TuningProblem;
-use bat_space::sample_indices_distinct;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One evaluated configuration in a landscape.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,21 +115,6 @@ impl Landscape {
         }
     }
 
-    /// Evaluate `n` distinct uniformly-drawn configurations (the paper's
-    /// 10 000-sample protocol for the large spaces).
-    pub fn sampled(problem: &dyn TuningProblem, n: usize, seed: u64) -> Landscape {
-        let space = problem.space();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut indices = sample_indices_distinct(space, n, &mut rng);
-        indices.sort_unstable();
-        Landscape {
-            problem: problem.name().to_string(),
-            platform: problem.platform().to_string(),
-            exhaustive: false,
-            samples: evaluate_sparse(problem, &indices),
-        }
-    }
-
     /// Runtimes of successful configurations.
     pub fn times(&self) -> Vec<f64> {
         self.samples.iter().filter_map(|s| s.time_ms).collect()
@@ -179,6 +161,7 @@ impl Landscape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampled_valid;
     use bat_core::SyntheticProblem;
     use bat_space::{ConfigSpace, Param};
 
@@ -216,7 +199,7 @@ mod tests {
     #[test]
     fn sampled_draws_distinct_indices() {
         let p = problem();
-        let l = Landscape::sampled(&p, 40, 7);
+        let l = sampled_valid(&p, 40, 7, 100_000).unwrap();
         assert_eq!(l.samples.len(), 40);
         let mut idx: Vec<u64> = l.samples.iter().map(|s| s.index).collect();
         let before = idx.len();
@@ -236,8 +219,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let p = problem();
-        let a = Landscape::sampled(&p, 30, 9);
-        let b = Landscape::sampled(&p, 30, 9);
+        let a = sampled_valid(&p, 30, 9, 100_000).unwrap();
+        let b = sampled_valid(&p, 30, 9, 100_000).unwrap();
         assert_eq!(a.samples, b.samples);
     }
 }

@@ -1,11 +1,12 @@
-//! Valid-space sampling variant of the landscape protocol.
+//! The sampled variant of the landscape protocol (the paper's 10 000-sample
+//! protocol for the large spaces).
 //!
 //! Tuning frameworks sample the *constrained* space (restriction-violating
-//! configurations never reach the device). This module adds the
-//! corresponding landscape constructor: `n` distinct configurations drawn
-//! uniformly from the restriction-valid space; architecture-dependent
-//! launch failures still appear as failed samples. Evaluation uses the
-//! same chunked, scratch-reusing streaming path as [`Landscape::sampled`].
+//! configurations never reach the device), and so does this constructor:
+//! `n` distinct configurations drawn uniformly from the restriction-valid
+//! space; architecture-dependent launch failures still appear as failed
+//! samples. Evaluation uses the same chunked, scratch-reusing streaming
+//! path as [`Landscape::exhaustive`].
 
 use bat_core::TuningProblem;
 use bat_space::sample_valid_indices_distinct;

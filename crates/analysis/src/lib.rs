@@ -3,7 +3,8 @@
 //! The five benchmark-suite analyses of the BAT 2.0 paper, plus the data
 //! plumbing they share:
 //!
-//! * [`Landscape`] — exhaustive / 10 000-sample evaluation protocol (§V),
+//! * [`Landscape`] + [`sampled_valid`] — exhaustive / 10 000-sample
+//!   evaluation protocol (§V),
 //! * [`PerformanceDistribution`] — Fig. 1 distributions centred on the
 //!   median configuration,
 //! * [`random_search_convergence`] — Fig. 2 convergence curves,
@@ -12,17 +13,18 @@
 //! * [`max_speedup_over_median`] — Fig. 4,
 //! * [`portability_matrix`] — Fig. 5,
 //! * [`feature_importance`] + [`reduce_space`] — Fig. 6 and Table VIII,
-//! * [`compare_tuners`] + [`aggregate_ranks`] — head-to-head optimizer
-//!   comparisons (the suite's §I purpose, in the style of reference \[3\]),
 //! * [`OnlineSimulation`] — KTT-style dynamic autotuning (time-to-solution
 //!   including the tuning overhead),
 //! * [`front_summary`] + [`hypervolume_reference`] — Pareto-front quality
 //!   reducers for the multi-objective (time × energy) campaigns.
+//!
+//! Head-to-head tuner comparisons (the suite's §I purpose) are campaigns:
+//! `bat_harness::run_campaign` runs them and `bat_harness::CampaignSummary`
+//! reduces them to medians and Friedman-style mean ranks.
 
 #![warn(missing_docs)]
 
 mod centrality;
-mod comparison;
 mod convergence;
 mod difficulty;
 mod distribution;
@@ -39,10 +41,6 @@ mod reduction;
 mod speedup;
 
 pub use centrality::{default_proportions, proportion_of_centrality, CentralityCurve};
-pub use comparison::{
-    aggregate_ranks, compare_tuners, ComparisonSettings, CrossProblemRanks, TunerComparison,
-    TunerResult,
-};
 pub use convergence::{evals_to_target, random_search_convergence, ConvergenceCurve};
 pub use difficulty::{difficulty, difficulty_default, DifficultyReport};
 pub use distribution::PerformanceDistribution;

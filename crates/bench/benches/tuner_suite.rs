@@ -1,7 +1,6 @@
 //! Benchmarks of the model-based tuner family and the studies built on it:
 //! surrogate-model costs (GP, random forest, Parzen densities), the
-//! acquisition-function ablation, the tuner-comparison harness and the
-//! dynamic-autotuning simulation.
+//! acquisition-function ablation and the dynamic-autotuning simulation.
 //!
 //! These are the suite-side costs an autotuning practitioner pays *next to*
 //! kernel measurements; the paper's interface argument only holds if the
@@ -10,14 +9,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bat_analysis::{
-    compare_tuners, noise_sensitivity, ComparisonSettings, OnlinePolicy, OnlineSimulation,
-};
+use bat_analysis::{noise_sensitivity, OnlinePolicy, OnlineSimulation};
 use bat_bench::{landscape, problem};
 use bat_core::{Evaluator, Protocol, TuningProblem};
 use bat_gpusim::GpuArch;
 use bat_ml::{Dataset, ForestParams, GaussianProcess, GpParams, KernelKind, RandomForest};
-use bat_tuners::{Acquisition, BayesianOptimization, RandomSearch, SmacTuner, Tpe, Tuner};
+use bat_tuners::{Acquisition, BayesianOptimization, RandomSearch, Tpe, Tuner};
 
 /// Landscape-derived regression rows for surrogate fitting.
 fn training_rows(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -127,27 +124,6 @@ fn ablation_tpe_restrictions(c: &mut Criterion) {
     g.finish();
 }
 
-/// The comparison harness itself: a 3-tuner × 3-repeat study on N-body.
-fn comparison_harness(c: &mut Criterion) {
-    let p = problem("nbody", GpuArch::rtx_3060());
-    let tuners: Vec<Box<dyn Tuner>> = vec![
-        Box::new(RandomSearch),
-        Box::new(Tpe::default()),
-        Box::new(SmacTuner::default()),
-    ];
-    let settings = ComparisonSettings {
-        budget: 60,
-        repeats: 3,
-        ..ComparisonSettings::default()
-    };
-    let mut g = c.benchmark_group("tuner_comparison_harness");
-    g.sample_size(10);
-    g.bench_function("nbody_3x3", |b| {
-        b.iter(|| black_box(compare_tuners(&p, &tuners, &settings, None)))
-    });
-    g.finish();
-}
-
 /// Ablation: the measurement protocol's noise defence — selection quality
 /// under 0%/5%/20% run-to-run noise with 1 vs 5 runs per configuration.
 fn ablation_measurement_noise(c: &mut Criterion) {
@@ -197,7 +173,6 @@ criterion_group!(
     ablation_acquisition,
     ablation_tpe_restrictions,
     ablation_measurement_noise,
-    comparison_harness,
     online_simulation
 );
 criterion_main!(benches);

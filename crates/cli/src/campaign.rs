@@ -79,7 +79,6 @@ fn run_spec(opts: &Opts) -> Result<(), Error> {
         out: out.clone(),
         resume: opts.has("--resume"),
         cache: opts.get("--cache"),
-        serial: opts.has("--serial"),
         ..CampaignOptions::default()
     };
     let run = run_campaign(&spec, &campaign)?;

@@ -666,8 +666,8 @@ pub fn cmd_compare(opts: &Opts) -> Result<(), Error> {
     let l = paper_landscape(&b, opts.get_usize("--samples", 10_000)?, 0);
     let t_opt = l.best().map(|s| s.time_ms.unwrap()).unwrap_or(f64::NAN);
 
-    // One declarative campaign replaces the bespoke (tuner × seed) loop;
-    // sequential seeds reproduce the historical numbers exactly.
+    // One declarative campaign with sequential seeds, reduced by the
+    // campaign summary: medians and minima over repetitions per tuner.
     let campaign = comparison_campaign(
         "compare",
         std::slice::from_ref(&bench),
@@ -675,25 +675,24 @@ pub fn cmd_compare(opts: &Opts) -> Result<(), Error> {
         budget,
         seeds,
     )?;
-
-    let mut rows = Vec::new();
-    for tuner in bat_harness::known_tuners() {
-        let mut bests: Vec<f64> = campaign
-            .trials
-            .iter()
-            .filter(|t| t.tuner == tuner)
-            .filter_map(|t| t.best_ms)
-            .collect();
-        if bests.is_empty() {
-            rows.push(vec![tuner, "-".into(), "-".into(), "-".into()]);
-            continue;
-        }
-        bests.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = bests[bests.len() / 2];
-        let best = bests[0];
-        rows.push(vec![tuner, f(median, 4), f(best, 4), f(t_opt / median, 3)]);
-    }
-    rows.sort_by(|a, b| a[1].partial_cmp(&b[1]).unwrap());
+    let summary = CampaignSummary::from_result(&campaign);
+    let cell = &summary.cells[0];
+    // Ascending median; tuners that found no valid configuration last.
+    let sort_key = |t: usize| cell.median_best_ms[t].unwrap_or(f64::INFINITY);
+    let mut order: Vec<usize> = (0..cell.tuners.len()).collect();
+    order.sort_by(|&a, &b| sort_key(a).total_cmp(&sort_key(b)));
+    let rows: Vec<Vec<String>> = order
+        .into_iter()
+        .map(|t| match (cell.median_best_ms[t], cell.min_best_ms[t]) {
+            (Some(median), Some(best)) => vec![
+                cell.tuners[t].clone(),
+                f(median, 4),
+                f(best, 4),
+                f(t_opt / median, 3),
+            ],
+            _ => vec![cell.tuners[t].clone(), "-".into(), "-".into(), "-".into()],
+        })
+        .collect();
     print_table(
         &[
             "tuner".into(),
@@ -805,9 +804,9 @@ pub fn cmd_ranks(opts: &Opts) -> Result<(), Error> {
         "Cross-benchmark tuner ranking (budget {budget} evals, {repeats} repeats, {} benchmark×GPU cells)\n",
         benches.len() * archs.len()
     );
-    // One campaign covers every benchmark × GPU cell; the harness summary's
-    // Friedman-style rank reducer matches the comparison module's
-    // aggregation (per-repetition ranks, failures last, ties averaged).
+    // One campaign covers every benchmark × GPU cell; the summary ranks
+    // tuners Friedman-style (per-repetition ranks, failures last, ties
+    // averaged) and averages each tuner's rank over the cells.
     let campaign = comparison_campaign("ranks", &benches, &archs, budget, repeats)?;
     let summary = CampaignSummary::from_result(&campaign);
     for cell in &summary.cells {

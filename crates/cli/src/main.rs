@@ -33,8 +33,7 @@ SUITE COMMANDS:
     campaign             run a declarative campaign spec (--spec FILE, --out FILE
                          plus a FILE.meta.json T4 document, default stdout;
                          --resume reuses the trials already in --out;
-                         --serial runs trials one by one (the determinism
-                         oracle); --shard I/N runs every N-th trial from I;
+                         --shard I/N runs every N-th trial from I;
                          --batch N, --fault-rate R override the spec;
                          --threads N, --connect EP, --strict exits non-zero
                          when a trial finds no valid configuration, --quiet

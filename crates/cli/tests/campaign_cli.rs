@@ -1,12 +1,13 @@
 //! End-to-end checks of the `bat` binary.
 //!
 //! Every route `bat campaign` offers to the ci-smoke artifact — plain,
-//! serial, flag overrides, a pool size from the flag or from
-//! `BAT_THREADS`, shard merge, resume, cold and warm cache —
-//! must write the artifact and metadata bytes that the committed golden
-//! table `tests/golden_digests.txt` holds for `ci-smoke/threads-1`. The
-//! table is only read here, never rewritten. Bad input must exit 1 with
-//! an `error:` line naming the file involved, never with a panic.
+//! flag overrides, a pool size from the flag or from `BAT_THREADS`, shard
+//! merge, resume, cold and warm cache — must write the artifact and
+//! metadata bytes that the committed golden table
+//! `tests/golden_digests.txt` holds for `ci-smoke/threads-1`. The table is
+//! only read here, never rewritten. Bad input must exit 1 with an `error:`
+//! line naming the file involved, never with a panic. `bat compare` must
+//! list its tuners by numeric median, the ones that found nothing last.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -93,9 +94,8 @@ mod golden {
         let dir = scratch("campaign-cli");
         // (output, extra flags, extra environment)
         type Route<'a> = (&'a str, &'a [&'a str], &'a [(&'a str, &'a str)]);
-        let routes: [Route; 7] = [
+        let routes: [Route; 6] = [
             ("plain.json", &[], &[]),
-            ("serial.json", &["--serial"], &[]),
             ("batch-1.json", &["--batch", "1"], &[]),
             ("fault-0.json", &["--fault-rate", "0"], &[]),
             ("threads-1.json", &["--threads", "1"], &[]),
@@ -142,6 +142,44 @@ mod golden {
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn compare_lists_tuners_by_median_with_failures_last() {
+    let dir = scratch("compare-cli");
+    let args = [
+        "compare",
+        "--bench",
+        "expdist",
+        "--budget",
+        "10",
+        "--repeats",
+        "2",
+        "--samples",
+        "300",
+    ];
+    let output = bat(&dir, &args, &[]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "bat {args:?}: {stdout}");
+    // The median column of the table rows, `-` read as `None`.
+    let medians: Vec<Option<f64>> = stdout
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().nth(1).and_then(|m| m.parse().ok()))
+        .collect();
+    assert_eq!(medians.len(), 13, "{stdout}");
+    // At 10 evaluations most tuners find no valid expdist configuration,
+    // so the table mixes both kinds of row.
+    let found = medians.iter().take_while(|m| m.is_some()).count();
+    assert!(found >= 2 && found < medians.len(), "{stdout}");
+    assert!(medians[found..].iter().all(Option::is_none), "{stdout}");
+    assert!(
+        medians[..found].windows(2).all(|w| w[0] <= w[1]),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! Friedman-style rank aggregation shared by the comparison and harness
-//! layers, so "mean rank" means exactly the same thing whichever path
-//! produced the numbers.
+//! Friedman-style rank aggregation: the mean ranks of a campaign summary,
+//! also available to code that runs tuners outside a campaign (say, tuner
+//! variants that are not in the registry), so "mean rank" means the same
+//! thing there.
 
 /// Mean rank per tuner from per-repetition final objectives,
 /// `finals[tuner][rep]` (lower objective = better). Within every

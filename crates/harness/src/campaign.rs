@@ -114,9 +114,6 @@ pub struct CampaignOptions {
     /// campaign folds back into the file, which a fully warm run leaves
     /// untouched.
     pub cache: Option<String>,
-    /// Run trials one by one on the calling thread: the determinism
-    /// oracle, whose artifact equals the parallel run's.
-    pub serial: bool,
 }
 
 /// A finished campaign plus execution metadata. The metadata (wall time,
@@ -375,14 +372,6 @@ fn reuse_record(index: &PriorIndex<'_>, ct: &CompiledTrial) -> Option<TrialRecor
 /// `merge` inputs and the cache, first holder of a key wins), execute
 /// the rest and return the canonical-order artifact.
 pub fn run_campaign(spec: &ExperimentSpec, opts: &CampaignOptions) -> Result<CampaignRun, Error> {
-    if opts.resume && opts.serial {
-        return Err(Error::spec("--resume and --serial are mutually exclusive"));
-    }
-    if opts.serial && opts.endpoint != Endpoint::InProcess {
-        return Err(Error::spec(
-            "--serial runs the in-process determinism oracle; drop --connect",
-        ));
-    }
     let out = opts.out.as_deref();
     let disk = match (opts.resume, out) {
         (false, _) => None,
@@ -467,13 +456,10 @@ pub fn run_campaign(spec: &ExperimentSpec, opts: &CampaignOptions) -> Result<Cam
     let mut cursor_i = 0usize;
     let mut cursor_pos = 0usize;
     for chunk in todo.chunks(chunk_len) {
-        let execute =
-            |&(i, ct): &(usize, &CompiledTrial)| (i, execute_trial_traced(ct, &target, parent));
-        let outcomes: Vec<(usize, Result<TrialRecord, Error>)> = if opts.serial {
-            chunk.iter().map(execute).collect()
-        } else {
-            chunk.par_iter().map(execute).collect()
-        };
+        let outcomes: Vec<(usize, Result<TrialRecord, Error>)> = chunk
+            .par_iter()
+            .map(|&(i, ct)| (i, execute_trial_traced(ct, &target, parent)))
+            .collect();
         for (i, outcome) in outcomes {
             let record = outcome?;
             executed_evals += record.evals;
@@ -530,12 +516,9 @@ mod tests {
         run_campaign(s, &CampaignOptions::default()).unwrap()
     }
 
-    fn serial(s: &ExperimentSpec) -> CampaignRun {
-        let opts = CampaignOptions {
-            serial: true,
-            ..CampaignOptions::default()
-        };
-        run_campaign(s, &opts).unwrap()
+    /// [`run`] with parallel calls pinned to `threads` pool threads.
+    fn run_on(threads: usize, s: &ExperimentSpec) -> CampaignRun {
+        rayon::with_thread_limit(threads, || run(s))
     }
 
     fn at(s: &ExperimentSpec, endpoint: Endpoint) -> Result<CampaignRun, Error> {
@@ -565,8 +548,8 @@ mod tests {
     #[test]
     fn parallel_and_serial_runs_are_byte_identical() {
         let s = spec();
-        let a = run(&s);
-        let b = serial(&s);
+        let a = run_on(4, &s);
+        let b = run_on(1, &s);
         assert_eq!(a.result.to_json(), b.result.to_json());
         assert_eq!(a.executed, 4);
         assert_eq!(a.reused, 0);
@@ -768,8 +751,8 @@ mod tests {
             repetitions: 1,
             ..spec()
         };
-        let run = run(&s);
-        assert_eq!(run.result.to_json(), serial(&s).result.to_json());
+        let run = run_on(4, &s);
+        assert_eq!(run.result.to_json(), run_on(1, &s).result.to_json());
         for t in &run.result.trials {
             let front = t.front.as_ref().expect("pareto trials record fronts");
             assert!(!front.is_empty() && front.len() <= 8);
@@ -799,8 +782,12 @@ mod tests {
                 budget: 20,
                 ..spec()
             };
-            let a = run(&s);
-            assert_eq!(a.result.to_json(), serial(&s).result.to_json(), "{mode:?}");
+            let a = run_on(4, &s);
+            assert_eq!(
+                a.result.to_json(),
+                run_on(1, &s).result.to_json(),
+                "{mode:?}"
+            );
             for t in &a.result.trials {
                 assert!(t.best_ms.is_some(), "{mode:?}");
                 assert!(t.best_energy_mj.is_some(), "{mode:?}");

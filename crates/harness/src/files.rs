@@ -121,7 +121,7 @@ pub fn report_run(run: &CampaignRun, quiet: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignOptions, Endpoint, CHECKPOINT_TRIALS};
+    use crate::campaign::{run_campaign, CampaignOptions, CHECKPOINT_TRIALS};
     use crate::spec::Selector;
 
     fn spec() -> ExperimentSpec {
@@ -219,22 +219,11 @@ mod tests {
 
     #[test]
     fn flag_combinations_are_validated() {
-        let serial_resume = CampaignOptions {
-            serial: true,
-            ..to_file("x", true)
-        };
-        assert!(run_campaign(&spec(), &serial_resume).is_err());
         let resume_nowhere = CampaignOptions {
             resume: true,
             ..CampaignOptions::default()
         };
         assert!(run_campaign(&spec(), &resume_nowhere).is_err());
-        let serial_remote = CampaignOptions {
-            serial: true,
-            endpoint: Endpoint::Loopback,
-            ..CampaignOptions::default()
-        };
-        assert!(run_campaign(&spec(), &serial_remote).is_err());
     }
 
     #[test]

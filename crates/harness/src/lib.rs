@@ -16,7 +16,7 @@
 //! re-execution.
 //!
 //! ```
-//! use bat_harness::{run_campaign, CampaignOptions, ExperimentSpec, Selector};
+//! use bat_harness::{run_campaign, CampaignOptions, CampaignSummary, ExperimentSpec, Selector};
 //!
 //! let spec = ExperimentSpec {
 //!     tuners: Selector::Subset(vec!["random-search".into()]),
@@ -28,12 +28,12 @@
 //! };
 //! let run = run_campaign(&spec, &CampaignOptions::default()).unwrap();
 //! assert_eq!(run.result.trials.len(), 2);
-//! let serial = CampaignOptions {
-//!     serial: true,
-//!     ..CampaignOptions::default()
-//! };
-//! let replay = run_campaign(&spec, &serial).unwrap();
-//! assert_eq!(run.result.to_json(), replay.result.to_json());
+//! let on_one_thread = rayon::with_thread_limit(1, || {
+//!     run_campaign(&spec, &CampaignOptions::default()).unwrap()
+//! });
+//! assert_eq!(run.result.to_json(), on_one_thread.result.to_json());
+//! let summary = CampaignSummary::from_result(&run.result);
+//! assert_eq!(summary.cells[0].tuners, ["random-search"]);
 //! ```
 
 #![warn(missing_docs)]

@@ -6,8 +6,8 @@
 //!   store as identity, and the merged JSON is byte-stable — so shard
 //!   caches recombine into the unsharded cache no matter the grouping.
 //! * A `--cache` campaign is byte-deterministic: the warm (fully cached)
-//!   artifact equals the cold one, serial equals parallel, and resuming
-//!   on top of a cache changes nothing.
+//!   artifact equals the cold one, and resuming on top of a cache changes
+//!   nothing.
 //! * An empty cache is invisible: running against a zero-entry cache
 //!   produces an artifact byte-identical to running with no cache at all.
 
@@ -120,13 +120,11 @@ fn cached_run(
     out: &str,
     cache: Option<&str>,
     resume: bool,
-    serial: bool,
 ) -> bat_harness::CampaignRun {
     let opts = CampaignOptions {
         out: Some(out.to_string()),
         cache: cache.map(str::to_string),
         resume,
-        serial,
         ..CampaignOptions::default()
     };
     run_campaign(spec, &opts).unwrap()
@@ -146,12 +144,12 @@ proptest! {
         let warm_out = scratch("warm", &case);
 
         // Cold parallel run populates the cache.
-        let cold = cached_run(&spec, &cold_out, Some(&cache), false, false);
+        let cold = cached_run(&spec, &cold_out, Some(&cache), false);
         prop_assert_eq!(cold.executed, cold.result.trials.len());
 
-        // Warm serial run: everything replays from the cache, and the
-        // artifact does not move by a byte.
-        let warm = cached_run(&spec, &warm_out, Some(&cache), false, true);
+        // Warm run: everything replays from the cache, and the artifact
+        // does not move by a byte.
+        let warm = cached_run(&spec, &warm_out, Some(&cache), false);
         prop_assert_eq!(warm.executed, 0, "a fully warm run executes nothing");
         prop_assert_eq!(warm.reused, cold.result.trials.len());
         prop_assert_eq!(warm.result.to_json(), cold.result.to_json());
@@ -164,7 +162,7 @@ proptest! {
         // Resuming the cold artifact with the cache still loaded changes
         // nothing — and neither does the combination rewrite the cache.
         let cache_bytes = std::fs::read_to_string(&cache).unwrap();
-        let resumed = cached_run(&spec, &cold_out, Some(&cache), true, false);
+        let resumed = cached_run(&spec, &cold_out, Some(&cache), true);
         prop_assert_eq!(resumed.executed, 0);
         prop_assert_eq!(resumed.result.to_json(), cold.result.to_json());
         prop_assert_eq!(
@@ -191,8 +189,8 @@ proptest! {
         let cached_out = scratch("cached", &case);
         let plain_out = scratch("plain", &case);
 
-        let cached = cached_run(&spec, &cached_out, Some(&cache), false, false);
-        let plain = cached_run(&spec, &plain_out, None, false, false);
+        let cached = cached_run(&spec, &cached_out, Some(&cache), false);
+        let plain = cached_run(&spec, &plain_out, None, false);
         prop_assert_eq!(cached.result.to_json(), plain.result.to_json());
         prop_assert_eq!(
             std::fs::read_to_string(&cached_out).unwrap(),

@@ -68,9 +68,6 @@ mod value;
 
 pub use neighbors::Neighborhood;
 pub use param::Param;
-pub use sample::{
-    sample_indices, sample_indices_distinct, sample_one_valid, sample_valid_indices,
-    sample_valid_indices_distinct,
-};
+pub use sample::{sample_indices, sample_one_valid, sample_valid_indices_distinct};
 pub use space::{ConfigIter, ConfigSpace, ConfigSpaceBuilder, Restriction, SpaceError, SpaceSpec};
 pub use value::Num;

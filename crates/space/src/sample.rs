@@ -16,70 +16,11 @@ pub fn sample_indices<R: Rng + ?Sized>(space: &ConfigSpace, n: usize, rng: &mut 
         .collect()
 }
 
-/// Draw `n` *distinct* dense indices uniformly from the full space.
-///
-/// Uses rejection against a hash set; intended for `n` much smaller than the
-/// cardinality (the 10 000-sample protocol on 10⁷–10⁸-point spaces). Falls
-/// back to a full shuffle when `n` is a large fraction of the space.
-pub fn sample_indices_distinct<R: Rng + ?Sized>(
-    space: &ConfigSpace,
-    n: usize,
-    rng: &mut R,
-) -> Vec<u64> {
-    let card = space.cardinality();
-    assert!(
-        (n as u64) <= card,
-        "cannot draw {n} distinct samples from a space of {card}"
-    );
-    if (n as u64) * 4 >= card {
-        // Dense case: shuffle the whole index range.
-        let mut all: Vec<u64> = (0..card).collect();
-        // Partial Fisher-Yates: only the first n positions are needed.
-        for i in 0..n {
-            let j = rng.random_range(i as u64..card) as usize;
-            all.swap(i, j);
-        }
-        all.truncate(n);
-        return all;
-    }
-    let mut seen = std::collections::HashSet::with_capacity(n * 2);
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let idx = rng.random_range(0..card);
-        if seen.insert(idx) {
-            out.push(idx);
-        }
-    }
-    out
-}
-
-/// Draw `n` indices of *valid* configurations (satisfying the restriction
-/// set) by rejection sampling, with replacement.
+/// Draw `n` *distinct* valid indices (satisfying the restriction set) by
+/// rejection sampling.
 ///
 /// Returns `None` if `max_tries` draws fail to produce enough valid samples
 /// (i.e. the restricted space is a vanishing fraction of the product space).
-pub fn sample_valid_indices<R: Rng + ?Sized>(
-    space: &ConfigSpace,
-    n: usize,
-    rng: &mut R,
-    max_tries: usize,
-) -> Option<Vec<u64>> {
-    let mut scratch = vec![0i64; space.num_params()];
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..max_tries {
-        if out.len() == n {
-            break;
-        }
-        let idx = rng.random_range(0..space.cardinality());
-        space.decode_into(idx, &mut scratch);
-        if space.is_valid(&scratch) {
-            out.push(idx);
-        }
-    }
-    (out.len() == n).then_some(out)
-}
-
-/// Draw `n` *distinct* valid indices by rejection sampling.
 pub fn sample_valid_indices_distinct<R: Rng + ?Sized>(
     space: &ConfigSpace,
     n: usize,
@@ -149,7 +90,7 @@ mod tests {
     fn distinct_sampling_has_no_repeats() {
         let s = space();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut v = sample_indices_distinct(&s, 20, &mut rng);
+        let mut v = sample_valid_indices_distinct(&s, 15, &mut rng, 100_000).unwrap();
         v.sort_unstable();
         let before = v.len();
         v.dedup();
@@ -160,18 +101,20 @@ mod tests {
     fn distinct_sampling_can_exhaust_space() {
         let s = space();
         let mut rng = StdRng::seed_from_u64(7);
-        let card = s.cardinality() as usize;
-        let mut v = sample_indices_distinct(&s, card, &mut rng);
+        let valid: Vec<u64> = (0..s.cardinality())
+            .filter(|&i| s.is_valid_index(i))
+            .collect();
+        let mut v = sample_valid_indices_distinct(&s, valid.len(), &mut rng, 100_000).unwrap();
         v.sort_unstable();
-        assert_eq!(v, (0..card as u64).collect::<Vec<_>>());
+        assert_eq!(v, valid);
     }
 
     #[test]
     fn valid_sampling_respects_restrictions() {
         let s = space();
         let mut rng = StdRng::seed_from_u64(42);
-        let v = sample_valid_indices(&s, 50, &mut rng, 100_000).unwrap();
-        assert_eq!(v.len(), 50);
+        let v = sample_valid_indices_distinct(&s, 12, &mut rng, 100_000).unwrap();
+        assert_eq!(v.len(), 12);
         assert!(v.iter().all(|&i| s.is_valid_index(i)));
     }
 
@@ -183,7 +126,7 @@ mod tests {
             .build()
             .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(sample_valid_indices(&s, 1, &mut rng, 1000).is_none());
+        assert!(sample_valid_indices_distinct(&s, 1, &mut rng, 1000).is_none());
         assert!(sample_one_valid(&s, &mut rng, 1000).is_none());
     }
 }

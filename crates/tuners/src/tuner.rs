@@ -17,7 +17,7 @@ use rand::Rng;
 /// by the shared [`crate::try_drive`] loop — callers keep the familiar
 /// pull-style entry point, the evaluation side owns batching.
 ///
-/// `Send + Sync` is required so comparison harnesses can fan runs out over
+/// `Send + Sync` is required so campaigns can fan trials out over
 /// threads; tuners are configuration-holding value types, so this costs
 /// implementors nothing.
 pub trait Tuner: Send + Sync {

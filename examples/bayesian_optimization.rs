@@ -44,37 +44,77 @@ fn main() {
         Box::new(RandomSearch),
     ];
 
-    let comparison = compare_tuners(
-        &problem,
-        &tuners,
-        &ComparisonSettings {
-            budget,
-            repeats,
-            ..ComparisonSettings::default()
-        },
-        Some(t_opt),
-    );
+    // GP-BO's acquisition variants are not registry tuners, so they run
+    // outside a campaign: seeds 0..repeats per tuner, each on a fresh
+    // evaluator, keeping every run's best-so-far curve.
+    let curves: Vec<Vec<Vec<Option<f64>>>> = tuners
+        .iter()
+        .map(|tuner| {
+            (0..repeats)
+                .map(|seed| {
+                    let evaluator = Evaluator::builder(&problem)
+                        .budget(budget)
+                        .build()
+                        .expect("the default protocol is valid");
+                    tuner.tune(&evaluator, seed).best_so_far()
+                })
+                .collect()
+        })
+        .collect();
+    let median = |mut values: Vec<f64>| -> Option<f64> {
+        values.sort_by(f64::total_cmp);
+        values.get(values.len() / 2).copied()
+    };
+    // Friedman mean ranks of the final bests (failures last, ties share
+    // the average rank), the reducer campaign summaries use too.
+    let finals: Vec<Vec<Option<f64>>> = curves
+        .iter()
+        .map(|runs| runs.iter().map(|c| c.last().copied().flatten()).collect())
+        .collect();
+    let ranks = bat::core::friedman_mean_ranks(&finals);
+    let mut order: Vec<usize> = (0..tuners.len()).collect();
+    order.sort_by(|&a, &b| ranks[a].total_cmp(&ranks[b]));
 
     println!(
         "budget {budget} evaluations, {repeats} repeats; median best-so-far (% of optimum):\n"
     );
     print!("{:<12}", "evals");
-    for r in &comparison.results {
-        print!(" {:>10}", r.tuner);
+    for &t in &order {
+        print!(" {:>10}", tuners[t].name());
     }
     println!();
-    for (c, &evals) in comparison.checkpoints.iter().enumerate() {
+    for evals in [1, 2, 5, 10, 20, 50, 100, budget as usize] {
         print!("{evals:<12}");
-        for r in &comparison.results {
-            match r.median_curve[c] {
-                Some(t) => print!(" {:>9.1}%", t_opt / t * 100.0),
+        for &t in &order {
+            let at: Vec<f64> = curves[t]
+                .iter()
+                .filter_map(|c| c[..evals.min(c.len())].last().copied().flatten())
+                .collect();
+            match median(at) {
+                Some(ms) => print!(" {:>9.1}%", t_opt / ms * 100.0),
                 None => print!(" {:>10}", "-"),
             }
         }
         println!();
     }
 
-    println!("\nfinal standings:\n{}", comparison.render_table());
+    println!("\nfinal standings:");
+    println!(
+        "{:<24} {:>9} {:>12} {:>8}",
+        "tuner", "mean rank", "median ms", "rel perf"
+    );
+    for &t in &order {
+        let (ms, rel) = match median(finals[t].iter().flatten().copied().collect()) {
+            Some(ms) => (format!("{ms:.4}"), format!("{:.3}", t_opt / ms)),
+            None => ("-".into(), "-".into()),
+        };
+        println!(
+            "{:<24} {:>9.2} {ms:>12} {rel:>8}",
+            tuners[t].name(),
+            ranks[t]
+        );
+    }
+    println!();
 
     // The posterior itself is inspectable: fit a GP on a small sample and
     // show its honesty (high variance away from data).

@@ -1,18 +1,18 @@
-//! Compare all eleven optimization algorithms on one benchmark at equal
-//! budget — the kind of study the BAT suite exists to make cheap.
+//! Compare every registry tuner on one benchmark at equal budget — the
+//! kind of study the BAT suite exists to make cheap: one campaign, reduced
+//! by its summary.
 //!
 //! ```sh
 //! cargo run --release --example compare_tuners
 //! ```
 
+use bat::harness::RecordLevel;
 use bat::prelude::*;
-use bat::tuners::default_tuners;
 
 fn main() {
     let arch = GpuArch::rtx_2080_ti();
-    let problem = bat::kernels::benchmark("hotspot", arch).expect("hotspot is in the registry");
-    let budget = 250u64;
-    let repeats = 7u64;
+    let problem =
+        bat::kernels::benchmark("hotspot", arch.clone()).expect("hotspot is in the registry");
 
     // Ground truth: sample the landscape hard to approximate the optimum.
     let landscape = bat::analysis::sampled_valid(&problem, 8_000, 0, 80_000_000)
@@ -25,31 +25,36 @@ fn main() {
         landscape.samples.len()
     );
 
+    // Every registry tuner, 250 evaluations, seeds 0..7.
+    let spec = ExperimentSpec {
+        benchmarks: Selector::Subset(vec!["hotspot".into()]),
+        architectures: Selector::Subset(vec![arch.name.to_string()]),
+        budget: 250,
+        repetitions: 7,
+        seed_policy: SeedPolicy::Sequential,
+        record: RecordLevel::Curve,
+        ..ExperimentSpec::new("compare-tuners")
+    };
+    let run = run_campaign(&spec, &CampaignOptions::default()).expect("the campaign runs");
+    let summary = CampaignSummary::from_result(&run.result);
+    let cell = &summary.cells[0];
+
     println!(
         "{:<26} {:>14} {:>14} {:>10}",
         "tuner", "median (ms)", "best (ms)", "rel perf"
     );
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
-    for tuner in default_tuners() {
-        let mut bests: Vec<f64> = Vec::new();
-        for seed in 0..repeats {
-            let evaluator = Evaluator::builder(&problem)
-                .budget(budget)
-                .build()
-                .expect("the default protocol is valid");
-            if let Some(best) = tuner.tune(&evaluator, seed).best() {
-                bests.push(best.time_ms().unwrap());
-            }
+    // Ascending median; tuners that found no valid configuration last.
+    let sort_key = |t: usize| cell.median_best_ms[t].unwrap_or(f64::INFINITY);
+    let mut order: Vec<usize> = (0..cell.tuners.len()).collect();
+    order.sort_by(|&a, &b| sort_key(a).total_cmp(&sort_key(b)));
+    for t in order {
+        let name = &cell.tuners[t];
+        match (cell.median_best_ms[t], cell.min_best_ms[t]) {
+            (Some(median), Some(best)) => println!(
+                "{name:<26} {median:>14.4} {best:>14.4} {:>9.1}%",
+                t_opt / median * 100.0
+            ),
+            _ => println!("{name:<26} {:>14} {:>14} {:>10}", "-", "-", "-"),
         }
-        bests.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = bests[bests.len() / 2];
-        rows.push((tuner.name().to_string(), median, bests[0]));
-    }
-    rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    for (name, median, best) in rows {
-        println!(
-            "{name:<26} {median:>14.4} {best:>14.4} {:>9.1}%",
-            t_opt / median * 100.0
-        );
     }
 }

@@ -57,9 +57,9 @@ pub use bat_tuners as tuners;
 /// The most common imports in one place.
 pub mod prelude {
     pub use bat_analysis::{
-        aggregate_ranks, compare_tuners, max_speedup_over_median, portability_matrix,
-        proportion_of_centrality, random_search_convergence, ComparisonSettings, FitnessFlowGraph,
-        Landscape, OnlinePolicy, OnlineSimulation, PerformanceDistribution,
+        max_speedup_over_median, portability_matrix, proportion_of_centrality,
+        random_search_convergence, FitnessFlowGraph, Landscape, OnlinePolicy, OnlineSimulation,
+        PerformanceDistribution,
     };
     pub use bat_core::{
         EvalFailure, Evaluator, Measurement, Protocol, RetryPolicy, TuningProblem, TuningRun,

@@ -1,16 +1,16 @@
 //! Harness contract tests: spec/result serde stability (versioned schema,
-//! unknown-field rejection) and campaign determinism (parallel ≡ serial,
+//! unknown-field rejection) and campaign determinism (4 pool threads ≡ 1,
 //! resume-from-truncated ≡ full run) — property-tested over random specs.
 
-use bat::harness::{FaultSpec, RecordLevel, SPEC_SCHEMA};
+use bat::harness::{CampaignRun, FaultSpec, RecordLevel, SPEC_SCHEMA};
 use bat::prelude::*;
 use proptest::prelude::*;
 
-fn serial() -> CampaignOptions {
-    CampaignOptions {
-        serial: true,
-        ..CampaignOptions::default()
-    }
+/// Run `spec` with parallel calls pinned to `threads` pool threads.
+fn run_on(threads: usize, spec: &ExperimentSpec) -> CampaignRun {
+    rayon::with_thread_limit(threads, || {
+        run_campaign(spec, &CampaignOptions::default()).unwrap()
+    })
 }
 
 fn resume_from(prior: CampaignResult) -> CampaignOptions {
@@ -133,8 +133,8 @@ proptest! {
             record: RecordLevel::Curve,
             ..ExperimentSpec::new("prop")
         };
-        let parallel = run_campaign(&spec, &CampaignOptions::default()).unwrap();
-        let serial = run_campaign(&spec, &serial()).unwrap();
+        let parallel = run_on(4, &spec);
+        let serial = run_on(1, &spec);
         let json = parallel.result.to_json();
         prop_assert_eq!(&json, &serial.result.to_json());
 
@@ -148,8 +148,8 @@ proptest! {
     }
 
     /// The PR-3/5 determinism contract survives fault injection: a chaos
-    /// campaign is byte-identical across the parallel pool, the serial
-    /// oracle, and resume from any truncation — retry chains, quarantine
+    /// campaign is byte-identical on 4 pool threads and on 1, and after
+    /// resume from any truncation — retry chains, quarantine
     /// and all — because fault draws are counter-based, never stateful.
     #[test]
     fn fault_injected_campaigns_are_byte_identical(
@@ -182,8 +182,8 @@ proptest! {
             }),
             ..ExperimentSpec::new("chaos-prop")
         };
-        let parallel = run_campaign(&spec, &CampaignOptions::default()).unwrap();
-        let serial = run_campaign(&spec, &serial()).unwrap();
+        let parallel = run_on(4, &spec);
+        let serial = run_on(1, &spec);
         let json = parallel.result.to_json();
         prop_assert_eq!(&json, &serial.result.to_json());
 

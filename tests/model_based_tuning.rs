@@ -1,9 +1,37 @@
 //! Integration tests for the model-based tuner family (GP-BO, TPE,
-//! SMAC-forest), the tuner-comparison harness and the dynamic-autotuning
+//! SMAC-forest), tuner comparisons as campaigns and the dynamic-autotuning
 //! simulation — all on real suite benchmarks through the public API.
 
+use bat::harness::RecordLevel;
 use bat::prelude::*;
 use bat::tuners::default_tuners;
+
+fn subset(names: &[&str]) -> Selector {
+    Selector::Subset(names.iter().map(|n| n.to_string()).collect())
+}
+
+/// A comparison campaign, summarized: `tuners` on every benchmark on
+/// `arch`, at equal budget, with seeds `0..repetitions` in every cell.
+fn compare(
+    tuners: Selector,
+    benchmarks: &[&str],
+    arch: &str,
+    budget: u64,
+    repetitions: u32,
+) -> CampaignSummary {
+    let spec = ExperimentSpec {
+        tuners,
+        benchmarks: subset(benchmarks),
+        architectures: subset(&[arch]),
+        budget,
+        repetitions,
+        seed_policy: SeedPolicy::Sequential,
+        record: RecordLevel::Curve,
+        ..ExperimentSpec::new("compare")
+    };
+    let run = run_campaign(&spec, &CampaignOptions::default()).unwrap();
+    CampaignSummary::from_result(&run.result)
+}
 
 #[test]
 fn model_based_tuners_run_on_real_kernels_within_budget() {
@@ -34,28 +62,17 @@ fn bayesian_optimization_outranks_random_on_gemm() {
     // GEMM is the benchmark the paper's Fig. 2 shows needing hundreds of
     // random evaluations; the GP surrogate should exploit its
     // multiplicative structure.
-    let problem = bat::kernels::benchmark("gemm", GpuArch::rtx_2080_ti()).unwrap();
-    let tuners: Vec<Box<dyn Tuner>> = vec![
-        Box::new(BayesianOptimization::default()),
-        Box::new(RandomSearch),
-    ];
-    let comparison = compare_tuners(
-        &problem,
-        &tuners,
-        &ComparisonSettings {
-            budget: 120,
-            repeats: 5,
-            ..ComparisonSettings::default()
-        },
-        None,
+    let summary = compare(
+        subset(&["gp-bo-ei", "random-search"]),
+        &["gemm"],
+        "RTX 2080 Ti",
+        120,
+        5,
     );
+    let cell = &summary.cells[0];
     let rank = |name: &str| {
-        comparison
-            .results
-            .iter()
-            .find(|r| r.tuner == name)
-            .unwrap()
-            .mean_rank
+        let t = cell.tuners.iter().position(|t| t == name).unwrap();
+        cell.mean_rank[t]
     };
     assert!(
         rank("gp-bo-ei") < rank("random-search"),
@@ -99,57 +116,37 @@ fn tpe_restriction_filtering_pays_off_on_gemm() {
 
 #[test]
 fn comparison_harness_covers_the_default_tuner_set() {
-    let problem = bat::kernels::benchmark("pnpoly", GpuArch::rtx_titan()).unwrap();
-    let tuners = default_tuners();
-    let comparison = compare_tuners(
-        &problem,
-        &tuners,
-        &ComparisonSettings {
-            budget: 40,
-            repeats: 3,
-            ..ComparisonSettings::default()
-        },
-        None,
-    );
-    assert_eq!(comparison.results.len(), tuners.len());
-    assert_eq!(comparison.problem, "pnpoly");
+    let summary = compare(Selector::All, &["pnpoly"], "RTX Titan", 40, 3);
+    let cell = &summary.cells[0];
+    assert_eq!(cell.tuners.len(), default_tuners().len());
+    assert_eq!(cell.benchmark, "pnpoly");
     // Ranks partition [1, n] on average.
-    let n = tuners.len() as f64;
-    let total: f64 = comparison.results.iter().map(|r| r.mean_rank).sum();
+    let n = cell.tuners.len() as f64;
+    let total: f64 = cell.mean_rank.iter().sum();
     assert!((total - n * (n + 1.0) / 2.0).abs() < 1e-9);
     // Every tuner produced a finite result on this restriction-free space.
-    for r in &comparison.results {
-        assert!(r.median_final().is_some(), "{} never succeeded", r.tuner);
+    for (tuner, median) in cell.tuners.iter().zip(&cell.median_best_ms) {
+        assert!(median.is_some(), "{tuner} never succeeded");
     }
 }
 
 #[test]
 fn cross_benchmark_rank_aggregation_is_consistent() {
-    let tuners: Vec<Box<dyn Tuner>> = vec![
-        Box::new(RandomSearch),
-        Box::new(LocalSearch::default()),
-        Box::new(Tpe::default()),
-    ];
-    let settings = ComparisonSettings {
-        budget: 40,
-        repeats: 3,
-        ..ComparisonSettings::default()
-    };
-    let comparisons: Vec<_> = ["pnpoly", "nbody"]
-        .iter()
-        .map(|name| {
-            let p = bat::kernels::benchmark(name, GpuArch::rtx_3060()).unwrap();
-            compare_tuners(&p, &tuners, &settings, None)
-        })
-        .collect();
-    let agg = aggregate_ranks(&comparisons);
-    assert_eq!(agg.tuners.len(), 3);
-    assert_eq!(agg.per_problem.len(), 2);
-    // Mean of means, and best-first ordering.
-    for w in agg.mean_ranks.windows(2) {
-        assert!(w[0] <= w[1]);
+    let summary = compare(
+        subset(&["random-search", "mls-first-improvement", "tpe"]),
+        &["pnpoly", "nbody"],
+        "RTX 3060",
+        40,
+        3,
+    );
+    assert_eq!(summary.tuners.len(), 3);
+    assert_eq!(summary.cells.len(), 2);
+    // The overall rank is the mean of the per-cell mean ranks.
+    for (row, overall) in summary.rank_matrix.iter().zip(&summary.overall_rank) {
+        assert_eq!(row.len(), 2);
+        assert!((overall - (row[0] + row[1]) / 2.0).abs() < 1e-12);
     }
-    let grand: f64 = agg.mean_ranks.iter().sum();
+    let grand: f64 = summary.overall_rank.iter().sum();
     assert!((grand - 6.0).abs() < 1e-9, "ranks must sum to n(n+1)/2 = 6");
 }
 

@@ -143,7 +143,7 @@ proptest! {
                 Ok(1.0 + (cfg[0] * 10 + cfg[1]) as f64)
             }
         });
-        let l = Landscape::sampled(&p, n, seed);
+        let l = bat::analysis::sampled_valid(&p, n, seed, 100_000).unwrap();
         prop_assert_eq!(l.samples.len(), n);
         let space = p.space();
         for s in &l.samples {
@@ -151,7 +151,7 @@ proptest! {
             prop_assert_eq!(s.time_ms, p.evaluate_pure(&config).ok());
         }
         // Determinism of the streaming path.
-        let again = Landscape::sampled(&p, n, seed);
+        let again = bat::analysis::sampled_valid(&p, n, seed, 100_000).unwrap();
         prop_assert_eq!(l.samples, again.samples);
     }
 }

@@ -74,15 +74,13 @@ fn campaigns_are_deterministic_and_resumable() {
         record: RecordLevel::Curve,
         ..ExperimentSpec::new("suite-determinism")
     };
-    let a = run_campaign(&spec, &CampaignOptions::default()).expect("first run");
-    let b = run_campaign(
-        &spec,
-        &CampaignOptions {
-            serial: true,
-            ..CampaignOptions::default()
-        },
-    )
-    .expect("second run");
+    let run_on = |threads| {
+        rayon::with_thread_limit(threads, || {
+            run_campaign(&spec, &CampaignOptions::default()).expect("campaign runs")
+        })
+    };
+    let a = run_on(4);
+    let b = run_on(1);
     assert_eq!(
         a.result.to_json(),
         b.result.to_json(),
