@@ -32,8 +32,7 @@ pub use digest::{DigestEntry, QuantileSketch, SKETCH_BINS, TOP_K};
 pub use store::{CacheCell, CacheError, CacheStore, CachedTrial, CACHE_SCHEMA};
 
 /// Observability handles for the cache. Telemetry only: lookup results are
-/// never affected by these, and under the `no-obs` feature every call
-/// compiles down to a no-op.
+/// never affected by these.
 pub(crate) struct CacheMetrics {
     pub(crate) lookups: &'static bat_obs::metrics::Counter,
     pub(crate) hits: &'static bat_obs::metrics::Counter,
@@ -44,7 +43,7 @@ pub(crate) struct CacheMetrics {
 /// Record one logical cache lookup in the observability counters. Every
 /// front-end that queries a [`CacheStore`] (the campaign `--cache`
 /// exact-hit path, the daemon's `cache_lookup`) calls this, so hit rates
-/// stay observable. Under the `no-obs` feature this is a no-op.
+/// stay observable.
 pub fn record_lookup(hit: bool) {
     let m = obs();
     m.lookups.inc();

@@ -313,20 +313,17 @@ fn a_daemon_out_of_file_descriptors_keeps_serving() {
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     assert_eq!(request(&mut conn, Request::Ping), Response::Pong);
-    #[cfg(not(feature = "no-obs"))]
-    {
-        let Response::Metrics(report) = request(&mut conn, Request::Metrics) else {
-            panic!("expected metrics");
-        };
-        let errors: u64 = report
-            .text
-            .lines()
-            .find_map(|l| l.strip_prefix("bat_serve_accept_errors_total "))
-            .expect("accept error counter")
-            .parse()
-            .unwrap();
-        assert!(errors >= 1, "{errors} accept errors");
-    }
+    let Response::Metrics(report) = request(&mut conn, Request::Metrics) else {
+        panic!("expected metrics");
+    };
+    let errors: u64 = report
+        .text
+        .lines()
+        .find_map(|l| l.strip_prefix("bat_serve_accept_errors_total "))
+        .expect("accept error counter")
+        .parse()
+        .unwrap();
+    assert!(errors >= 1, "{errors} accept errors");
     assert_eq!(
         request(&mut conn, Request::Shutdown),
         Response::ShuttingDown

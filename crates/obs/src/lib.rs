@@ -2,7 +2,7 @@
 //!
 //! The suite's hard rule is that campaign artifacts are byte-identical
 //! however they were produced — across thread counts, endpoints, resume,
-//! and now across observability on, off, or compiled out. Everything in
+//! and with observability on or off. Everything in
 //! this crate is therefore strictly *out-of-band*: counters accumulate in
 //! process-global atomics, spans stream to a side-channel JSONL file, and
 //! nothing here ever feeds back into a measurement or an artifact.
@@ -21,8 +21,7 @@
 //!
 //! The crate depends on nothing but `std`, so every other crate in the
 //! workspace — including the vendored compat crates — may depend on it
-//! without cycles. Building with the `no-obs` feature compiles both halves
-//! down to no-ops.
+//! without cycles.
 
 pub mod metrics;
 pub mod trace;

@@ -26,315 +26,245 @@
 //! [`current`] and passes it to [`span_at`] explicitly.
 //!
 //! The sink is process-global and installed at most once ([`install`]);
-//! when no sink is installed — or tracing is [`disable`]d, or the crate is
-//! built with `no-obs` — span construction is a single relaxed atomic load
-//! and spans are inert. Writes are buffered: call [`flush`] before reading
+//! when no sink is installed — or tracing is [`disable`]d — span
+//! construction is a single relaxed atomic load and spans are inert. Writes are buffered: call [`flush`] before reading
 //! the file.
+
+use std::cell::RefCell;
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// The trace-schema identifier every record carries.
 pub const TRACE_SCHEMA: &str = "bat/trace/v1";
 
-#[cfg(not(feature = "no-obs"))]
-mod imp {
-    use super::TRACE_SCHEMA;
-    use std::cell::RefCell;
-    use std::fmt::Write as _;
-    use std::fs::File;
-    use std::io::{self, BufWriter, Write};
-    use std::path::Path;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+struct Sink {
+    file: Mutex<BufWriter<File>>,
+    epoch: Instant,
+}
 
-    struct Sink {
-        file: Mutex<BufWriter<File>>,
-        epoch: Instant,
+static SINK: OnceLock<Sink> = OnceLock::new();
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Install the process trace sink, writing to `path`, and enable
+/// tracing. At most one sink per process; a second install fails.
+pub fn install(path: &Path) -> io::Result<()> {
+    if SINK.get().is_some() {
+        return Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            "trace sink already installed",
+        ));
     }
+    let file = File::create(path)?;
+    let mut w = BufWriter::new(file);
+    let epoch_unix_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_millis())
+        .unwrap_or(0);
+    writeln!(
+        w,
+        "{{\"v\":\"{TRACE_SCHEMA}\",\"meta\":{{\"epoch_unix_ms\":{epoch_unix_ms}}}}}"
+    )?;
+    let sink = Sink {
+        file: Mutex::new(w),
+        epoch: Instant::now(),
+    };
+    SINK.set(sink).map_err(|_| {
+        io::Error::new(io::ErrorKind::AlreadyExists, "trace sink already installed")
+    })?;
+    ENABLED.store(true, Ordering::Release);
+    Ok(())
+}
 
-    static SINK: OnceLock<Sink> = OnceLock::new();
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+/// True when a sink is installed and tracing is enabled — the hot-path
+/// gate, one atomic load.
+#[inline]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
 
-    thread_local! {
-        static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    }
+/// Stop emitting spans (the sink stays installed) and flush.
+pub fn disable() {
+    ENABLED.store(false, Ordering::Release);
+    flush();
+}
 
-    /// Install the process trace sink, writing to `path`, and enable
-    /// tracing. At most one sink per process; a second install fails.
-    pub fn install(path: &Path) -> io::Result<()> {
-        if SINK.get().is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "trace sink already installed",
-            ));
-        }
-        let file = File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let epoch_unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        writeln!(
-            w,
-            "{{\"v\":\"{TRACE_SCHEMA}\",\"meta\":{{\"epoch_unix_ms\":{epoch_unix_ms}}}}}"
-        )?;
-        let sink = Sink {
-            file: Mutex::new(w),
-            epoch: Instant::now(),
-        };
-        SINK.set(sink).map_err(|_| {
-            io::Error::new(io::ErrorKind::AlreadyExists, "trace sink already installed")
-        })?;
+/// Resume emitting spans on the installed sink. No-op without a sink.
+pub fn enable() {
+    if SINK.get().is_some() {
         ENABLED.store(true, Ordering::Release);
-        Ok(())
     }
+}
 
-    /// True when a sink is installed and tracing is enabled — the hot-path
-    /// gate, one atomic load.
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
+/// Flush buffered trace output to the file.
+pub fn flush() {
+    if let Some(sink) = SINK.get() {
+        let _ = sink.file.lock().expect("trace sink poisoned").flush();
     }
+}
 
-    /// Stop emitting spans (the sink stays installed) and flush.
-    pub fn disable() {
-        ENABLED.store(false, Ordering::Release);
-        flush();
-    }
+/// The innermost live span id on this thread (`0` when none) — capture
+/// before fanning work out to other threads, feed to [`span_at`].
+pub fn current() -> u64 {
+    STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
+}
 
-    /// Resume emitting spans on the installed sink. No-op without a sink.
-    pub fn enable() {
-        if SINK.get().is_some() {
-            ENABLED.store(true, Ordering::Release);
-        }
-    }
+struct SpanInner {
+    kind: &'static str,
+    id: u64,
+    parent: u64,
+    start: Instant,
+    attrs: String,
+}
 
-    /// Flush buffered trace output to the file.
-    pub fn flush() {
-        if let Some(sink) = SINK.get() {
-            let _ = sink.file.lock().expect("trace sink poisoned").flush();
-        }
-    }
+/// A live span: records attributes, writes one JSONL record on drop.
+/// Inert (zero allocation, no I/O) while tracing is disabled.
+pub struct Span(Option<SpanInner>);
 
-    /// The innermost live span id on this thread (`0` when none) — capture
-    /// before fanning work out to other threads, feed to [`span_at`].
-    pub fn current() -> u64 {
-        STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
-    }
-
-    struct SpanInner {
-        kind: &'static str,
-        id: u64,
-        parent: u64,
-        start: Instant,
-        attrs: String,
-    }
-
-    /// A live span: records attributes, writes one JSONL record on drop.
-    /// Inert (zero allocation, no I/O) while tracing is disabled.
-    pub struct Span(Option<SpanInner>);
-
-    /// Escape `v` as JSON string contents into `out`.
-    fn escape_into(out: &mut String, v: &str) {
-        for c in v.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
+/// Escape `v` as JSON string contents into `out`.
+fn escape_into(out: &mut String, v: &str) {
+    for c in v.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
+            c => out.push(c),
+        }
+    }
+}
+
+fn new_span(kind: &'static str, parent: u64) -> Span {
+    if !enabled() {
+        return Span(None);
+    }
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    STACK.with(|s| s.borrow_mut().push(id));
+    Span(Some(SpanInner {
+        kind,
+        id,
+        parent,
+        start: Instant::now(),
+        attrs: String::new(),
+    }))
+}
+
+/// Open a span nested under this thread's innermost live span.
+pub fn span(kind: &'static str) -> Span {
+    let parent = if enabled() { current() } else { 0 };
+    new_span(kind, parent)
+}
+
+/// Open a span under an explicit parent id (use across threads, where
+/// the per-thread stack cannot see the logical parent).
+pub fn span_at(kind: &'static str, parent: u64) -> Span {
+    new_span(kind, parent)
+}
+
+impl Span {
+    /// This span's id (`0` when inert) — pass to [`span_at`] from
+    /// other threads.
+    pub fn id(&self) -> u64 {
+        self.0.as_ref().map_or(0, |s| s.id)
+    }
+
+    /// Record a string attribute.
+    pub fn record_str(&mut self, key: &str, value: &str) {
+        if let Some(s) = self.0.as_mut() {
+            s.attrs.push_str(",\"");
+            escape_into(&mut s.attrs, key);
+            s.attrs.push_str("\":\"");
+            escape_into(&mut s.attrs, value);
+            s.attrs.push('"');
         }
     }
 
-    fn new_span(kind: &'static str, parent: u64) -> Span {
-        if !enabled() {
-            return Span(None);
+    /// Record an integer attribute.
+    pub fn record_u64(&mut self, key: &str, value: u64) {
+        if let Some(s) = self.0.as_mut() {
+            s.attrs.push_str(",\"");
+            escape_into(&mut s.attrs, key);
+            let _ = write!(s.attrs, "\":{value}");
         }
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        STACK.with(|s| s.borrow_mut().push(id));
-        Span(Some(SpanInner {
-            kind,
-            id,
-            parent,
-            start: Instant::now(),
-            attrs: String::new(),
-        }))
     }
 
-    /// Open a span nested under this thread's innermost live span.
-    pub fn span(kind: &'static str) -> Span {
-        let parent = if enabled() { current() } else { 0 };
-        new_span(kind, parent)
-    }
-
-    /// Open a span under an explicit parent id (use across threads, where
-    /// the per-thread stack cannot see the logical parent).
-    pub fn span_at(kind: &'static str, parent: u64) -> Span {
-        new_span(kind, parent)
-    }
-
-    impl Span {
-        /// This span's id (`0` when inert) — pass to [`span_at`] from
-        /// other threads.
-        pub fn id(&self) -> u64 {
-            self.0.as_ref().map_or(0, |s| s.id)
-        }
-
-        /// Record a string attribute.
-        pub fn record_str(&mut self, key: &str, value: &str) {
-            if let Some(s) = self.0.as_mut() {
-                s.attrs.push_str(",\"");
-                escape_into(&mut s.attrs, key);
-                s.attrs.push_str("\":\"");
-                escape_into(&mut s.attrs, value);
-                s.attrs.push('"');
-            }
-        }
-
-        /// Record an integer attribute.
-        pub fn record_u64(&mut self, key: &str, value: u64) {
-            if let Some(s) = self.0.as_mut() {
-                s.attrs.push_str(",\"");
-                escape_into(&mut s.attrs, key);
+    /// Record a float attribute (non-finite values become `null`).
+    pub fn record_f64(&mut self, key: &str, value: f64) {
+        if let Some(s) = self.0.as_mut() {
+            s.attrs.push_str(",\"");
+            escape_into(&mut s.attrs, key);
+            if value.is_finite() {
                 let _ = write!(s.attrs, "\":{value}");
+            } else {
+                s.attrs.push_str("\":null");
             }
-        }
-
-        /// Record a float attribute (non-finite values become `null`).
-        pub fn record_f64(&mut self, key: &str, value: f64) {
-            if let Some(s) = self.0.as_mut() {
-                s.attrs.push_str(",\"");
-                escape_into(&mut s.attrs, key);
-                if value.is_finite() {
-                    let _ = write!(s.attrs, "\":{value}");
-                } else {
-                    s.attrs.push_str("\":null");
-                }
-            }
-        }
-
-        /// Builder-style [`Span::record_str`].
-        pub fn str_attr(mut self, key: &str, value: &str) -> Self {
-            self.record_str(key, value);
-            self
-        }
-
-        /// Builder-style [`Span::record_u64`].
-        pub fn u64_attr(mut self, key: &str, value: u64) -> Self {
-            self.record_u64(key, value);
-            self
-        }
-
-        /// Builder-style [`Span::record_f64`].
-        pub fn f64_attr(mut self, key: &str, value: f64) -> Self {
-            self.record_f64(key, value);
-            self
         }
     }
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            let Some(inner) = self.0.take() else { return };
-            STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                if stack.last() == Some(&inner.id) {
-                    stack.pop();
-                } else {
-                    // Out-of-order drop (spans moved across an await-like
-                    // boundary we don't have, or leaked): remove by value.
-                    stack.retain(|&id| id != inner.id);
-                }
-            });
-            let Some(sink) = SINK.get() else { return };
-            let t_us = inner
-                .start
-                .saturating_duration_since(sink.epoch)
-                .as_micros();
-            let dur_us = inner.start.elapsed().as_micros();
-            let mut line = String::with_capacity(96 + inner.attrs.len());
-            let _ = write!(
-                line,
-                "{{\"v\":\"{TRACE_SCHEMA}\",\"span\":\"{}\",\"id\":{},\"parent\":{},\"t_us\":{},\"dur_us\":{}{}}}",
-                inner.kind, inner.id, inner.parent, t_us, dur_us, inner.attrs
-            );
-            line.push('\n');
-            let mut w = sink.file.lock().expect("trace sink poisoned");
-            let _ = w.write_all(line.as_bytes());
-        }
+    /// Builder-style [`Span::record_str`].
+    pub fn str_attr(mut self, key: &str, value: &str) -> Self {
+        self.record_str(key, value);
+        self
+    }
+
+    /// Builder-style [`Span::record_u64`].
+    pub fn u64_attr(mut self, key: &str, value: u64) -> Self {
+        self.record_u64(key, value);
+        self
+    }
+
+    /// Builder-style [`Span::record_f64`].
+    pub fn f64_attr(mut self, key: &str, value: f64) -> Self {
+        self.record_f64(key, value);
+        self
     }
 }
 
-#[cfg(feature = "no-obs")]
-mod imp {
-    use std::io;
-    use std::path::Path;
-
-    /// `no-obs`: installing succeeds but records nothing; spans are
-    /// zero-sized and inert.
-    pub fn install(_path: &Path) -> io::Result<()> {
-        Ok(())
-    }
-
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    pub fn disable() {}
-    pub fn enable() {}
-    pub fn flush() {}
-
-    #[inline(always)]
-    pub fn current() -> u64 {
-        0
-    }
-
-    pub struct Span;
-
-    #[inline(always)]
-    pub fn span(_kind: &'static str) -> Span {
-        Span
-    }
-
-    #[inline(always)]
-    pub fn span_at(_kind: &'static str, _parent: u64) -> Span {
-        Span
-    }
-
-    impl Span {
-        #[inline(always)]
-        pub fn id(&self) -> u64 {
-            0
-        }
-        #[inline(always)]
-        pub fn record_str(&mut self, _key: &str, _value: &str) {}
-        #[inline(always)]
-        pub fn record_u64(&mut self, _key: &str, _value: u64) {}
-        #[inline(always)]
-        pub fn record_f64(&mut self, _key: &str, _value: f64) {}
-        #[inline(always)]
-        pub fn str_attr(self, _key: &str, _value: &str) -> Self {
-            self
-        }
-        #[inline(always)]
-        pub fn u64_attr(self, _key: &str, _value: u64) -> Self {
-            self
-        }
-        #[inline(always)]
-        pub fn f64_attr(self, _key: &str, _value: f64) -> Self {
-            self
-        }
+impl Drop for Span {
+    fn drop(&mut self) {
+        let Some(inner) = self.0.take() else { return };
+        STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            if stack.last() == Some(&inner.id) {
+                stack.pop();
+            } else {
+                // Out-of-order drop (spans moved across an await-like
+                // boundary we don't have, or leaked): remove by value.
+                stack.retain(|&id| id != inner.id);
+            }
+        });
+        let Some(sink) = SINK.get() else { return };
+        let t_us = inner
+            .start
+            .saturating_duration_since(sink.epoch)
+            .as_micros();
+        let dur_us = inner.start.elapsed().as_micros();
+        let mut line = String::with_capacity(96 + inner.attrs.len());
+        let _ = write!(
+            line,
+            "{{\"v\":\"{TRACE_SCHEMA}\",\"span\":\"{}\",\"id\":{},\"parent\":{},\"t_us\":{},\"dur_us\":{}{}}}",
+            inner.kind, inner.id, inner.parent, t_us, dur_us, inner.attrs
+        );
+        line.push('\n');
+        let mut w = sink.file.lock().expect("trace sink poisoned");
+        let _ = w.write_all(line.as_bytes());
     }
 }
 
-pub use imp::{current, disable, enable, enabled, flush, install, span, span_at, Span};
-
-#[cfg(all(test, not(feature = "no-obs")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -70,7 +70,6 @@ mod tests {
         conn.read_to_string(&mut resp).unwrap();
         assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
         assert!(resp.contains("Content-Type: text/plain"), "{resp}");
-        #[cfg(not(feature = "no-obs"))]
         assert!(resp.contains("bat_http_test_total 1"), "{resp}");
     }
 }

@@ -6,8 +6,7 @@
 //! A refactor that claims to leave the science untouched must leave this
 //! table untouched. Each artifact is digested at 1, 2 and 4 pool threads
 //! and once through the loopback endpoint (the real `bat/wire/v1` codec),
-//! so thread count and endpoint are held to the same bytes; build with
-//! `--features no-obs` to hold compiled-out telemetry to them too. The
+//! so thread count and endpoint are held to the same bytes. The
 //! ci-smoke grid also runs at `protocol.batch = 8` on 1, 2 and 4 pool
 //! threads, and at record level `curve` under the energy, EDP
 //! and scalarized objectives, whose records carry `best_energy_mj` without
@@ -482,8 +481,8 @@ fn parse(text: &str) -> BTreeMap<String, u64> {
 
 #[test]
 fn artifacts_and_tuning_runs_match_the_golden_digests() {
-    // Per-process, so concurrent builds (say, with and without no-obs)
-    // never read each other's artifacts.
+    // Per-process, so concurrent test runs never read each other's
+    // artifacts.
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (mut got, runs, synthetic) = std::thread::scope(|s| {

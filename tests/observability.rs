@@ -2,8 +2,8 @@
 //!
 //! The invariants under test:
 //!
-//! * campaign artifacts are **byte-identical** with span tracing on, off,
-//!   or (in the CI `no-obs` leg) compiled out entirely;
+//! * campaign artifacts are **byte-identical** with span tracing on and
+//!   off;
 //! * the emitted trace is well-formed `bat/trace/v1` JSONL covering the
 //!   campaign → trial → step → batch hierarchy;
 //! * the metrics registry's evaluation/resilience counters agree exactly
@@ -125,7 +125,6 @@ fn trace_lines_parse_and_cover_the_span_hierarchy() {
     }
 }
 
-#[cfg(not(feature = "no-obs"))]
 #[test]
 fn eval_and_resilience_counters_match_the_artifact_exactly() {
     use bat::obs::metrics::counter_value;
