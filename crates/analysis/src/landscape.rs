@@ -148,14 +148,6 @@ impl Landscape {
             0.5 * (t[mid - 1] + t[mid])
         })
     }
-
-    /// Runtime of a specific configuration index, if sampled and valid.
-    pub fn time_of(&self, index: u64) -> Option<f64> {
-        self.samples
-            .binary_search_by_key(&index, |s| s.index)
-            .ok()
-            .and_then(|i| self.samples[i].time_ms)
-    }
 }
 
 #[cfg(test)]
@@ -206,14 +198,6 @@ mod tests {
         idx.dedup();
         assert_eq!(idx.len(), before);
         assert!(!l.exhaustive);
-    }
-
-    #[test]
-    fn time_of_looks_up_by_index() {
-        let p = problem();
-        let l = Landscape::exhaustive(&p);
-        assert_eq!(l.time_of(0), Some(1.0));
-        assert_eq!(l.time_of(35), None); // x == 3 restricted
     }
 
     #[test]

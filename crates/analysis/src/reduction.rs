@@ -43,7 +43,7 @@ pub fn reduce_space(
     Ok(ReducedSpace {
         kept,
         reduced_cardinality: pinned.cardinality(),
-        reduced_constrained: pinned.count_valid_factored(),
+        reduced_constrained: pinned.count_valid(),
     })
 }
 

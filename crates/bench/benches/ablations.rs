@@ -42,10 +42,10 @@ fn ablation_constraint_counting(c: &mut Criterion) {
     let space = bat_kernels::GemmKernel::default().build_space();
     let mut g = c.benchmark_group("ablation_constraint_counting");
     g.sample_size(10);
-    g.bench_function("factored", |b| {
-        b.iter(|| black_box(space.count_valid_factored()))
+    g.bench_function("factored", |b| b.iter(|| black_box(space.count_valid())));
+    g.bench_function("brute_force", |b| {
+        b.iter(|| black_box(space.count_valid_brute()))
     });
-    g.bench_function("brute_force", |b| b.iter(|| black_box(space.count_valid())));
     g.finish();
 }
 

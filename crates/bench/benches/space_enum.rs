@@ -53,19 +53,16 @@ fn restriction_eval(c: &mut Criterion) {
     g.finish();
 }
 
-/// Exact constrained counts: pruned odometer vs constraint-graph factoring
-/// vs brute force over the full cartesian product.
+/// Exact constrained counts: constraint-graph factoring vs brute force over
+/// the full cartesian product.
 fn count_valid(c: &mut Criterion) {
     let mut g = c.benchmark_group("count_valid");
     g.sample_size(10);
     for name in SPACES {
         let space = kernel_by_name(name).unwrap().build_space();
         g.throughput(Throughput::Elements(space.cardinality()));
-        g.bench_function(format!("{name}/pruned"), |b| {
-            b.iter(|| black_box(space.count_valid()))
-        });
         g.bench_function(format!("{name}/factored"), |b| {
-            b.iter(|| black_box(space.count_valid_factored()))
+            b.iter(|| black_box(space.count_valid()))
         });
         if name == "gemm" || bench_brute_everywhere() {
             g.bench_function(format!("{name}/brute_force"), |b| {

@@ -26,7 +26,7 @@ fn table8_constrained_counts(c: &mut Criterion) {
     for name in BENCHMARK_NAMES {
         let k = kernel_by_name(name).unwrap();
         let space = k.build_space();
-        g.bench_function(name, |b| b.iter(|| black_box(space.count_valid_factored())));
+        g.bench_function(name, |b| b.iter(|| black_box(space.count_valid())));
     }
     g.finish();
 }
@@ -39,7 +39,7 @@ fn table8_gemm_brute_force(c: &mut Criterion) {
         b.iter_batched(
             || space.clone(),
             |s| {
-                let n = s.count_valid();
+                let n = s.count_valid_brute();
                 assert_eq!(n, 17_956);
                 black_box(n)
             },

@@ -120,7 +120,7 @@ pub fn cmd_table8(opts: &Opts) -> Result<(), Error> {
         let k = kernel(&name)?;
         let space = k.build_space();
         let cardinality = space.cardinality();
-        let constrained = space.count_valid_factored();
+        let constrained = space.count_valid();
 
         // Valid: architecture-dependent launch success, known exactly only
         // for the exhaustively-searched benchmarks.

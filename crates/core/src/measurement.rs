@@ -305,11 +305,6 @@ impl Measurement {
         self
     }
 
-    /// Minimum over samples.
-    pub fn best_sample(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Energy–delay product in mJ·ms, when energy was measured.
     pub fn edp(&self) -> Option<f64> {
         self.energy_mj.map(|e| e * self.time_ms)
@@ -330,12 +325,6 @@ mod tests {
     fn median_even() {
         let m = Measurement::from_samples(vec![4.0, 1.0, 2.0, 3.0]);
         assert_eq!(m.time_ms, 2.5);
-    }
-
-    #[test]
-    fn best_sample_is_min() {
-        let m = Measurement::from_samples(vec![4.0, 1.5, 2.0]);
-        assert_eq!(m.best_sample(), 1.5);
     }
 
     #[test]

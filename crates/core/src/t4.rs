@@ -214,14 +214,6 @@ impl T4Results {
         })
     }
 
-    /// Fraction of entries that are valid.
-    pub fn validity_rate(&self) -> f64 {
-        if self.results.is_empty() {
-            return 0.0;
-        }
-        self.results.iter().filter(|r| r.is_valid()).count() as f64 / self.results.len() as f64
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("T4 document serializes")
@@ -336,7 +328,8 @@ mod tests {
         let (run, names) = run_with_outcomes();
         let t4 = T4Results::from_run(&run, &names);
         assert_eq!(t4.best().unwrap().time_ms(), Some(0.5));
-        assert!((t4.validity_rate() - 0.5).abs() < 1e-12);
+        let valid = t4.results.iter().filter(|r| r.is_valid()).count();
+        assert_eq!(2 * valid, t4.results.len());
     }
 
     #[test]
@@ -395,7 +388,6 @@ mod tests {
         let t4 = T4Results::from_run(&run, &[]);
         assert!(t4.results.is_empty());
         assert!(t4.best().is_none());
-        assert_eq!(t4.validity_rate(), 0.0);
     }
 
     #[test]

@@ -305,11 +305,6 @@ impl CampaignResult {
             })
             .collect()
     }
-
-    /// Total evaluations spent across all trials.
-    pub fn total_evals(&self) -> u64 {
-        self.trials.iter().map(|t| t.evals).sum()
-    }
 }
 
 #[cfg(test)]

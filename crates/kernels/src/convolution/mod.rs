@@ -255,7 +255,6 @@ mod tests {
         // × 49 (tx,ty) pairs ≤ 30 × 4 = 9 212 (within 2%).
         let s = ConvolutionKernel::default().build_space();
         assert_eq!(s.count_valid(), 9_212);
-        assert_eq!(s.count_valid_factored(), 9_212);
     }
 
     #[test]

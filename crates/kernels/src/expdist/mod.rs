@@ -248,7 +248,7 @@ mod tests {
         // Paper: 540 000 (restrictions not printed). Our reconstruction:
         // 21 (bx,by) × 20 (tx,ux) × 20 (ty,uy) × 3 × 12 (col,nyb) = 302 400.
         let s = ExpdistKernel::default().build_space();
-        assert_eq!(s.count_valid_factored(), 302_400);
+        assert_eq!(s.count_valid(), 302_400);
     }
 
     #[test]

@@ -277,7 +277,7 @@ mod tests {
         // Paper: 21 850 147 (restriction strings not printed). Our
         // physically-motivated set prunes more; see EXPERIMENTS.md.
         let s = HotspotKernel::default().build_space();
-        let count = s.count_valid_factored();
+        let count = s.count_valid();
         // Paper: 21 850 147 (98.42% of the 22.2M cardinality). Our
         // output-tile bound keeps 21 663 000 (97.58%) - within 0.9%.
         assert_eq!(count, 21_663_000);

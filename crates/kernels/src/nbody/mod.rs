@@ -79,13 +79,6 @@ impl Default for NbodyKernel {
     }
 }
 
-impl NbodyKernel {
-    /// Create with an explicit body count.
-    pub fn with_bodies(n: u64) -> Self {
-        NbodyKernel { n }
-    }
-}
-
 /// FLOPs per body-body interaction (distances, rsqrt, force accumulation).
 pub const FLOPS_PER_INTERACTION: f64 = 20.0;
 
@@ -240,7 +233,6 @@ mod tests {
         // reconstruction keeps 3 584 configurations; see EXPERIMENTS.md.
         let s = NbodyKernel::default().build_space();
         assert_eq!(s.count_valid(), 3_584);
-        assert_eq!(s.count_valid_factored(), 3_584);
     }
 
     #[test]

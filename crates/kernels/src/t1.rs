@@ -205,8 +205,8 @@ mod tests {
             );
             assert_eq!(rebuilt.names(), original.names(), "{}", spec.name());
             assert_eq!(
-                rebuilt.count_valid_factored(),
-                original.count_valid_factored(),
+                rebuilt.count_valid(),
+                original.count_valid(),
                 "{}: constrained count changed through T1",
                 spec.name()
             );

@@ -277,28 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn newton_leaves_still_converge_and_match_exact() {
-        use crate::tree::TreeParams;
-        let data = friedman_like(1000);
-        let p = GbdtParams {
-            n_trees: 60,
-            tree: TreeParams {
-                leaf_lambda: 1.0,
-                ..TreeParams::default()
-            },
-            ..GbdtParams::default()
-        };
-        let model = Gbdt::fit(&data, &p);
-        let r2 = r2_score(data.targets(), &model.predict_dataset(&data));
-        assert!(r2 > 0.98, "R² = {r2}");
-        // The hist ≡ exact guarantee carries over to Newton leaves.
-        let exact = Gbdt::fit_exact(&data, &p).predict_dataset(&data);
-        for (h, e) in model.predict_dataset(&data).iter().zip(&exact) {
-            assert!((h - e).abs() <= 1e-9 * (1.0 + e.abs()), "{h} vs {e}");
-        }
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let data = friedman_like(500);
         let p = GbdtParams {

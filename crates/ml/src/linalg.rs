@@ -30,23 +30,6 @@ impl SymMatrix {
         }
     }
 
-    /// Build from a row-major buffer; `data.len()` must equal `n*n` and the
-    /// buffer must be symmetric (debug-asserted).
-    pub fn from_raw(n: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "buffer/dimension mismatch");
-        #[cfg(debug_assertions)]
-        for i in 0..n {
-            for j in 0..i {
-                debug_assert!(
-                    (data[i * n + j] - data[j * n + i]).abs()
-                        <= 1e-9 * (1.0 + data[i * n + j].abs()),
-                    "matrix is not symmetric at ({i},{j})"
-                );
-            }
-        }
-        SymMatrix { n, data }
-    }
-
     /// Dimension.
     pub fn n(&self) -> usize {
         self.n

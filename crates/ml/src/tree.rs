@@ -28,15 +28,6 @@ pub struct TreeParams {
     pub max_depth: usize,
     /// Minimum samples in a leaf.
     pub min_samples_leaf: usize,
-    /// L2 regularization λ on leaf values (XGBoost-style second-order
-    /// boosting): each leaf takes the Newton step of the regularized
-    /// squared loss, `w* = Σr / (n + λ)`, instead of the plain residual
-    /// mean `Σr / n`. For squared error the per-sample Hessian is 1, so
-    /// the node statistics the histograms already carry — (sum, sum²,
-    /// count) — are exactly the gradient/Hessian totals the step needs.
-    /// `λ = 0` (the default) reproduces the first-order leaves bit for
-    /// bit.
-    pub leaf_lambda: f64,
 }
 
 impl Default for TreeParams {
@@ -44,7 +35,6 @@ impl Default for TreeParams {
         TreeParams {
             max_depth: 6,
             min_samples_leaf: 5,
-            leaf_lambda: 0.0,
         }
     }
 }
@@ -244,10 +234,9 @@ impl Grower<'_> {
         self.nodes.len() - 1
     }
 
-    /// The node's leaf value: the Newton step of the λ-regularized squared
-    /// loss (`Σr / (n + λ)`; the plain mean when λ = 0).
+    /// The node's leaf value: the mean target of its rows.
     fn leaf_value(&self, sum: f64, n: usize) -> f64 {
-        sum / (n.max(1) as f64 + self.params.leaf_lambda)
+        sum / n.max(1) as f64
     }
 
     /// Histogram path: `hist_id` holds this node's pre-built histogram and
@@ -439,10 +428,6 @@ impl RegressionTree {
         exact: bool,
     ) -> Self {
         assert_eq!(targets.len(), data.n_rows());
-        assert!(
-            params.leaf_lambda.is_finite() && params.leaf_lambda >= 0.0,
-            "leaf_lambda must be a non-negative finite number"
-        );
         let TreeScratch {
             rows: row_buf,
             part,
@@ -756,61 +741,6 @@ mod tests {
                 assert_eq!(hist.predict(&[x, 1.2]), exact.predict(&[x, 1.2]));
             }
         }
-    }
-
-    #[test]
-    fn newton_lambda_shrinks_leaves_toward_zero() {
-        let (data, y) = step_data();
-        let rows: Vec<usize> = (0..data.n_rows()).collect();
-        let plain = RegressionTree::fit(&data, &y, &rows, &TreeParams::default());
-        let damped = RegressionTree::fit(
-            &data,
-            &y,
-            &rows,
-            &TreeParams {
-                leaf_lambda: 10.0,
-                ..TreeParams::default()
-            },
-        );
-        for q in 0..data.n_rows() {
-            let p = plain.predict(data.row(q));
-            let d = damped.predict(data.row(q));
-            assert!(d.abs() < p.abs(), "λ must damp |{p}| but gave {d}");
-            assert!(d.signum() == p.signum());
-            // Exactly the Newton step: the 50-row leaves shrink by 50/60.
-            assert!((d - p * 50.0 / 60.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn newton_lambda_holds_hist_exact_equivalence() {
-        let (data, y) = step_data();
-        let rows: Vec<usize> = (0..data.n_rows()).collect();
-        let params = TreeParams {
-            leaf_lambda: 3.5,
-            ..TreeParams::default()
-        };
-        let hist = RegressionTree::fit(&data, &y, &rows, &params);
-        let exact = RegressionTree::fit_exact(&data, &y, &rows, &params);
-        for q in 0..data.n_rows() {
-            assert_eq!(hist.predict(data.row(q)), exact.predict(data.row(q)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "leaf_lambda")]
-    fn negative_lambda_is_rejected() {
-        let (data, y) = step_data();
-        let rows: Vec<usize> = (0..data.n_rows()).collect();
-        let _ = RegressionTree::fit(
-            &data,
-            &y,
-            &rows,
-            &TreeParams {
-                leaf_lambda: -1.0,
-                ..TreeParams::default()
-            },
-        );
     }
 
     #[test]

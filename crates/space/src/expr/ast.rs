@@ -82,41 +82,6 @@ pub enum Builtin {
 }
 
 impl Expr {
-    /// Collect the set of variable names referenced by this expression,
-    /// in first-appearance order.
-    pub fn variables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Int(_) | Expr::Float(_) => {}
-            Expr::Var(name) => {
-                if !out.iter().any(|n| n == name) {
-                    out.push(name.clone());
-                }
-            }
-            Expr::Unary(_, e) => e.collect_vars(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            Expr::Compare(first, rest) => {
-                first.collect_vars(out);
-                for (_, e) in rest {
-                    e.collect_vars(out);
-                }
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.collect_vars(out);
-                }
-            }
-        }
-    }
-
     fn precedence(&self) -> u8 {
         match self {
             Expr::Binary(BinOp::Or, ..) => 1,

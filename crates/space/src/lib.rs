@@ -22,9 +22,8 @@
 //!    per-evaluation allocation. Restrictions that fold to a constant leave
 //!    the hot path entirely: always-true ones are dropped, an always-false
 //!    one empties the space without enumerating anything.
-//! 2. **Prefix-pruned odometer** ([`ConfigSpace::count_valid`],
-//!    [`ConfigSpace::valid_indices`], and the factored counter's
-//!    per-component walks): parameters are visited in slot order and every
+//! 2. **Prefix-pruned odometer** ([`ConfigSpace::valid_indices`] and the
+//!    per-component walks of [`ConfigSpace::count_valid`]): parameters are visited in slot order and every
 //!    restriction is evaluated as soon as its highest slot is assigned, so a
 //!    failing prefix skips all of its completions at once; parameters no
 //!    restriction reads are never enumerated (they contribute a stride
@@ -54,7 +53,7 @@
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(space.cardinality(), 48);
-//! assert_eq!(space.count_valid(), space.count_valid_factored());
+//! assert_eq!(space.count_valid(), space.count_valid_brute());
 //! ```
 
 #![warn(missing_docs)]

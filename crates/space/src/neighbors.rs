@@ -133,18 +133,6 @@ impl Neighborhood {
         }
         out
     }
-
-    /// Upper bound on the number of neighbours any configuration can have.
-    pub fn max_degree(self, space: &ConfigSpace) -> usize {
-        match self {
-            Neighborhood::HammingAny => space.params().iter().map(|p| p.len() - 1).sum(),
-            Neighborhood::Adjacent => space
-                .params()
-                .iter()
-                .map(|p| if p.len() > 1 { 2 } else { 0 })
-                .sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +153,6 @@ mod tests {
         let s = space();
         let n = Neighborhood::HammingAny.neighbor_indices(&s, 0);
         assert_eq!(n.len(), 4); // 3 alternatives for a + 1 for b
-        assert_eq!(Neighborhood::HammingAny.max_degree(&s), 4);
     }
 
     #[test]

@@ -86,8 +86,6 @@ pub(crate) struct EnumEngine {
     pub(crate) bucket_of_slot: Vec<Vec<usize>>,
     /// Per slot: active restrictions reading it (for single-slot patches).
     pub(crate) touching: Vec<Vec<usize>>,
-    /// Product of the radices of untouched slots.
-    pub(crate) free_mult: u64,
     /// Highest touched slot, if any restriction is active.
     pub(crate) last_slot: Option<usize>,
     /// The pure-integer active restrictions (no division, no floats) fused
@@ -104,12 +102,6 @@ pub(crate) struct EnumEngine {
     /// restrictions that need it. `None` when every active restriction is
     /// pure.
     pub(crate) valid_guarded: Option<Program>,
-    /// Constrained slots ordered so the most selective restrictions
-    /// complete earliest in a counting walk (see `counting_order`).
-    pub(crate) count_slots: Vec<usize>,
-    /// Buckets parallel to `count_slots`: restriction `ri` sits at the
-    /// position where its last slot is placed in `count_slots`.
-    pub(crate) count_buckets: Vec<Vec<usize>>,
 }
 
 /// Exact-sweep budget for restriction selectivity estimation: when the
@@ -247,10 +239,6 @@ impl EnumEngine {
                 .expect("active restriction reads a slot");
             bucket_of_slot[last].push(ri);
         }
-        let free_mult = (0..n)
-            .filter(|&s| !touched[s])
-            .map(|s| params[s].len() as u64)
-            .product();
         let last_slot = (0..n).rfind(|&s| touched[s]);
         // Fuse the active restrictions into right-nested `and` chains in
         // selectivity order: identical short-circuit evaluation to the
@@ -285,7 +273,7 @@ impl EnumEngine {
             .collect();
         let valid_pure = fuse(&pure);
         let valid_guarded = fuse(&guarded);
-        let mut engine = EnumEngine {
+        EnumEngine {
             programs,
             slots_of,
             active,
@@ -293,17 +281,10 @@ impl EnumEngine {
             touched,
             bucket_of_slot,
             touching,
-            free_mult,
             last_slot,
             valid_pure,
             valid_guarded,
-            count_slots: Vec::new(),
-            count_buckets: Vec::new(),
-        };
-        let (count_slots, count_buckets) = engine.counting_order(&engine.active);
-        engine.count_slots = count_slots;
-        engine.count_buckets = count_buckets;
-        engine
+        }
     }
 
     /// Order the slots read by `ris` (given most-selective-first) for a
@@ -383,11 +364,6 @@ impl ConfigSpace {
     #[inline]
     pub fn num_params(&self) -> usize {
         self.params.len()
-    }
-
-    /// Slot index of the parameter named `name`.
-    pub fn param_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
     }
 
     /// The restriction set.
@@ -512,30 +488,9 @@ impl ConfigSpace {
         }
     }
 
-    /// Count configurations satisfying the restriction set, exactly, by a
-    /// prefix-pruned odometer walk: parameters are visited in slot order and
-    /// every restriction is evaluated as soon as its highest slot is
-    /// assigned, so one failed check skips every completion of that prefix
-    /// at once, and parameters no restriction reads are never enumerated at
-    /// all (they contribute a multiplier). Restriction-free spaces return
-    /// [`ConfigSpace::cardinality`] directly.
-    pub fn count_valid(&self) -> u64 {
-        if self.engine.always_false {
-            return 0;
-        }
-        if self.engine.active.is_empty() {
-            return self.cardinality;
-        }
-        // Walk the precomputed selectivity-ordered slots: the most
-        // selective restrictions complete (and prune) at the shallowest
-        // depths. Any slot order counts the same assignment set.
-        self.pruned_count_over(&self.engine.count_slots, &self.engine.count_buckets)
-            * self.engine.free_mult
-    }
-
     /// Count valid configurations by exhaustive parallel brute force over
     /// the full cartesian product — O(cardinality). Kept as the reference
-    /// implementation the pruned [`ConfigSpace::count_valid`] is verified
+    /// implementation the factored [`ConfigSpace::count_valid`] is verified
     /// (and benchmarked) against.
     pub fn count_valid_brute(&self) -> u64 {
         if self.engine.active.is_empty() && !self.engine.always_false {
@@ -630,13 +585,17 @@ impl ConfigSpace {
         total
     }
 
-    /// Count valid configurations by factoring the space into connected
-    /// components of the restriction/parameter graph and multiplying the
-    /// per-component counts (each component counted with the same pruned
-    /// DFS as [`ConfigSpace::count_valid`]). Exact; asymptotically the
-    /// fastest counter when restrictions decompose into small groups (e.g.
-    /// the 1.2×10⁸-point Dedispersion space).
-    pub fn count_valid_factored(&self) -> u64 {
+    /// Count configurations satisfying the restriction set, exactly, by
+    /// factoring the space into connected components of the
+    /// restriction/parameter graph and multiplying the per-component counts.
+    /// Each component is counted by a prefix-pruned odometer walk: every
+    /// restriction is evaluated as soon as its last slot is assigned, so one
+    /// failed check skips every completion of that prefix at once.
+    /// Parameters no restriction reads are never enumerated (they contribute
+    /// a multiplier), and restriction-free spaces return
+    /// [`ConfigSpace::cardinality`] directly. Small groups of restrictions
+    /// make this fast even on the 1.2×10⁸-point Dedispersion space.
+    pub fn count_valid(&self) -> u64 {
         if self.engine.always_false {
             return 0;
         }
@@ -712,8 +671,8 @@ impl ConfigSpace {
     /// first value — they are never read by these restrictions).
     fn count_component(&self, comp: &Component) -> u64 {
         // `comp.restrictions` inherits the engine's most-selective-first
-        // order, so the component walk prunes on the same schedule as the
-        // whole-space counter.
+        // order, so the most selective restrictions complete (and prune) at
+        // the shallowest depths. Any slot order counts the same assignments.
         let (slots, buckets) = self.engine.counting_order(&comp.restrictions);
         debug_assert_eq!(
             {
@@ -732,11 +691,12 @@ impl ConfigSpace {
     }
 
     /// Enumerate the dense indices of all valid configurations, in
-    /// ascending order, with the same prefix-pruned walk as
-    /// [`ConfigSpace::count_valid`]: once every restriction has been
-    /// checked, the whole remaining subtree is appended as one contiguous
-    /// index range. Intended for spaces small enough to exhaust (the paper
-    /// exhausts Pnpoly, Nbody, GEMM and Convolution).
+    /// ascending order, with a prefix-pruned walk in slot order like the
+    /// one [`ConfigSpace::count_valid`] runs per component: once every
+    /// restriction has been checked, the whole remaining subtree is
+    /// appended as one contiguous index range. Intended for spaces small
+    /// enough to exhaust (the paper exhausts Pnpoly, Nbody, GEMM and
+    /// Convolution).
     pub fn valid_indices(&self) -> Vec<u64> {
         if self.engine.always_false {
             return Vec::new();
@@ -1017,7 +977,6 @@ mod tests {
         // valid (a,b): (1,1),(1,2),(2,1),(2,2),(4,1) = 5; times c (2) = 10
         assert_eq!(s.count_valid(), 10);
         assert_eq!(s.count_valid_brute(), 10);
-        assert_eq!(s.count_valid_factored(), 10);
     }
 
     #[test]
@@ -1034,7 +993,6 @@ mod tests {
         // (a>=b): 6 of 9; (c!=2): 2 of 3; d free: 3 -> 6*2*3 = 36
         assert_eq!(s.count_valid(), 36);
         assert_eq!(s.count_valid_brute(), 36);
-        assert_eq!(s.count_valid_factored(), 36);
     }
 
     #[test]
@@ -1144,7 +1102,6 @@ mod tests {
         assert_eq!(s.valid_indices(), brute);
         assert_eq!(s.count_valid(), brute.len() as u64);
         assert_eq!(s.count_valid_brute(), brute.len() as u64);
-        assert_eq!(s.count_valid_factored(), brute.len() as u64);
     }
 
     #[test]
@@ -1171,7 +1128,6 @@ mod tests {
             .unwrap();
         assert_eq!(s.count_valid(), 0);
         assert_eq!(s.count_valid_brute(), 0);
-        assert_eq!(s.count_valid_factored(), 0);
         assert!(s.valid_indices().is_empty());
         assert!(!s.is_valid(&[1]));
     }

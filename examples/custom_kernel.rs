@@ -68,7 +68,7 @@ fn main() {
             "\nsaxpy (n = 2^26) on {} — {} configs, {} valid",
             problem.platform(),
             problem.space().cardinality(),
-            problem.space().count_valid_factored()
+            problem.space().count_valid()
         );
 
         // Stock tuners work unchanged against the new benchmark.

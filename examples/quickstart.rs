@@ -16,7 +16,7 @@ fn main() {
         problem.name(),
         problem.platform(),
         problem.space().cardinality(),
-        problem.space().count_valid_factored(),
+        problem.space().count_valid(),
     );
 
     // 2. Wrap it in the measurement harness: 5 runs per configuration with

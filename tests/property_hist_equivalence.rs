@@ -42,14 +42,9 @@ proptest! {
         (data, y) in arb_discrete_dataset(),
         max_depth in 1usize..8,
         min_leaf in 1usize..6,
-        lambda_idx in 0usize..3,
         queries in proptest::collection::vec(-5.0f64..42.0, 12),
     ) {
-        // Newton leaf refit (λ > 0) must hold the equivalence exactly like
-        // the first-order leaves: both paths divide the identical node sum
-        // by the identical regularized count.
-        let leaf_lambda = [0.0f64, 1.0, 4.5][lambda_idx];
-        let params = TreeParams { max_depth, min_samples_leaf: min_leaf, leaf_lambda };
+        let params = TreeParams { max_depth, min_samples_leaf: min_leaf };
         let rows: Vec<usize> = (0..data.n_rows()).collect();
         let hist = RegressionTree::fit(&data, &y, &rows, &params);
         let exact = RegressionTree::fit_exact(&data, &y, &rows, &params);
@@ -73,16 +68,14 @@ proptest! {
     fn histogram_gbdt_matches_exact_gbdt(
         (data, _y) in arb_discrete_dataset(),
         sub_idx in 0usize..2,
-        lambda_idx in 0usize..2,
         seed in 0u64..32,
     ) {
         let subsample = [1.0f64, 0.6][sub_idx];
-        let leaf_lambda = [0.0f64, 2.0][lambda_idx];
         let params = GbdtParams {
             n_trees: 12,
             subsample,
             seed,
-            tree: TreeParams { max_depth: 4, min_samples_leaf: 2, leaf_lambda },
+            tree: TreeParams { max_depth: 4, min_samples_leaf: 2 },
             ..GbdtParams::default()
         };
         let hist = Gbdt::fit(&data, &params).predict_dataset(&data);
