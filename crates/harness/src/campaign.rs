@@ -14,7 +14,7 @@ use rayon::prelude::*;
 
 use bat_cache::CacheStore;
 use bat_core::t4::T4Results;
-use bat_core::{Error, EvalBackend, Evaluator, TuningProblem};
+use bat_core::{Error, EvalBackend};
 use bat_server::wire::OpenSession;
 use bat_server::{Daemon, RemoteBackend, ServerConfig};
 use bat_tuners::{default_tuners, try_drive_into, RunSink, Tuner};
@@ -33,9 +33,9 @@ pub(crate) const CHECKPOINT_TRIALS: usize = 32;
 /// Where campaign trials evaluate.
 ///
 /// The historical (and default) endpoint is [`Endpoint::InProcess`]: each
-/// trial builds its own [`Evaluator`] in this process. The remote
-/// endpoints route every trial through the `bat/wire/v1` protocol
-/// instead — [`Endpoint::Loopback`] against a daemon living in this
+/// trial builds its own [`Evaluator`](bat_core::Evaluator) in this
+/// process. The remote endpoints route every trial through the
+/// `bat/wire/v1` protocol instead — [`Endpoint::Loopback`] against a daemon living in this
 /// process (exercising the full codec without a socket), [`Endpoint::Tcp`]
 /// against a `bat serve` daemon elsewhere. Because all three share the
 /// evaluator semantics, the produced artifacts are byte-identical.
@@ -179,10 +179,13 @@ fn trial_tuner(ct: &CompiledTrial) -> Result<Box<dyn Tuner>, Error> {
         .ok_or_else(|| Error::spec(format!("unknown tuner {:?}", ct.key.tuner)))
 }
 
-/// The wire-session description of one compiled trial: same protocol,
-/// budget, energy flag, scalarization and fault block the in-process
-/// evaluator would get, so the daemon's session is semantically the
-/// trial's evaluator.
+/// The session description of one compiled trial: its benchmark,
+/// architecture, protocol, budget, energy flag, scalarization and fault
+/// block. In-process trials build their evaluator from it exactly as the
+/// daemon builds a remote session's, so every endpoint runs the same
+/// evaluator. Every mode but `time` measures energy; blended modes tune
+/// the scalarization, so `best_ms` holds the blended objective and
+/// `best_energy_mj` the underlying energy.
 fn open_session(ct: &CompiledTrial) -> OpenSession {
     let mut open = OpenSession::new(&ct.key.benchmark, &ct.key.architecture, ct.protocol);
     open.budget = Some(ct.budget);
@@ -271,34 +274,9 @@ fn execute_trial(ct: &CompiledTrial, target: &Target) -> Result<TrialRecord, Err
 }
 
 fn execute_trial_in_process(ct: &CompiledTrial) -> Result<TrialRecord, Error> {
-    let arch = bat_gpusim::GpuArch::by_name(&ct.key.architecture)
-        .ok_or_else(|| Error::spec(format!("unknown GPU {:?}", ct.key.architecture)))?;
-    let problem = bat_kernels::benchmark(&ct.key.benchmark, arch)
-        .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", ct.key.benchmark)))?;
-    // Blended modes tune the scalarization through the ordinary evaluator
-    // interface: `best_ms` holds the blended objective and
-    // `best_energy_mj` the underlying energy. Every mode but `time`
-    // measures energy; a `time` trial measures exactly what the
-    // pre-energy suite did.
-    let blended;
-    let tuned: &dyn TuningProblem = match ct.objective.scalarization() {
-        Some(s) => {
-            blended = bat_moo::Scalarized::new(problem, s);
-            &blended
-        }
-        None => &problem,
-    };
-    let mut builder = Evaluator::builder(tuned)
-        .protocol(ct.protocol)
-        .budget(ct.budget)
-        .energy(ct.objective.mode != ObjectiveMode::Time);
-    // A spec-level `faults` block installs the fault model + retry policy
-    // on the trial's evaluator; without one, the evaluation path — and
-    // therefore every artifact byte — is exactly the pre-fault one.
-    if let Some(f) = ct.faults {
-        builder = builder.faults(f.model(), f.retry_policy());
-    }
-    drive_trial(ct, &builder.build()?)
+    let open = open_session(ct);
+    let problem = open.problem()?;
+    drive_trial(ct, &open.evaluator(&*problem)?)
 }
 
 /// Check that `prior` holds trials of `spec`'s campaign: the result
@@ -500,6 +478,7 @@ pub fn run_campaign(spec: &ExperimentSpec, opts: &CampaignOptions) -> Result<Cam
 mod tests {
     use super::*;
     use crate::spec::{ObjectiveSpec, Selector, ShardSpec};
+    use bat_core::{Evaluator, TuningProblem};
 
     fn spec() -> ExperimentSpec {
         ExperimentSpec {

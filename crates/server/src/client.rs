@@ -14,7 +14,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use bat_core::{Error, EvalBackend, EvalOutcome, Protocol};
-use bat_gpusim::GpuArch;
 use bat_space::ConfigSpace;
 
 use crate::codec;
@@ -58,12 +57,7 @@ impl<S: Read + Write> RemoteBackend<S> {
     /// and platform come back from the daemon, so scalarized sessions
     /// report their blended names exactly as in-process runs do.
     pub fn open(conn: S, open: OpenSession) -> Result<Self, Error> {
-        let arch = GpuArch::by_name(&open.architecture).ok_or_else(|| {
-            Error::spec(format!("unknown GPU architecture {:?}", open.architecture))
-        })?;
-        let base = bat_kernels::benchmark(&open.benchmark, arch)
-            .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", open.benchmark)))?;
-        let space = bat_core::TuningProblem::space(&base).clone();
+        let space = open.problem()?.space().clone();
         let protocol = open.protocol();
         let mut conn = conn;
         codec::write_request(&mut conn, Request::Open(open))?;

@@ -52,8 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bat_cache::CacheStore;
-use bat_core::{Error, EvalBackend, Evaluator, TuningProblem};
-use bat_gpusim::GpuArch;
+use bat_core::{Error, EvalBackend, Evaluator};
 
 use crate::codec;
 use crate::duplex::{duplex, DuplexStream};
@@ -432,8 +431,9 @@ fn stats_of(eval: &Evaluator<'_>) -> SessionStats {
     EvalBackend::stats(eval)
 }
 
-/// A session worker: owns the problem, builds the evaluator through the
-/// shared validated path, then serves eval/close commands until the
+/// A session worker: builds the session's problem and evaluator with
+/// [`OpenSession::problem`] and [`OpenSession::evaluator`], as in-process
+/// campaign trials do, then serves eval/close commands until the
 /// connection goes away.
 fn session_worker<W: Write>(
     shared: Arc<Shared>,
@@ -442,57 +442,15 @@ fn session_worker<W: Write>(
     open: OpenSession,
     rx: Receiver<SessionCmd>,
 ) {
-    let Some(arch) = GpuArch::by_name(&open.architecture) else {
-        respond(
-            &writer,
-            session_error(
-                Some(id),
-                Error::spec(format!("unknown GPU architecture {:?}", open.architecture)),
-            ),
-        );
-        return;
-    };
-    let Some(base) = bat_kernels::benchmark(&open.benchmark, arch) else {
-        respond(
-            &writer,
-            session_error(
-                Some(id),
-                Error::spec(format!("unknown benchmark {:?}", open.benchmark)),
-            ),
-        );
-        return;
-    };
-    // Blended objectives wrap the problem exactly as the in-process
-    // campaign path does, so names, noise salts and therefore artifacts
-    // agree byte for byte.
-    match open.scalarization {
-        None => run_session(&base, &shared, &writer, id, &open, rx),
-        Some(s) => {
-            let blended = bat_moo::Scalarized::new(base, s.into());
-            run_session(&blended, &shared, &writer, id, &open, rx);
+    let writer = &*writer;
+    let problem = match open.problem() {
+        Ok(problem) => problem,
+        Err(e) => {
+            respond(writer, session_error(Some(id), e));
+            return;
         }
-    }
-}
-
-fn run_session<W: Write>(
-    problem: &dyn TuningProblem,
-    shared: &Shared,
-    writer: &Mutex<W>,
-    id: u64,
-    open: &OpenSession,
-    rx: Receiver<SessionCmd>,
-) {
-    let mut builder = Evaluator::builder(problem)
-        .protocol(open.protocol())
-        .energy(open.energy);
-    if let Some(b) = open.budget {
-        builder = builder.budget(b);
-    }
-    if let Some(wf) = open.faults {
-        let (model, policy) = wf.into();
-        builder = builder.faults(model, policy);
-    }
-    let eval = match builder.build() {
+    };
+    let eval = match open.evaluator(&*problem) {
         Ok(eval) => eval,
         Err(e) => {
             respond(writer, session_error(Some(id), e));

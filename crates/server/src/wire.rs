@@ -23,8 +23,8 @@
 use serde::{Deserialize, Serialize};
 
 use bat_cache::CacheCell;
-use bat_core::{Error, EvalOutcome, Protocol, RetryPolicy};
-use bat_gpusim::FaultModel;
+use bat_core::{Error, EvalOutcome, Evaluator, Protocol, RetryPolicy, TuningProblem};
+use bat_gpusim::{FaultModel, GpuArch};
 
 /// The wire-schema identifier every envelope must carry.
 pub const WIRE_SCHEMA: &str = "bat/wire/v1";
@@ -173,6 +173,41 @@ impl OpenSession {
             seed: self.noise_seed,
             batch: self.batch,
         }
+    }
+
+    /// The problem this session tunes: the registry's `benchmark` on
+    /// `architecture`, wrapped in the session's scalarization when it has
+    /// one. Campaign trials, the daemon and the remote client all build
+    /// their problem here, so names, noise salts and spaces agree byte
+    /// for byte.
+    pub fn problem(&self) -> Result<Box<dyn TuningProblem>, Error> {
+        let arch = GpuArch::by_name(&self.architecture).ok_or_else(|| {
+            Error::spec(format!("unknown GPU architecture {:?}", self.architecture))
+        })?;
+        let base = bat_kernels::benchmark(&self.benchmark, arch)
+            .ok_or_else(|| Error::spec(format!("unknown benchmark {:?}", self.benchmark)))?;
+        Ok(match self.scalarization {
+            None => Box::new(base),
+            Some(s) => Box::new(bat_moo::Scalarized::new(base, s.into())),
+        })
+    }
+
+    /// The session's evaluator over `problem` (from
+    /// [`OpenSession::problem`]): its protocol, budget, energy flag and
+    /// fault model with retry policy. Without a fault block the evaluation
+    /// path is exactly the fault-free one.
+    pub fn evaluator<'a>(&self, problem: &'a dyn TuningProblem) -> Result<Evaluator<'a>, Error> {
+        let mut builder = Evaluator::builder(problem)
+            .protocol(self.protocol())
+            .energy(self.energy);
+        if let Some(b) = self.budget {
+            builder = builder.budget(b);
+        }
+        if let Some(wf) = self.faults {
+            let (model, policy) = wf.into();
+            builder = builder.faults(model, policy);
+        }
+        builder.build()
     }
 }
 
