@@ -68,7 +68,6 @@ pub fn default_gbdt_params() -> GbdtParams {
         tree: bat_ml::TreeParams {
             max_depth: 8,
             min_samples_leaf: 3,
-            ..bat_ml::TreeParams::default()
         },
         subsample: 0.9,
         seed: 17,

@@ -68,7 +68,6 @@ fn ablation_gbdt_depth(c: &mut Criterion) {
                         tree: TreeParams {
                             max_depth: depth,
                             min_samples_leaf: 3,
-                            ..TreeParams::default()
                         },
                         subsample: 1.0,
                         seed: 1,

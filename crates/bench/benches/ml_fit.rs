@@ -69,7 +69,6 @@ fn tree_fit(c: &mut Criterion) {
     let params = TreeParams {
         max_depth: 10,
         min_samples_leaf: 2,
-        ..TreeParams::default()
     };
     let mut g = c.benchmark_group("tree_fit_10k");
     g.throughput(Throughput::Elements(data.n_rows() as u64));
@@ -130,7 +129,6 @@ fn tree_pool(c: &mut Criterion) {
         tree: TreeParams {
             max_depth: 5,
             min_samples_leaf: 2,
-            ..TreeParams::default()
         },
         subsample: 0.9,
         seed: 11,

@@ -53,7 +53,6 @@ impl Default for ForestParams {
             tree: TreeParams {
                 max_depth: 10,
                 min_samples_leaf: 2,
-                ..TreeParams::default()
             },
             bootstrap: 1.0,
             seed: 0,

@@ -680,7 +680,6 @@ mod tests {
             &TreeParams {
                 max_depth: 0,
                 min_samples_leaf: 1,
-                ..TreeParams::default()
             },
         );
         let mean = y.iter().sum::<f64>() / y.len() as f64;
@@ -699,7 +698,6 @@ mod tests {
             &TreeParams {
                 max_depth: 10,
                 min_samples_leaf: 60, // cannot split 100 rows into 60+60,
-                ..TreeParams::default()
             },
         );
         assert!(tree.is_empty());
@@ -723,12 +721,10 @@ mod tests {
             TreeParams {
                 max_depth: 10,
                 min_samples_leaf: 1,
-                ..TreeParams::default()
             },
             TreeParams {
                 max_depth: 3,
                 min_samples_leaf: 7,
-                ..TreeParams::default()
             },
         ] {
             let hist = RegressionTree::fit(&data, &y, &rows, &params);

@@ -79,7 +79,6 @@ impl SurrogateStep<'_> {
                     tree: TreeParams {
                         max_depth: 5,
                         min_samples_leaf: 2,
-                        ..TreeParams::default()
                     },
                     subsample: 0.9,
                     seed: self.seed ^ 0x5eed,

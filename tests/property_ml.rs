@@ -490,7 +490,7 @@ proptest! {
         let params = GbdtParams {
             n_trees: 12,
             learning_rate: 0.3,
-            tree: TreeParams { max_depth: depth, min_samples_leaf: 1, ..TreeParams::default() },
+            tree: TreeParams { max_depth: depth, min_samples_leaf: 1 },
             subsample: if subsampled == 1 { 0.9 } else { 1.0 },
             seed,
         };
@@ -524,7 +524,7 @@ proptest! {
         let data = tree_data(&mut state, n, d);
         let params = ForestParams {
             n_trees: 10,
-            tree: TreeParams { max_depth: 10, min_samples_leaf: 1, ..TreeParams::default() },
+            tree: TreeParams { max_depth: 10, min_samples_leaf: 1 },
             seed,
             ..ForestParams::default()
         };
